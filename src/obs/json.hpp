@@ -5,8 +5,7 @@
 // values written — runs that produce identical metrics produce byte-identical
 // JSON, which is what the determinism acceptance checks (threads=1 vs
 // threads=8) compare. It lives in obs/ because the tracing/congestion
-// exporters sit below the scenario layer; scenario re-exports it under its
-// old name (scenario::JsonWriter).
+// exporters sit below the scenario layer.
 #pragma once
 
 #include <cstdint>

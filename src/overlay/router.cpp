@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <map>
+#include <type_traits>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -106,58 +107,297 @@ class ActiveSet {
   std::vector<uint64_t> items_;
 };
 
-/// The stall heartbeat shared by both engines: when a faulted network ate
-/// every in-flight message of a round (zero progress), re-send all tokens
-/// already launched. Token arrival is a bitmask OR, so duplicates are free;
-/// a reliable network moves a packet or token every round and never gets
-/// here. `send_token(idx, edge)` emits the cross-edge token message.
-uint64_t resend_sent_tokens(const std::vector<uint64_t>& token_sent,
-                            const std::function<void(uint64_t, uint32_t)>& send_token) {
-  uint64_t resent = 0;
-  for (uint64_t idx = 0; idx < token_sent.size(); ++idx) {
-    uint64_t mask = token_sent[idx] & ~uint64_t{1};  // straight tokens are local
-    while (mask) {
-      uint32_t e = static_cast<uint32_t>(std::countr_zero(mask));
-      mask &= mask - 1;
-      send_token(idx, e);
-      ++resent;
+/// A packet or token bound for routing state (level, col): a straight-edge
+/// move staged by the step, or an inbox arrival decoded after end_round().
+struct Move {
+  uint32_t level;  // destination level
+  NodeId col;
+  uint64_t group;
+  Val val;
+  bool is_token;
+  uint32_t edge = 0;  // token in-edge index
+};
+
+/// A multicast-tree edge recorded by route_down: up-edge `bit` of `group` at
+/// child state `cidx`.
+struct RecordOp {
+  uint64_t cidx;
+  uint64_t group;
+  uint64_t bit;
+};
+
+/// One shard's staged cross-node effects of a step, merged in shard order.
+struct StepOut {
+  std::vector<Message> sends;
+  std::vector<Move> local;
+  std::vector<RecordOp> rec;
+  std::vector<uint64_t> readd;
+  uint64_t moved = 0, tokens = 0;
+};
+
+/// State and level arithmetic shared by both directions. Edge layer l joins
+/// levels l and l+1 (the down-edges of level l): a down state at level l
+/// sends on layer l and hears tokens on layer l-1, an up state sends on the
+/// reversed layer l-1 and hears tokens on layer l. Generators are
+/// involutions, so a layer's in-degree equals its out-degree.
+template <bool Up>
+struct PhaseCore {
+  using Result = std::conditional_t<Up, UpResult, DownResult>;
+  static constexpr uint32_t kPacketTag = Up ? kTagUpPacket : kTagDownPacket;
+  static constexpr uint32_t kTokenTag = Up ? kTagUpToken : kTagDownToken;
+
+  PhaseCore(const Overlay& t, Network& n, CombiningCache* c, MulticastTrees* rec = nullptr)
+      : topo(t), net(n), F(t.levels() - 1), cols(t.columns()),
+        flows(obs::FlowSampler::of(n)), cache(c), record(rec),
+        cache_before(c ? c->stats() : CombiningCache::Stats{}), active(t.node_count()),
+        tokens_recv(t.node_count(), 0), token_sent(t.node_count(), 0) {
+    for (uint32_t l = 0; l < F; ++l) NCC_ASSERT(topo.down_degree(l) <= kMaxDegree);
+  }
+
+  /// Tokens start ready at the source level and terminate at the sink level.
+  uint32_t source() const { return Up ? F : 0; }
+  uint32_t sink() const { return Up ? 0 : F; }
+  static uint32_t next(uint32_t level) { return Up ? level - 1 : level + 1; }
+  static uint32_t out_layer(uint32_t level) { return Up ? level - 1 : level; }
+  static uint32_t in_layer(uint32_t level) { return Up ? level : level - 1; }
+  NodeId next_column(uint32_t level, NodeId col, uint32_t e) const {
+    if constexpr (Up) return topo.up_column(level, col, e);
+    return topo.down_column(level, col, e);
+  }
+  uint64_t full_mask(uint32_t layer) const {
+    return (uint64_t{1} << topo.down_degree(layer)) - 1;
+  }
+  bool token_ready(uint32_t level, uint64_t idx) const {
+    return level == source() || tokens_recv[idx] == full_mask(in_layer(level));
+  }
+
+  const Overlay& topo;
+  Network& net;
+  const uint32_t F;  // final routing level
+  const NodeId cols;
+  // Cached once: hops are recorded only at the sequential merge points, in
+  // deterministic order, so they are thread-count invariant.
+  obs::FlowSampler* flows;
+  // Consulted only at the sequential merge points, so hits and evictions are
+  // bit-identical across engine thread counts.
+  CombiningCache* cache;
+  MulticastTrees* record;  // route_down's tree recording, if on
+  const CombiningCache::Stats cache_before;
+  ActiveSet active;
+  // Token state, one token per (state, out-edge). Tokens carry their in-edge
+  // index and tokens_recv tracks in-edges as a bitmask, so duplicate
+  // deliveries (the stall heartbeat's re-sends) are idempotent.
+  std::vector<uint64_t> tokens_recv;
+  std::vector<uint64_t> token_sent;
+  uint64_t queued = 0;  // packet moves still owed by the states' queues
+  // Packets and tokens moved or delivered this round, merge-point effects
+  // included, so the stall heartbeat only fires when the network truly
+  // delivered nothing new.
+  uint64_t progress = 0;
+  Result result;
+};
+
+/// The router's one round loop, run by both directions: the Combining and
+/// Spreading Phases are one algorithm run in opposite directions
+/// (docs/ARCHITECTURE.md, "Router phase machine"). `Phase` derives PhaseCore
+/// and supplies the direction-specific pieces:
+///   contend(idx, level, col, deg, best, wanted)  per-edge winners of a queue
+///   take(idx, group, e) -> Val   remove the winner's packet for edge e
+///   idle(idx)                    the state's queue is empty
+///   arrive(level, col, group, v) packet merge point
+///   tokens_complete(idx)         token-completion merge point
+template <class Phase>
+void run_rounds(Phase& ph) {
+  const Overlay& topo = ph.topo;
+  Network& net = ph.net;
+  const NodeId cols = ph.cols;
+  uint64_t tokens_pending = 0;
+  for (uint32_t l = 0; l < ph.F; ++l)
+    tokens_pending += static_cast<uint64_t>(topo.down_degree(l)) * cols;
+  for (NodeId c = 0; c < cols; ++c) ph.active.add(topo.index(ph.source(), c));
+
+  // Applied sequentially on the caller thread, in deterministic order.
+  auto land = [&](const Move& mv) {
+    if (!mv.is_token) {
+      ++ph.progress;
+      ph.arrive(mv.level, mv.col, mv.group, mv.val);
+      return;
+    }
+    if (mv.level == ph.sink()) return;  // sink-level tokens terminate here
+    uint64_t idx = topo.index(mv.level, mv.col);
+    uint64_t bit = uint64_t{1} << mv.edge;
+    const bool fresh = !(ph.tokens_recv[idx] & bit);
+    ph.tokens_recv[idx] |= bit;
+    const bool ready = ph.token_ready(mv.level, idx);
+    if (fresh) {
+      ++ph.progress;
+      if (ready) ph.tokens_complete(idx);  // the exact completion transition
+    }
+    if (ready && ph.token_sent[idx] != ph.full_mask(Phase::out_layer(mv.level)))
+      ph.active.add(idx);
+  };
+
+  std::vector<StepOut> outs(engine_shards(net));
+  std::vector<std::vector<Move>> arrivals(engine_shards(net));
+  std::vector<Move> local;
+  std::vector<uint64_t> items;
+
+  bool first_round = true;
+  while (ph.queued > 0 || tokens_pending > 0) {
+    // Stall heartbeat: the previous round delivered and moved nothing (only
+    // possible when fault injection ate every in-flight message), so re-send
+    // every already-launched token before stepping. A reliable network moves
+    // a packet or token every round and never gets here.
+    if (!first_round && ph.progress == 0) {
+      for (uint64_t idx = 0; idx < ph.token_sent.size(); ++idx) {
+        uint32_t level = static_cast<uint32_t>(idx / cols);
+        NodeId col = static_cast<NodeId>(idx % cols);
+        uint64_t mask = ph.token_sent[idx] & ~uint64_t{1};  // straight tokens are local
+        while (mask) {
+          uint32_t e = static_cast<uint32_t>(std::countr_zero(mask));
+          mask &= mask - 1;
+          net.send(topo.host(col), topo.host(ph.next_column(level, col, e)),
+                   Phase::kTokenTag | Phase::next(level), {e});
+          ++ph.result.stats.token_resends;
+        }
+      }
+    }
+    first_round = false;
+    ph.progress = 0;
+
+    // The step runs shard-parallel over the active routing states: each item
+    // only mutates its own queue / token state, and every cross-node effect
+    // (sends, straight-edge moves, tree recording, counters, re-activation)
+    // is staged per shard and merged in shard order, which restores the
+    // sequential iteration order exactly.
+    items = ph.active.take();
+    engine_ranges(net, items.size(), [&](uint32_t s, uint64_t ib, uint64_t ie) {
+      StepOut& out = outs[s];  // drained and cleared by the merge below
+      // Per-edge contention scratch, hoisted out of the item loop: only the
+      // first `deg` entries are live per item (2 on the bit-fixing overlays),
+      // so resetting `found` beats zero-initializing the whole 62-slot array
+      // on the router's hottest path.
+      std::array<EdgeBest, kMaxDegree> best;
+      for (uint64_t ii = ib; ii < ie; ++ii) {
+        uint64_t idx = items[ii];
+        uint32_t level = static_cast<uint32_t>(idx / cols);
+        NodeId col = static_cast<NodeId>(idx % cols);
+        NCC_ASSERT(level != ph.sink());  // sink-level states never enqueue work
+        const uint32_t nlevel = Phase::next(level);
+        const uint32_t deg = topo.down_degree(Phase::out_layer(level));
+        uint64_t edge_used = 0, edge_wanted = 0;
+        for (uint32_t e = 0; e < deg; ++e) best[e].found = false;
+        ph.contend(idx, level, col, deg, best, edge_wanted);
+        for (uint32_t e = 0; e < deg; ++e) {
+          if (!best[e].found) continue;
+          uint64_t bit = uint64_t{1} << e;
+          edge_used |= bit;
+          uint64_t g = best[e].group;
+          Val v = ph.take(idx, g, e);
+          ++out.moved;
+          NodeId ncol = ph.next_column(level, col, e);
+          // The child may belong to another shard, so stage the tree edge.
+          if (ph.record) out.rec.push_back({topo.index(nlevel, ncol), g, bit});
+          if (e == 0) {
+            out.local.push_back({nlevel, ncol, g, v, false});
+          } else {
+            out.sends.push_back(Message(topo.host(col), topo.host(ncol),
+                                        Phase::kPacketTag | nlevel, {g, v[0], v[1]}));
+          }
+        }
+        // A packet still wanting an edge means another packet of its group
+        // may yet follow on it; the token waits for the edge to clear.
+        const bool ready = ph.token_ready(level, idx);
+        if (ready) {
+          for (uint32_t e = 0; e < deg; ++e) {
+            uint64_t bit = uint64_t{1} << e;
+            if ((edge_used | edge_wanted | ph.token_sent[idx]) & bit) continue;
+            ph.token_sent[idx] |= bit;
+            ++out.tokens;
+            NodeId ncol = ph.next_column(level, col, e);
+            if (e == 0) {
+              out.local.push_back({nlevel, ncol, 0, {}, true, 0});
+            } else {
+              out.sends.push_back(Message(topo.host(col), topo.host(ncol),
+                                          Phase::kTokenTag | nlevel, {e}));
+            }
+          }
+        }
+        if (!ph.idle(idx) || (ready && ph.token_sent[idx] != (uint64_t{1} << deg) - 1))
+          out.readd.push_back(idx);
+      }
+    });
+    local.clear();
+    for (StepOut& out : outs) {
+      net.send_bulk(out.sends);
+      local.insert(local.end(), out.local.begin(), out.local.end());
+      for (const RecordOp& op : out.rec) ph.record->children[op.cidx][op.group] |= op.bit;
+      for (uint64_t idx : out.readd) ph.active.add(idx);
+      ph.result.stats.packets_moved += out.moved;
+      ph.progress += out.moved + out.tokens;
+      ph.queued -= out.moved;
+      tokens_pending -= out.tokens;
+      out.sends.clear();
+      out.local.clear();
+      out.rec.clear();
+      out.readd.clear();
+      out.moved = out.tokens = 0;
+    }
+
+    net.end_round();
+    ++ph.result.stats.rounds;
+
+    // Straight-edge moves land before inbox arrivals.
+    for (const Move& mv : local) land(mv);
+    // Arrival scan, sharded over host columns: each shard decodes its
+    // columns' inboxes into staged arrival records; the merge applies them
+    // in shard order, which concatenates back to the sequential
+    // column-ascending scan order, so the merge points (which touch shared
+    // routing state) stay on the caller thread and bit-identical for any
+    // shard count.
+    engine_ranges(net, cols, [&](uint32_t s, uint64_t ub, uint64_t ue) {
+      std::vector<Move>& arr = arrivals[s];
+      for (uint64_t u = ub; u < ue; ++u) {
+        for (const Message& m : net.inbox(static_cast<NodeId>(u))) {
+          uint32_t level = tag_level(m.tag);
+          if (tag_kind(m.tag) == Phase::kPacketTag) {
+            arr.push_back({level, static_cast<NodeId>(u), m.word(0),
+                           Val{m.word(1), m.word(2)}, false, 0});
+          } else if (tag_kind(m.tag) == Phase::kTokenTag) {
+            // The in-edge is derived from the transport framing (src and dst
+            // are network truth), never from the payload: a byzantine mutation
+            // of the payload cannot poison the in-edge bitmask.
+            uint32_t e = topo.edge_from_delta(Phase::in_layer(level),
+                                              static_cast<NodeId>(u) ^ m.src);
+            arr.push_back({level, static_cast<NodeId>(u), 0, {}, true, e});
+          }
+        }
+      }
+    });
+    for (auto& arr : arrivals) {
+      for (const Move& mv : arr) land(mv);
+      arr.clear();
     }
   }
-  return resent;
+
+  if (ph.cache) {  // cache traffic is reported as per-call deltas
+    const CombiningCache::Stats& cs = ph.cache->stats();
+    ph.result.stats.cache_hits = cs.hits - ph.cache_before.hits;
+    ph.result.stats.cache_misses = cs.misses - ph.cache_before.misses;
+    ph.result.stats.cache_evictions = cs.evictions - ph.cache_before.evictions;
+  }
 }
 
-}  // namespace
+/// The Combining Phase: each state queues one combined packet per group,
+/// which wants the single edge of its greedy route toward h(group).
+struct DownPhase : PhaseCore<false> {
+  DownPhase(const Overlay& t, Network& n, CombiningCache* c, MulticastTrees* rec,
+            const std::function<NodeId(uint64_t)>& dest_col_fn,
+            const std::function<uint64_t(uint64_t)>& rank_fn, const CombineFn& combine_fn)
+      : PhaseCore(t, n, c, rec), dest_col(dest_col_fn), rank(rank_fn), combine(combine_fn),
+        congestion(t.overlay_node_count()), pending(t.node_count()) {}
 
-uint32_t MulticastTrees::max_leaf_load() const {
-  uint32_t best = 0;
-  for (const auto& v : leaf_members)
-    best = std::max<uint32_t>(best, static_cast<uint32_t>(v.size()));
-  return best;
-}
-
-DownResult route_down(const Overlay& topo, Network& net,
-                      std::vector<std::vector<AggPacket>> at_col,
-                      const std::function<NodeId(uint64_t)>& dest_col,
-                      const std::function<uint64_t(uint64_t)>& rank,
-                      const CombineFn& combine, MulticastTrees* record,
-                      CombiningCache* cache) {
-  obs::Span span(net, "route.down");
-  // Cached once: deposits run only on the caller thread, in deterministic
-  // merge order, so hops recorded here are thread-count invariant.
-  obs::FlowSampler* flows = obs::FlowSampler::of(net);
-  const uint32_t F = topo.levels() - 1;  // final routing level
-  const NodeId cols = topo.columns();
-  NCC_ASSERT(at_col.size() == cols);
-  for (uint32_t l = 0; l < F; ++l) NCC_ASSERT(topo.down_degree(l) <= kMaxDegree);
-
-  DownResult result;
-  CongestionTracker congestion(topo.overlay_node_count());
-
-  // Cached group metadata (dest column and rank are hash evaluations that
-  // every node can compute from the shared randomness). Populated on deposit
-  // — always sequential — so the parallel step loop reads a frozen map.
-  FlatMap<std::pair<NodeId, uint64_t>> meta;
-  auto group_meta = [&](uint64_t g) -> const std::pair<NodeId, uint64_t>& {
+  const std::pair<NodeId, uint64_t>& group_meta(uint64_t g) {
     auto [slot, fresh] = meta.emplace(g, {});
     if (fresh) {
       NodeId dc = dest_col(g);
@@ -165,94 +405,78 @@ DownResult route_down(const Overlay& topo, Network& net,
       *slot = std::make_pair(dc, rank(g));
     }
     return *slot;
-  };
-  auto meta_of = [&](uint64_t g) -> const std::pair<NodeId, uint64_t>& {
+  }
+  const std::pair<NodeId, uint64_t>& meta_of(uint64_t g) const {
     const auto* slot = meta.find(g);
     NCC_ASSERT(slot != nullptr);
     return *slot;
-  };
+  }
 
-  // Per routing state: combined pending packet per group.
-  std::vector<FlatMap<Val>> pending(topo.node_count());
-  uint64_t pending_total = 0;
-  ActiveSet active(topo.node_count());
-  // Effects applied after end_round() on the caller thread; counted toward
-  // the round's progress so the stall heartbeat only fires when the network
-  // truly delivered nothing new.
-  uint64_t progress = 0;
+  void contend(uint64_t idx, uint32_t level, NodeId col, uint32_t deg,
+               std::array<EdgeBest, kMaxDegree>& best, uint64_t& wanted) const {
+    pending[idx].for_each([&](uint64_t g, const Val&) {
+      uint32_t e = topo.route_edge(level, col, meta_of(g).first);
+      NCC_ASSERT(e < deg);
+      wanted |= uint64_t{1} << e;
+      Prio p{meta_of(g).second, g};
+      if (!best[e].found || p < best[e].best) best[e] = {true, p, g};
+    });
+  }
+  Val take(uint64_t idx, uint64_t g, uint32_t /*e*/) {
+    Val v = *pending[idx].find(g);
+    pending[idx].erase(g);
+    return v;
+  }
+  bool idle(uint64_t idx) const { return pending[idx].empty(); }
 
-  // Token state: tokens flow level 0 -> F behind the packets, one per
-  // (node, down-edge). Each token message carries its edge index and
-  // tokens_recv tracks in-edges as a bitmask (in-degree == down-degree of the
-  // level above: generators are involutions), so duplicate deliveries — the
-  // stall heartbeat re-sends — are idempotent. Level-0 nodes start ready.
-  // Declared before deposit() because the absorber admission rule reads
-  // token_ready (see below).
-  std::vector<uint64_t> tokens_recv(topo.node_count(), 0);
-  std::vector<uint64_t> token_sent(topo.node_count(), 0);
-  auto full_mask = [&](uint32_t level) -> uint64_t {
-    return (uint64_t{1} << topo.down_degree(level)) - 1;
-  };
-  auto token_ready = [&](uint64_t idx) {
-    uint32_t level = static_cast<uint32_t>(idx / cols);
-    return level == 0 || tokens_recv[idx] == full_mask(level - 1);
-  };
+  /// Queue `v` at state idx, combining with its group's packet already there.
+  void enqueue(uint64_t idx, uint64_t group, const Val& v) {
+    auto [slot, fresh] = pending[idx].emplace(group, v);
+    if (fresh) {
+      ++queued;
+    } else {
+      *slot = combine(*slot, v);
+      ++result.stats.combines;
+    }
+  }
 
-  // En-route cache bookkeeping (overlay/cache.hpp). All cache traffic runs
-  // at the sequential deposit/token merge points, so hits and evictions are
-  // bit-identical across engine thread counts. Stats are reported as
-  // per-call deltas.
-  const CombiningCache::Stats cache_before =
-      cache ? cache->stats() : CombiningCache::Stats{};
-  // Dedup index into record->cache_roots: later hits of a group at the same
-  // state OR their subtree masks into the root recorded by the first hit.
-  std::map<std::pair<uint64_t, uint64_t>, size_t> croot_at;
-
-  auto deposit = [&](uint32_t level, NodeId col, uint64_t group, const Val& v) {
+  void arrive(uint32_t level, NodeId col, uint64_t group, const Val& v) {
     uint64_t idx = topo.index(level, col);
     congestion.visit(topo.overlay_node(level, col), group);
-    group_meta(group);
-    ++progress;
+    const NodeId dest = group_meta(group).first;
     // Serving-side cache hit (tree setup only): the state holds this group's
     // payload, so the request ends here. Snapshot-and-clear the subtree
     // recorded below this state and register it as a cache root; the next
     // Spreading Phase injects the cached payload there instead of descending
     // from the group root. Clearing keeps the recorded tree and the cache
     // root disjoint — the up phase serves every recorded edge exactly once.
-    if (cache && record && level < F) {
-      if (const Val* pv = cache->lookup_payload(idx, group)) {
-        uint64_t mask = 0;
-        if (uint64_t* recorded = record->children[idx].find(group)) {
-          mask = *recorded;
-          *recorded = 0;
-        }
-        auto [dit, fresh_root] = croot_at.emplace(std::make_pair(idx, group),
-                                                  record->cache_roots.size());
-        if (fresh_root) {
-          record->cache_roots.push_back({group, idx, *pv, mask});
-        } else {
-          record->cache_roots[dit->second].mask |= mask;
-        }
-        if (flows)
-          flows->record_hop(
-              group, /*up=*/false, level,
-              topo.route_edge(level, col, group_meta(group).first),
-              topo.host(col), net.rounds(), /*cache_hit=*/true);
-        return;
-      }
-    }
+    const Val* pv = cache && record && level < F ? cache->lookup_payload(idx, group) : nullptr;
     if (flows)
-      flows->record_hop(
-          group, /*up=*/false, level,
-          level == F ? 0 : topo.route_edge(level, col, group_meta(group).first),
-          topo.host(col), net.rounds());
+      flows->record_hop(group, /*up=*/false, level,
+                        level == F ? 0 : topo.route_edge(level, col, dest),
+                        topo.host(col), net.rounds(), /*cache_hit=*/pv != nullptr);
+    if (pv) {
+      uint64_t mask = 0;
+      if (uint64_t* recorded = record->children[idx].find(group)) {
+        mask = *recorded;
+        *recorded = 0;
+      }
+      auto [dit, fresh_root] = croot_at.emplace(std::make_pair(idx, group),
+                                                record->cache_roots.size());
+      if (fresh_root) {
+        record->cache_roots.push_back({group, idx, *pv, mask});
+      } else {
+        record->cache_roots[dit->second].mask |= mask;
+      }
+      return;
+    }
     if (level == F) {
       // A reliable network never misroutes (the destination-driven descent
       // ends at the group's root column), so there a mismatch is still a hard
       // routing-invariant violation; under byzantine corruption a rewritten
       // group id can land a packet at a foreign root on its last hop — then
       // it is network behaviour: count it and drop, don't abort.
-      if (group_meta(group).first != col) {
+      if (dest != col) {
         NCC_ASSERT_MSG(net.corruption_possible(),
                        "packet misrouted on a reliable network");
         ++result.stats.misrouted;
@@ -270,337 +494,120 @@ DownResult route_down(const Overlay& topo, Network& net,
     // Absorber-side caching (pure aggregation descent): a repeat packet of a
     // group whose earlier packet already departed parks in the armed
     // absorber instead of climbing separately; its mass re-enters the
-    // pending queue at this state's token-completion transition.
-    if (cache && !record && level >= 1) {
-      if (Val* queued = pending[idx].find(group)) {
-        *queued = combine(*queued, v);
-        ++result.stats.combines;
-        active.add(idx);
-        return;
-      }
+    // pending queue at this state's token-completion transition. A packet
+    // whose group is still queued here just combines with it.
+    if (cache && !record && level >= 1 && !pending[idx].find(group)) {
       if (cache->absorb(idx, group, v, combine)) return;
-      pending[idx].emplace(group, v);
-      ++pending_total;
-      active.add(idx);
       // Arm only while more packets can still arrive (tokens incomplete): an
       // absorber armed after the flush transition would never drain.
-      if (!token_ready(idx)) {
-        CombiningCache::Flushed ev;
-        if (cache->arm_absorber(idx, group, &ev)) {
-          auto [slot, fresh] = pending[idx].emplace(ev.group, ev.val);
-          if (fresh) {
-            ++pending_total;
-          } else {
-            *slot = combine(*slot, ev.val);
-            ++result.stats.combines;
-          }
-        }
-      }
-      return;
+      CombiningCache::Flushed ev;
+      if (!token_ready(level, idx) && cache->arm_absorber(idx, group, &ev))
+        enqueue(idx, ev.group, ev.val);
     }
-    auto [slot, fresh] = pending[idx].emplace(group, v);
-    if (fresh) {
-      ++pending_total;
-    } else {
-      *slot = combine(*slot, v);
-      ++result.stats.combines;
-    }
+    enqueue(idx, group, v);
     active.add(idx);
-  };
-
-  // Initialize the tree record before the first deposits: the serving-hit
-  // branch reads record->children for level-0 states too.
-  if (record) {
-    record->levels = topo.levels();
-    record->children.assign(topo.node_count(), {});
   }
 
-  for (NodeId c = 0; c < cols; ++c)
-    for (const AggPacket& p : at_col[c]) deposit(0, c, p.group, p.val);
-  at_col.clear();
+  /// Token completion is the absorber drain point: every value parked at
+  /// this state re-enters the pending queue here, exactly once, so
+  /// aggregates stay exact.
+  void tokens_complete(uint64_t idx) {
+    if (!cache || record) return;
+    flush_buf.clear();
+    cache->flush_absorbers(idx, &flush_buf);
+    for (const CombiningCache::Flushed& f : flush_buf) {
+      enqueue(idx, f.group, f.val);
+      active.add(idx);
+    }
+  }
 
-  uint64_t tokens_pending = 0;
-  for (uint32_t l = 0; l < F; ++l)
-    tokens_pending += static_cast<uint64_t>(topo.down_degree(l)) * cols;
-  for (NodeId c = 0; c < cols; ++c) active.add(topo.index(0, c));
-
-  struct LocalMove {
-    uint32_t level;  // destination level
-    NodeId col;
-    uint64_t group;
-    Val val;
-    bool is_token;
-    uint32_t edge = 0;  // token in-edge index
-  };
-  std::vector<LocalMove> local;
-
-  // The per-round step loop runs shard-parallel over the active routing
-  // states: each item only mutates its own pending queue / token state, and
-  // every cross-node effect (sends, straight-edge moves, tree recording,
-  // counters, re-activation) is staged per shard and merged in shard order —
-  // which restores the sequential iteration order exactly.
-  struct RecordOp {
-    uint64_t cidx;
-    uint64_t group;
-    uint64_t bit;
-  };
-  struct StepOut {
-    std::vector<Message> sends;
-    std::vector<LocalMove> local;
-    std::vector<RecordOp> rec;
-    std::vector<uint64_t> readd;
-    uint64_t moved = 0, freed = 0, tokens = 0;
-  };
-  std::vector<StepOut> outs(engine_shards(net));
-  std::vector<std::vector<LocalMove>> arrivals(engine_shards(net));
-  std::vector<uint64_t> items;
+  const std::function<NodeId(uint64_t)>& dest_col;
+  const std::function<uint64_t(uint64_t)>& rank;
+  const CombineFn& combine;
+  CongestionTracker congestion;
+  // Cached group metadata (dest column and rank are hash evaluations that
+  // every node can compute from the shared randomness). Populated on arrive
+  // — always sequential — so the parallel step loop reads a frozen map.
+  FlatMap<std::pair<NodeId, uint64_t>> meta;
+  // Per routing state: combined pending packet per group.
+  std::vector<FlatMap<Val>> pending;
+  // Dedup index into record->cache_roots: later hits of a group at the same
+  // state OR their subtree masks into the root recorded by the first hit.
+  std::map<std::pair<uint64_t, uint64_t>, size_t> croot_at;
   std::vector<CombiningCache::Flushed> flush_buf;
+};
 
-  bool first_round = true;
-  while (pending_total > 0 || tokens_pending > 0) {
-    // Stall heartbeat: the previous round delivered and moved nothing (only
-    // possible when fault injection ate every in-flight message), so re-send
-    // every already-launched token before stepping.
-    if (!first_round && progress == 0) {
-      result.stats.token_resends += resend_sent_tokens(
-          token_sent, [&](uint64_t idx, uint32_t e) {
-            uint32_t level = static_cast<uint32_t>(idx / cols);
-            NodeId col = static_cast<NodeId>(idx % cols);
-            NodeId ncol = topo.down_column(level, col, e);
-            net.send(topo.host(col), topo.host(ncol), kTagDownToken | (level + 1), {e});
-          });
-    }
-    first_round = false;
-    progress = 0;
-
-    items = active.take();
-    engine_ranges(net, items.size(), [&](uint32_t s, uint64_t ib, uint64_t ie) {
-      StepOut& out = outs[s];  // drained and cleared by the merge below
-      // Per-edge contention scratch, hoisted out of the item loop: only the
-      // first `deg` entries are live per item (2 on the bit-fixing overlays),
-      // so resetting `found` beats zero-initializing the whole 62-slot array
-      // on the router's hottest path.
-      std::array<EdgeBest, kMaxDegree> best;
-      for (uint64_t ii = ib; ii < ie; ++ii) {
-        uint64_t idx = items[ii];
-        uint32_t level = static_cast<uint32_t>(idx / cols);
-        NodeId col = static_cast<NodeId>(idx % cols);
-        NCC_ASSERT(level < F);  // final-level nodes never enqueue work
-        const uint32_t deg = topo.down_degree(level);
-        auto& pq = pending[idx];
-        uint64_t edge_used = 0, edge_wanted = 0;
-        for (uint32_t e = 0; e < deg; ++e) best[e].found = false;
-        pq.for_each([&](uint64_t g, const Val&) {
-          uint32_t e = topo.route_edge(level, col, meta_of(g).first);
-          NCC_ASSERT(e < deg);
-          edge_wanted |= uint64_t{1} << e;
-          Prio p{meta_of(g).second, g};
-          if (!best[e].found || p < best[e].best) {
-            best[e] = {true, p, g};
-          }
-        });
-        for (uint32_t e = 0; e < deg; ++e) {
-          if (!best[e].found) continue;
-          edge_used |= uint64_t{1} << e;
-          uint64_t g = best[e].group;
-          Val v = *pq.find(g);
-          pq.erase(g);
-          ++out.freed;
-          ++out.moved;
-          NodeId ncol = topo.down_column(level, col, e);
-          if (record) {
-            // Record the reverse (up) edge at the child for the multicast
-            // tree. The child may belong to another shard, so stage the op.
-            uint64_t cidx = topo.index(level + 1, ncol);
-            out.rec.push_back({cidx, g, uint64_t{1} << e});
-          }
-          if (e == 0) {
-            out.local.push_back({level + 1, ncol, g, v, false});
-          } else {
-            out.sends.push_back(Message(topo.host(col), topo.host(ncol),
-                                        kTagDownPacket | (level + 1), {g, v[0], v[1]}));
-          }
-        }
-        // A packet remaining at the node means another packet of its group
-        // may still arrive and combine; the token waits for the edge to clear.
-        if (token_ready(idx)) {
-          for (uint32_t e = 0; e < deg; ++e) {
-            uint64_t bit = uint64_t{1} << e;
-            if ((edge_used | edge_wanted | token_sent[idx]) & bit) continue;
-            token_sent[idx] |= bit;
-            ++out.tokens;
-            NodeId ncol = topo.down_column(level, col, e);
-            if (e == 0) {
-              out.local.push_back({level + 1, ncol, 0, {}, true, 0});
-            } else {
-              out.sends.push_back(Message(topo.host(col), topo.host(ncol),
-                                          kTagDownToken | (level + 1), {e}));
-            }
-          }
-        }
-        if (!pq.empty() || (token_ready(idx) && token_sent[idx] != full_mask(level)))
-          out.readd.push_back(idx);
-      }
-    });
-    local.clear();
-    for (StepOut& out : outs) {
-      net.send_bulk(out.sends);
-      local.insert(local.end(), out.local.begin(), out.local.end());
-      if (record)
-        for (const RecordOp& op : out.rec) record->children[op.cidx][op.group] |= op.bit;
-      for (uint64_t idx : out.readd) active.add(idx);
-      result.stats.packets_moved += out.moved;
-      progress += out.moved + out.tokens;
-      pending_total -= out.freed;
-      tokens_pending -= out.tokens;
-      out.sends.clear();
-      out.local.clear();
-      out.rec.clear();
-      out.readd.clear();
-      out.moved = out.freed = out.tokens = 0;
-    }
-
-    net.end_round();
-    ++result.stats.rounds;
-
-    auto arrive_token = [&](uint32_t level, NodeId col, uint32_t edge) {
-      if (level == F) return;  // final-level tokens terminate here
-      uint64_t idx = topo.index(level, col);
-      uint64_t bit = uint64_t{1} << edge;
-      if (!(tokens_recv[idx] & bit)) {
-        tokens_recv[idx] |= bit;
-        ++progress;
-        // Token completion is the absorber drain point: every value parked
-        // at this state re-enters the pending queue here, exactly once, so
-        // aggregates stay exact. Runs at the sequential merge, like deposits.
-        if (cache && !record && token_ready(idx)) {
-          flush_buf.clear();
-          cache->flush_absorbers(idx, &flush_buf);
-          for (const CombiningCache::Flushed& f : flush_buf) {
-            auto [slot, fresh] = pending[idx].emplace(f.group, f.val);
-            if (fresh) {
-              ++pending_total;
-            } else {
-              *slot = combine(*slot, f.val);
-              ++result.stats.combines;
-            }
-            active.add(idx);
-          }
-        }
-      }
-      if (token_ready(idx) && token_sent[idx] != full_mask(level)) active.add(idx);
-    };
-    for (const LocalMove& mv : local) {
-      if (mv.is_token) {
-        arrive_token(mv.level, mv.col, mv.edge);
-      } else {
-        deposit(mv.level, mv.col, mv.group, mv.val);
-      }
-    }
-    // Arrival scan, sharded over host columns: each shard decodes its
-    // columns' inboxes into staged arrival records; the merge applies them
-    // in shard order, which concatenates back to the sequential
-    // column-ascending scan order — deposits (which touch shared routing
-    // state) stay on the caller thread and bit-identical for any shard count.
-    engine_ranges(net, cols, [&](uint32_t s, uint64_t ub, uint64_t ue) {
-      std::vector<LocalMove>& arr = arrivals[s];
-      for (uint64_t u = ub; u < ue; ++u) {
-        for (const Message& m : net.inbox(static_cast<NodeId>(u))) {
-          if (tag_kind(m.tag) == kTagDownPacket) {
-            arr.push_back({tag_level(m.tag), static_cast<NodeId>(u), m.word(0),
-                           Val{m.word(1), m.word(2)}, false, 0});
-          } else if (tag_kind(m.tag) == kTagDownToken) {
-            // The in-edge is derived from the transport framing (src and dst
-            // are network truth), never from the payload: a byzantine mutation
-            // of the payload cannot poison the in-edge bitmask.
-            uint32_t level = tag_level(m.tag);
-            uint32_t e = topo.edge_from_delta(
-                level - 1, static_cast<NodeId>(u) ^ m.src);
-            arr.push_back({level, static_cast<NodeId>(u), 0, {}, true, e});
-          }
-        }
-      }
-    });
-    for (auto& arr : arrivals) {
-      for (const LocalMove& mv : arr) {
-        if (mv.is_token) {
-          arrive_token(mv.level, mv.col, mv.edge);
-        } else {
-          deposit(mv.level, mv.col, mv.group, mv.val);
-        }
-      }
-      arr.clear();
-    }
-  }
-
-  result.stats.congestion = congestion.max();
-  if (record) record->congestion = congestion.max();
-  if (cache) {
-    const CombiningCache::Stats& cs = cache->stats();
-    result.stats.cache_hits = cs.hits - cache_before.hits;
-    result.stats.cache_misses = cs.misses - cache_before.misses;
-    result.stats.cache_evictions = cs.evictions - cache_before.evictions;
-  }
-  return result;
-}
-
-UpResult route_up(const Overlay& topo, Network& net, const MulticastTrees& trees,
-                  const FlatMap<Val>& payloads,
-                  const std::function<uint64_t(uint64_t)>& rank,
-                  CombiningCache* cache) {
-  obs::Span span(net, "route.up");
-  // Same caller-thread determinism argument as route_down's sampler use.
-  obs::FlowSampler* flows = obs::FlowSampler::of(net);
-  const uint32_t F = topo.levels() - 1;
-  const NodeId cols = topo.columns();
-  NCC_ASSERT(trees.levels == topo.levels());
-  NCC_ASSERT(trees.children.size() == topo.node_count());
-  for (uint32_t l = 0; l < F; ++l) NCC_ASSERT(topo.down_degree(l) <= kMaxDegree);
-
-  UpResult result;
-  result.at_col.assign(cols, {});
-
-  // Populated on arrive() — always sequential — so the parallel step loop
-  // reads a frozen map.
-  FlatMap<uint64_t> rank_cache;
-  auto group_rank = [&](uint64_t g) {
-    auto [slot, fresh] = rank_cache.emplace(g, 0);
-    if (fresh) *slot = rank(g);
-    return *slot;
-  };
-  auto rank_of = [&](uint64_t g) {
-    const uint64_t* slot = rank_cache.find(g);
-    NCC_ASSERT(slot != nullptr);
-    return *slot;
-  };
-
-  // Per routing state: groups being served and the mask of remaining
-  // recorded up-edges (bit e = reverse of down-edge e of the level below).
+/// The Spreading Phase: each state serves a group's payload along the mask
+/// of recorded up-edges it still owes (bit e = reverse of down-edge e of the
+/// level below); a group wants every edge in its mask.
+struct UpPhase : PhaseCore<true> {
   struct Serving {
     Val val;
     uint64_t mask;
   };
-  std::vector<FlatMap<Serving>> serving(topo.node_count());
-  uint64_t edges_remaining = 0;
-  ActiveSet active(topo.node_count());
-  uint64_t progress = 0;
 
-  // Per-call cache stats delta, as in route_down.
-  const CombiningCache::Stats cache_before =
-      cache ? cache->stats() : CombiningCache::Stats{};
+  UpPhase(const Overlay& t, Network& n, CombiningCache* c, const MulticastTrees& tr,
+          const std::function<uint64_t(uint64_t)>& rank_fn)
+      : PhaseCore(t, n, c), trees(tr), rank(rank_fn), serving(t.node_count()) {
+    result.at_col.assign(cols, {});
+  }
 
-  auto arrive = [&](uint32_t level, NodeId col, uint64_t group, const Val& v) {
+  uint64_t group_rank(uint64_t g) {
+    auto [slot, fresh] = rank_cache.emplace(g, 0);
+    if (fresh) *slot = rank(g);
+    return *slot;
+  }
+  uint64_t rank_of(uint64_t g) const {
+    const uint64_t* slot = rank_cache.find(g);
+    NCC_ASSERT(slot != nullptr);
+    return *slot;
+  }
+
+  void contend(uint64_t idx, uint32_t /*level*/, NodeId /*col*/, uint32_t /*deg*/,
+               std::array<EdgeBest, kMaxDegree>& best, uint64_t& wanted) const {
+    serving[idx].for_each([&](uint64_t g, const Serving& srv) {
+      Prio p{rank_of(g), g};
+      uint64_t mask = srv.mask;
+      while (mask) {
+        uint32_t e = static_cast<uint32_t>(std::countr_zero(mask));
+        mask &= mask - 1;
+        wanted |= uint64_t{1} << e;
+        if (!best[e].found || p < best[e].best) best[e] = {true, p, g};
+      }
+    });
+  }
+  Val take(uint64_t idx, uint64_t g, uint32_t e) {
+    Serving* sit = serving[idx].find(g);
+    Val v = sit->val;
+    sit->mask &= ~(uint64_t{1} << e);
+    if (sit->mask == 0) serving[idx].erase(g);
+    return v;
+  }
+  bool idle(uint64_t idx) const { return serving[idx].empty(); }
+
+  /// Start serving `group` at state idx along the up-edges in `mask`. A
+  /// group already served there collides only when byzantine corruption
+  /// rewrote its id in flight: count it and drop, don't abort.
+  bool serve(uint64_t idx, uint64_t group, const Val& v, uint64_t mask,
+             const char* collision) {
+    if (!serving[idx].emplace(group, Serving{v, mask}).second) {
+      NCC_ASSERT_MSG(net.corruption_possible(), collision);
+      ++result.stats.misrouted;
+      return false;
+    }
+    queued += std::popcount(mask);
+    active.add(idx);
+    return true;
+  }
+
+  void arrive(uint32_t level, NodeId col, uint64_t group, const Val& v) {
     uint64_t idx = topo.index(level, col);
     group_rank(group);
-    ++progress;
     if (flows)
-      flows->record_hop(group, /*up=*/true, level, 0, topo.host(col),
-                        net.rounds());
+      flows->record_hop(group, /*up=*/true, level, 0, topo.host(col), net.rounds());
     if (level == 0) {
       // Admission point: every state the payload passes (leaves included)
       // caches it, so a later wave's setup request can terminate here.
-      // Arrivals are applied sequentially at the merge, so admission and
-      // eviction order is thread-count invariant.
       if (cache) cache->admit_payload(idx, group, v);
       result.at_col[col].push_back({group, v});
       return;
@@ -616,18 +623,63 @@ UpResult route_up(const Overlay& topo, Network& net, const MulticastTrees& trees
       ++result.stats.misrouted;
       return;
     }
-    if (!serving[idx].emplace(group, Serving{v, *mask}).second) {
-      // Duplicate arrival for a group already being served at this node:
-      // same story — only a corrupted group id can collide like this.
-      NCC_ASSERT_MSG(net.corruption_possible(),
-                     "duplicate multicast arrival on a reliable network");
-      ++result.stats.misrouted;
+    if (!serve(idx, group, v, *mask, "duplicate multicast arrival on a reliable network"))
       return;
-    }
     if (cache) cache->admit_payload(idx, group, v);  // same admission point
-    edges_remaining += std::popcount(*mask);
-    active.add(idx);
-  };
+  }
+  void tokens_complete(uint64_t /*idx*/) {}
+
+  const MulticastTrees& trees;
+  const std::function<uint64_t(uint64_t)>& rank;
+  // Populated on arrive() — always sequential — so the parallel step loop
+  // reads a frozen map.
+  FlatMap<uint64_t> rank_cache;
+  std::vector<FlatMap<Serving>> serving;
+};
+
+}  // namespace
+
+uint32_t MulticastTrees::max_leaf_load() const {
+  uint32_t best = 0;
+  for (const auto& v : leaf_members)
+    best = std::max<uint32_t>(best, static_cast<uint32_t>(v.size()));
+  return best;
+}
+
+DownResult route_down(const Overlay& topo, Network& net,
+                      std::vector<std::vector<AggPacket>> at_col,
+                      const std::function<NodeId(uint64_t)>& dest_col,
+                      const std::function<uint64_t(uint64_t)>& rank,
+                      const CombineFn& combine, MulticastTrees* record,
+                      CombiningCache* cache) {
+  obs::Span span(net, "route.down");
+  NCC_ASSERT(at_col.size() == topo.columns());
+  DownPhase ph(topo, net, cache, record, dest_col, rank, combine);
+  // Initialize the tree record before the first deposits: the serving-hit
+  // branch reads record->children for level-0 states too.
+  if (record) {
+    record->levels = topo.levels();
+    record->children.assign(topo.node_count(), {});
+  }
+  for (NodeId c = 0; c < ph.cols; ++c)
+    for (const AggPacket& p : at_col[c]) ph.arrive(0, c, p.group, p.val);
+  at_col.clear();
+
+  run_rounds(ph);
+
+  ph.result.stats.congestion = ph.congestion.max();
+  if (record) record->congestion = ph.congestion.max();
+  return std::move(ph.result);
+}
+
+UpResult route_up(const Overlay& topo, Network& net, const MulticastTrees& trees,
+                  const FlatMap<Val>& payloads,
+                  const std::function<uint64_t(uint64_t)>& rank,
+                  CombiningCache* cache) {
+  obs::Span span(net, "route.up");
+  NCC_ASSERT(trees.levels == topo.levels());
+  NCC_ASSERT(trees.children.size() == topo.node_count());
+  UpPhase ph(topo, net, cache, trees, rank);
 
   // Slot order — deterministic and thread-invariant because the caller
   // populates `payloads` sequentially (see FlatMap::for_each).
@@ -637,10 +689,10 @@ UpResult route_up(const Overlay& topo, Network& net, const MulticastTrees& trees
       // A reliable network always records a root (tree invariant); under
       // scenario fault injection a group can lose every membership packet,
       // in which case its multicast is undeliverable — count it, don't abort.
-      ++result.stats.lost_groups;
+      ++ph.result.stats.lost_groups;
       return;
     }
-    arrive(F, *rcol, group, val);
+    ph.arrive(ph.F, *rcol, group, val);
   });
 
   // Inject the cached payloads at the cache roots route_down recorded: each
@@ -649,220 +701,26 @@ UpResult route_up(const Overlay& topo, Network& net, const MulticastTrees& trees
   // served twice. Level-0 roots are leaf-local hits — delivered straight to
   // the column, zero routing messages.
   for (const MulticastTrees::CacheRoot& cr : trees.cache_roots) {
-    uint32_t level = static_cast<uint32_t>(cr.idx / cols);
-    NodeId col = static_cast<NodeId>(cr.idx % cols);
-    group_rank(cr.group);
-    ++progress;
-    if (flows)
-      flows->record_hop(cr.group, /*up=*/true, level, 0, topo.host(col),
-                        net.rounds(), /*cache_hit=*/true);
+    uint32_t level = static_cast<uint32_t>(cr.idx / ph.cols);
+    NodeId col = static_cast<NodeId>(cr.idx % ph.cols);
+    ph.group_rank(cr.group);
+    if (ph.flows)
+      ph.flows->record_hop(cr.group, /*up=*/true, level, 0, topo.host(col),
+                           net.rounds(), /*cache_hit=*/true);
     if (cache) cache->admit_payload(cr.idx, cr.group, cr.val);  // refresh
     if (level == 0) {
-      result.at_col[col].push_back({cr.group, cr.val});
+      ph.result.at_col[col].push_back({cr.group, cr.val});
       continue;
     }
     if (cr.mask == 0) continue;  // nothing recorded below this state
-    if (!serving[cr.idx].emplace(cr.group, Serving{cr.val, cr.mask}).second) {
-      // Roots are deduplicated per (idx, group) at record time, so a
-      // collision means a corrupted id — count it, don't abort (the same
-      // contract as arrive()).
-      NCC_ASSERT_MSG(net.corruption_possible(),
-                     "duplicate cache-root injection on a reliable network");
-      ++result.stats.misrouted;
-      continue;
-    }
-    edges_remaining += std::popcount(cr.mask);
-    active.add(cr.idx);
+    // Roots are deduplicated per (idx, group) at record time.
+    ph.serve(cr.idx, cr.group, cr.val, cr.mask,
+             "duplicate cache-root injection on a reliable network");
   }
 
-  // Tokens flow F -> 0, one per (node, reversed down-edge); a node at level l
-  // has down_degree(l-1) up-edges out and down_degree(l) token in-edges (from
-  // level l+1). Final-level nodes are ready immediately. Same idempotent
-  // bitmask bookkeeping as route_down.
-  std::vector<uint64_t> tokens_recv(topo.node_count(), 0);
-  std::vector<uint64_t> token_sent(topo.node_count(), 0);
-  auto full_mask = [&](uint32_t level) -> uint64_t {
-    return (uint64_t{1} << topo.down_degree(level)) - 1;
-  };
-  auto token_ready = [&](uint32_t level, uint64_t idx) {
-    return level == F || tokens_recv[idx] == full_mask(level);
-  };
-  uint64_t tokens_pending = 0;
-  for (uint32_t l = 1; l <= F; ++l)
-    tokens_pending += static_cast<uint64_t>(topo.down_degree(l - 1)) * cols;
-  for (NodeId c = 0; c < cols; ++c) active.add(topo.index(F, c));
+  run_rounds(ph);
 
-  struct LocalMove {
-    uint32_t level;  // destination level
-    NodeId col;
-    uint64_t group;
-    Val val;
-    bool is_token;
-    uint32_t edge = 0;
-  };
-  std::vector<LocalMove> local;
-
-  // Shard-parallel step loop; same staging/merge discipline as route_down.
-  struct StepOut {
-    std::vector<Message> sends;
-    std::vector<LocalMove> local;
-    std::vector<uint64_t> readd;
-    uint64_t moved = 0, freed = 0, tokens = 0;
-  };
-  std::vector<StepOut> outs(engine_shards(net));
-  std::vector<std::vector<LocalMove>> arrivals(engine_shards(net));
-  std::vector<uint64_t> items;
-
-  bool first_round = true;
-  while (edges_remaining > 0 || tokens_pending > 0) {
-    if (!first_round && progress == 0) {
-      result.stats.token_resends += resend_sent_tokens(
-          token_sent, [&](uint64_t idx, uint32_t e) {
-            uint32_t level = static_cast<uint32_t>(idx / cols);
-            NodeId col = static_cast<NodeId>(idx % cols);
-            NodeId ncol = topo.up_column(level, col, e);
-            net.send(topo.host(col), topo.host(ncol), kTagUpToken | (level - 1), {e});
-          });
-    }
-    first_round = false;
-    progress = 0;
-
-    items = active.take();
-    engine_ranges(net, items.size(), [&](uint32_t s, uint64_t ib, uint64_t ie) {
-      StepOut& out = outs[s];  // drained and cleared by the merge below
-      // Same hoisted per-edge scratch as route_down's step loop.
-      std::array<EdgeBest, kMaxDegree> best;
-      for (uint64_t ii = ib; ii < ie; ++ii) {
-        uint64_t idx = items[ii];
-        uint32_t level = static_cast<uint32_t>(idx / cols);
-        NodeId col = static_cast<NodeId>(idx % cols);
-        NCC_ASSERT(level >= 1);  // level-0 nodes never enqueue up-work
-        const uint32_t deg = topo.down_degree(level - 1);
-        auto& sv = serving[idx];
-        uint64_t edge_used = 0, edge_wanted = 0;
-        for (uint32_t e = 0; e < deg; ++e) best[e].found = false;
-        sv.for_each([&](uint64_t g, const Serving& srv) {
-          Prio p{rank_of(g), g};
-          uint64_t mask = srv.mask;
-          while (mask) {
-            uint32_t e = static_cast<uint32_t>(std::countr_zero(mask));
-            mask &= mask - 1;
-            edge_wanted |= uint64_t{1} << e;
-            if (!best[e].found || p < best[e].best) best[e] = {true, p, g};
-          }
-        });
-        for (uint32_t e = 0; e < deg; ++e) {
-          if (!best[e].found) continue;
-          edge_used |= uint64_t{1} << e;
-          Serving* sit = sv.find(best[e].group);
-          Val v = sit->val;
-          sit->mask &= ~(uint64_t{1} << e);
-          if (sit->mask == 0) sv.erase(best[e].group);
-          ++out.freed;
-          ++out.moved;
-          NodeId ncol = topo.up_column(level, col, e);
-          if (e == 0) {
-            out.local.push_back({level - 1, ncol, best[e].group, v, false});
-          } else {
-            out.sends.push_back(Message(topo.host(col), topo.host(ncol),
-                                        kTagUpPacket | (level - 1),
-                                        {best[e].group, v[0], v[1]}));
-          }
-        }
-        if (token_ready(level, idx)) {
-          for (uint32_t e = 0; e < deg; ++e) {
-            uint64_t bit = uint64_t{1} << e;
-            if ((edge_used | edge_wanted | token_sent[idx]) & bit) continue;
-            token_sent[idx] |= bit;
-            ++out.tokens;
-            NodeId ncol = topo.up_column(level, col, e);
-            if (e == 0) {
-              out.local.push_back({level - 1, ncol, 0, {}, true, 0});
-            } else {
-              out.sends.push_back(Message(topo.host(col), topo.host(ncol),
-                                          kTagUpToken | (level - 1), {e}));
-            }
-          }
-        }
-        if (!sv.empty() ||
-            (token_ready(level, idx) && token_sent[idx] != full_mask(level - 1)))
-          out.readd.push_back(idx);
-      }
-    });
-    local.clear();
-    for (StepOut& out : outs) {
-      net.send_bulk(out.sends);
-      local.insert(local.end(), out.local.begin(), out.local.end());
-      for (uint64_t idx : out.readd) active.add(idx);
-      result.stats.packets_moved += out.moved;
-      progress += out.moved + out.tokens;
-      edges_remaining -= out.freed;
-      tokens_pending -= out.tokens;
-      out.sends.clear();
-      out.local.clear();
-      out.readd.clear();
-      out.moved = out.freed = out.tokens = 0;
-    }
-
-    net.end_round();
-    ++result.stats.rounds;
-
-    auto arrive_token = [&](uint32_t level, NodeId col, uint32_t edge) {
-      if (level == 0) return;  // level-0 tokens terminate here
-      uint64_t idx = topo.index(level, col);
-      uint64_t bit = uint64_t{1} << edge;
-      if (!(tokens_recv[idx] & bit)) {
-        tokens_recv[idx] |= bit;
-        ++progress;
-      }
-      if (token_ready(level, idx) && token_sent[idx] != full_mask(level - 1))
-        active.add(idx);
-    };
-    for (const LocalMove& mv : local) {
-      if (mv.is_token) {
-        arrive_token(mv.level, mv.col, mv.edge);
-      } else {
-        arrive(mv.level, mv.col, mv.group, mv.val);
-      }
-    }
-    // Sharded arrival scan; same decode/merge discipline as route_down.
-    engine_ranges(net, cols, [&](uint32_t s, uint64_t ub, uint64_t ue) {
-      std::vector<LocalMove>& arr = arrivals[s];
-      for (uint64_t u = ub; u < ue; ++u) {
-        for (const Message& m : net.inbox(static_cast<NodeId>(u))) {
-          if (tag_kind(m.tag) == kTagUpPacket) {
-            arr.push_back({tag_level(m.tag), static_cast<NodeId>(u), m.word(0),
-                           Val{m.word(1), m.word(2)}, false, 0});
-          } else if (tag_kind(m.tag) == kTagUpToken) {
-            // In-edge derived from framing, as in route_down; an up token
-            // into level l crosses a generator of level l's down-edge set.
-            uint32_t level = tag_level(m.tag);
-            uint32_t e = topo.edge_from_delta(
-                level, static_cast<NodeId>(u) ^ m.src);
-            arr.push_back({level, static_cast<NodeId>(u), 0, {}, true, e});
-          }
-        }
-      }
-    });
-    for (auto& arr : arrivals) {
-      for (const LocalMove& mv : arr) {
-        if (mv.is_token) {
-          arrive_token(mv.level, mv.col, mv.edge);
-        } else {
-          arrive(mv.level, mv.col, mv.group, mv.val);
-        }
-      }
-      arr.clear();
-    }
-  }
-
-  if (cache) {
-    const CombiningCache::Stats& cs = cache->stats();
-    result.stats.cache_hits = cs.hits - cache_before.hits;
-    result.stats.cache_misses = cs.misses - cache_before.misses;
-    result.stats.cache_evictions = cs.evictions - cache_before.evictions;
-  }
-  return result;
+  return std::move(ph.result);
 }
 
 }  // namespace ncc

@@ -1,27 +1,18 @@
 // Combining random-rank routing on an emulated overlay (Appendix B,
-// generalized from the butterfly to any Overlay).
-//
-// Two engines:
-//  * `route_down` — the Combining Phase of the Aggregation Algorithm: packets
-//    labeled with an aggregation-group id start at level-0 overlay nodes and
-//    follow the overlay's greedy route to the group's intermediate target
-//    h(group) at the final level. Per directed down-edge one packet moves per
-//    round; when packets of different groups contend for an edge, the one
-//    with the smallest rank rho(group) wins (ties by group id); packets of
-//    the same group meeting at a routing state are combined with the
-//    aggregate function. Optionally records the traversed edges as multicast
-//    trees (Theorem 2.4) and tracks per-overlay-node congestion.
-//  * `route_up` — the Spreading Phase of the Multicast Algorithm: packets
-//    start at tree roots (final level) and are copied upward along the
-//    recorded tree edges under the same per-edge/rank contention rule.
+// generalized from the butterfly to any Overlay): `route_down` is the
+// Combining Phase of the Aggregation Algorithm (packets travel from level 0 to
+// their group's target h(group) at the final level, combining; optionally
+// recording multicast trees, Theorem 2.4) and `route_up` the Spreading Phase
+// of the Multicast Algorithm (payloads copied from the tree roots along the
+// recorded edges). Both are one phase machine run in opposite directions
+// (docs/ARCHITECTURE.md, "Router phase machine"): per directed edge one packet
+// moves per round, smallest random rank rho(group) first, ties by group id.
 //
 // Termination detection is simulated faithfully with the paper's token
-// scheme: tokens trail the packets down (or up) the overlay and a node
-// forwards its token on an edge only once it can never send another packet
-// on that edge; the engines run until the tokens drain, so the reported round
-// counts include the detection overhead. Tokens carry their in-edge index and
-// receivers track arrivals as a per-edge bitmask, which makes token delivery
-// idempotent: on rounds where the routing makes no progress at all (possible
+// scheme (a node forwards its token on an edge only once it can never send
+// another packet on it), so the reported round counts include the detection
+// overhead. Token delivery is idempotent (receivers track in-edges as a
+// bitmask): on rounds where the routing makes no progress at all (possible
 // only under fault injection — a reliable network moves a packet or token
 // every round), nodes re-send the tokens they already launched, so a healed
 // partition or a lossy link stalls the drain instead of jamming it forever.

@@ -25,7 +25,7 @@ MetricsCollector::MetricsCollector(Network& net, size_t max_rounds)
 
 MetricsCollector::~MetricsCollector() { net_.remove_round_hook(hook_id_); }
 
-void MetricsCollector::write_json(JsonWriter& w) const {
+void MetricsCollector::write_json(obs::JsonWriter& w) const {
   w.begin_object();
   w.kv("rounds", series_.rounds);
   w.kv("mean_sent", sent_acc_.mean());

@@ -3,8 +3,7 @@
 // MetricsCollector subscribes to the Network's round-hook stream and records
 // per-round deltas (messages sent, capacity drops, fault drops) plus
 // streaming summaries (common/stats Accumulator). The JSON emitter lives in
-// obs/json.hpp (the observability layer sits below scenario); it is
-// re-exported here under its historical name scenario::JsonWriter.
+// obs/json.hpp (the observability layer sits below scenario).
 #pragma once
 
 #include <cstdint>
@@ -16,8 +15,6 @@
 #include "obs/json.hpp"
 
 namespace ncc::scenario {
-
-using obs::JsonWriter;
 
 /// Per-round series; capped at `max_rounds` entries (the `truncated` flag
 /// records that the tail was elided, never silently).
@@ -41,7 +38,7 @@ class MetricsCollector {
   const Accumulator& sent_per_round() const { return sent_acc_; }
 
   /// Emit the per-round section into `w` (an object: series + summary).
-  void write_json(JsonWriter& w) const;
+  void write_json(obs::JsonWriter& w) const;
 
  private:
   Network& net_;

@@ -20,7 +20,7 @@ namespace ncc::scenario {
 
 namespace {
 
-void write_spec_fields(JsonWriter& w, const ScenarioSpec& spec) {
+void write_spec_fields(obs::JsonWriter& w, const ScenarioSpec& spec) {
   w.kv("scenario", spec.name);
   w.kv("algorithm", spec.algorithm);
   w.kv("graph", std::string(family_name(spec.family)));
@@ -91,7 +91,7 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec, const RunOptions& opts) {
     out.verdict = "error:" + why;
     out.failed = true;
     if (opts.build_json) {
-      JsonWriter w;
+      obs::JsonWriter w;
       w.begin_object();
       write_spec_fields(w, spec);
       w.kv("verdict", out.verdict);
@@ -186,7 +186,7 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec, const RunOptions& opts) {
   }
   if (!opts.build_json) return out;
 
-  JsonWriter w;
+  obs::JsonWriter w;
   w.begin_object();
   write_spec_fields(w, spec);
   w.kv("n", uint64_t{graph->n()});

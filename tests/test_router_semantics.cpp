@@ -1,11 +1,16 @@
 // Fine-grained semantics tests for the combining random-rank router: the
 // contention rule (smaller rank wins, ties by group id), tree structural
-// validity, and the per-edge one-packet-per-round discipline.
+// validity, the per-edge one-packet-per-round discipline, and the stall
+// heartbeat that re-sends tokens lost to faults.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
+#include <stdexcept>
+#include <tuple>
 
+#include "engine/engine.hpp"
 #include "overlay/butterfly.hpp"
 #include "overlay/router.hpp"
 #include "net/network.hpp"
@@ -139,4 +144,118 @@ TEST(RouterSemantics, UpRoutingRespectsPerEdgeDiscipline) {
   route_up(f.topo, f.net, trees, payloads, rank);
   EXPECT_LE(f.net.stats().max_recv_load, 2 * f.topo.dims());
   EXPECT_EQ(f.net.stats().messages_dropped, 0u);
+}
+
+namespace {
+
+/// What one recording route_down followed by route_up produced.
+struct Pass {
+  std::map<uint64_t, uint64_t> sums;  // group -> aggregated count
+  std::vector<std::tuple<NodeId, uint64_t, uint64_t>> delivered;  // (col, group, payload)
+  RouteStats down, up;
+};
+
+void expect_same_stats(const RouteStats& a, const RouteStats& b) {
+  EXPECT_EQ(a.rounds, b.rounds);
+  EXPECT_EQ(a.packets_moved, b.packets_moved);
+  EXPECT_EQ(a.combines, b.combines);
+  EXPECT_EQ(a.token_resends, b.token_resends);
+  EXPECT_EQ(a.lost_groups, b.lost_groups);
+  EXPECT_EQ(a.misrouted, b.misrouted);
+}
+
+}  // namespace
+
+TEST(RouterSemantics, HeartbeatDrainsTokenTailsInBothDirections) {
+  // Drop every message in a window of rounds around the end of each phase's
+  // fault-free run, which holds its token tail. A cross-edge token lost there
+  // leaves its receiver incomplete forever, so the drain can only finish
+  // through the stall heartbeat re-sending launched tokens after the window.
+  constexpr NodeId kN = 64;
+  constexpr uint64_t kBefore = 4, kAfter = 4;
+  const NetConfig cfg{.n = kN, .capacity_factor = 16, .strict_send = true, .seed = 5};
+  for (OverlayKind kind : {OverlayKind::kButterfly, OverlayKind::kAugmentedCube}) {
+    SCOPED_TRACE(overlay_name(kind));
+    auto topo = make_overlay(kind, kN);
+    Rng rng(21);
+    std::vector<std::vector<AggPacket>> at_col(topo->columns());
+    FlatMap<Val> payloads;
+    for (int i = 0; i < 300; ++i) {
+      uint64_t g = rng.next_below(24);
+      at_col[rng.next_below(topo->columns())].push_back({g, Val{1, 0}});
+      payloads[g] = Val{g * 7 + 1, g};
+    }
+    auto dest = [&](uint64_t g) { return static_cast<NodeId>(mix64(g) % topo->columns()); };
+    auto rank = [](uint64_t g) { return mix64(g ^ 0x5eed); };
+
+    // `ref_down_rounds` = 0 runs fault-free; otherwise the drop window sits
+    // at the end of where each phase's fault-free run would end.
+    auto pass = [&](uint32_t threads, uint64_t ref_down_rounds) {
+      Network net(cfg);
+      EngineConfig ecfg;
+      ecfg.threads = threads;
+      ecfg.loop_cutoff = ecfg.delivery_cutoff = 1;  // shard even tiny rounds
+      Engine eng(net, ecfg);
+      uint64_t lo = 0, hi = 0;  // drop window [lo, hi) in network rounds
+      auto window_at = [&](uint64_t phase_rounds) {
+        lo = net.rounds() + phase_rounds - kBefore;
+        hi = lo + kBefore + kAfter;
+      };
+      if (ref_down_rounds) {
+        FaultHooks hooks;
+        hooks.drop = [&](const Message&, uint64_t round, uint64_t) {
+          return round >= lo && round < hi;
+        };
+        // Without a working heartbeat the drain never finishes; fail fast.
+        hooks.begin_round = [](uint64_t round) {
+          if (round > 1000) throw std::runtime_error("router never drained its tokens");
+        };
+        net.install_fault_hooks(std::move(hooks));
+        window_at(ref_down_rounds);
+      }
+      MulticastTrees trees;
+      trees.leaf_members.assign(topo->columns(), {});
+      Pass p;
+      DownResult down = route_down(*topo, net, at_col, dest, rank, agg::sum, &trees);
+      down.root_values.for_each([&](uint64_t g, const Val& v) { p.sums[g] = v[0]; });
+      if (ref_down_rounds) {
+        // The up phase's fault-free length over the trees this run recorded.
+        Network scratch(cfg);
+        window_at(route_up(*topo, scratch, trees, payloads, rank).stats.rounds);
+      }
+      UpResult up = route_up(*topo, net, trees, payloads, rank);
+      for (NodeId c = 0; c < up.at_col.size(); ++c)
+        for (const AggPacket& pk : up.at_col[c]) p.delivered.emplace_back(c, pk.group, pk.val[0]);
+      p.down = down.stats;
+      p.up = up.stats;
+      return p;
+    };
+
+    const Pass ref = pass(1, 0);
+    EXPECT_EQ(ref.down.token_resends, 0u);
+    EXPECT_EQ(ref.up.token_resends, 0u);
+    const Pass t1 = pass(1, ref.down.rounds);
+    const Pass t4 = pass(4, ref.down.rounds);
+
+    // Both phases terminated, and each needed the heartbeat to do so.
+    EXPECT_GT(t1.down.token_resends, 0u);
+    EXPECT_GT(t1.up.token_resends, 0u);
+    // Lost packets can only shrink the results, never invent any.
+    for (const auto& [g, sum] : t1.sums) {
+      ASSERT_TRUE(ref.sums.count(g)) << "invented group " << g;
+      EXPECT_LE(sum, ref.sums.at(g)) << "group " << g;
+    }
+    auto sorted = [](std::vector<std::tuple<NodeId, uint64_t, uint64_t>> v) {
+      std::sort(v.begin(), v.end());
+      return v;
+    };
+    auto ref_delivered = sorted(ref.delivered), t1_delivered = sorted(t1.delivered);
+    EXPECT_TRUE(std::includes(ref_delivered.begin(), ref_delivered.end(),
+                              t1_delivered.begin(), t1_delivered.end()));
+    // The faulted runs are engine-thread-count invariant, heartbeat included.
+    EXPECT_EQ(t1.sums, t4.sums);
+    EXPECT_EQ(t1.delivered, t4.delivered);
+    expect_same_stats(t1.down, t4.down);
+    expect_same_stats(t1.up, t4.up);
+  }
 }

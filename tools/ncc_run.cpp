@@ -122,7 +122,7 @@ struct CellAgg {
     msgs_sum += out.messages;
   }
 
-  void write(JsonWriter& w) const {
+  void write(obs::JsonWriter& w) const {
     w.kv("cells", cells);
     w.key("verdicts");
     w.begin_object();
@@ -148,7 +148,7 @@ struct CellAgg {
 /// Per-axis derived metrics: group the grid's cells by each axis's value
 /// (cell -> value index via the same last-axis-fastest odometer the expansion
 /// uses) and emit one CellAgg per value, plus one for the whole grid.
-void write_axis_summaries(JsonWriter& w, const SweepSpec& sweep,
+void write_axis_summaries(obs::JsonWriter& w, const SweepSpec& sweep,
                           const std::vector<ScenarioOutcome>& outs) {
   CellAgg total;
   for (const ScenarioOutcome& out : outs) total.account(out);
@@ -186,7 +186,7 @@ void write_axis_summaries(JsonWriter& w, const SweepSpec& sweep,
 
 /// Compact per-cell record for the sweep JSON: verdict + headline counters,
 /// no per-round series (BENCH_sweeps.json is a grid, not a trace).
-void write_cell_json(JsonWriter& w, const std::string& label,
+void write_cell_json(obs::JsonWriter& w, const std::string& label,
                      const ScenarioOutcome& out, bool timing) {
   w.begin_object();
   w.kv("cell", label);
@@ -338,7 +338,7 @@ int main(int argc, char** argv) {
     SpecSummary summary;
     summary.name = sweep->name;
 
-    JsonWriter sw;
+    obs::JsonWriter sw;
     if (sweep_mode) {
       sw.begin_object();
       sw.kv("sweep", sweep->name);
@@ -377,7 +377,7 @@ int main(int argc, char** argv) {
         out.verdict = "error:" + error;
         out.failed = true;
         if (!sweep_mode) {
-          JsonWriter w;
+          obs::JsonWriter w;
           w.begin_object();
           w.kv("scenario", sweep->name + (label.empty() ? "" : "/" + label));
           w.kv("verdict", out.verdict);
@@ -460,7 +460,7 @@ int main(int argc, char** argv) {
     // Wall-clock shard tracks follow the timing flag: with --no-timing the
     // trace bytes are a pure function of (spec, seed), which is what the
     // trace determinism check compares across thread counts.
-    JsonWriter tw;
+    obs::JsonWriter tw;
     obs::write_chrome_trace(tw, trace_cells, opts.timing);
     std::FILE* tf = std::fopen(trace_path.c_str(), "w");
     if (!tf) {
