@@ -7,7 +7,7 @@
 #include "common/hash.hpp"
 #include "graph/generators.hpp"
 #include "net/network.hpp"
-#include "overlay/butterfly.hpp"
+#include "overlay/overlay.hpp"
 #include "primitives/aggregate_broadcast.hpp"
 #include "primitives/aggregation.hpp"
 
@@ -41,7 +41,7 @@ static void BM_AggregateBroadcast(benchmark::State& state) {
   cfg.n = n;
   cfg.seed = 1;
   Network net(cfg);
-  ButterflyOverlay topo(n);
+  Overlay topo(OverlayKind::kButterfly, n);
   std::vector<std::optional<Val>> inputs(n, Val{1, 0});
   for (auto _ : state) {
     auto res = aggregate_and_broadcast(topo, net, inputs, agg::sum);

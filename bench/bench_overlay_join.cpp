@@ -5,7 +5,7 @@
 // the final knowledge-set sizes (stay O(log n)).
 #include "bench_util.hpp"
 #include "core/overlay_join.hpp"
-#include "overlay/butterfly.hpp"
+#include "overlay/overlay.hpp"
 
 using namespace ncc;
 using namespace ncc::bench;
@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   for (NodeId n : sizes) {
     Network net = make_net(n, n * 3);
     auto eng = attach_engine(net, opts.threads);
-    ButterflyOverlay topo(n);
+    Overlay topo(OverlayKind::kButterfly, n);
     auto res = build_overlay_join(net, topo, {}, n * 3);
     double avg = static_cast<double>(res.total_hops) /
                  static_cast<double>(std::max<uint64_t>(1, res.requests));

@@ -8,7 +8,6 @@
 //  * Multicast Tree Setup: same cost; tree congestion O(L/n + log n).
 //  * Multicast / Multi-Aggregation: O(C + l/log n + log n).
 #include "bench_util.hpp"
-#include "overlay/butterfly.hpp"
 #include "overlay/overlay.hpp"
 #include "primitives/aggregate_broadcast.hpp"
 #include "primitives/aggregation.hpp"
@@ -28,7 +27,7 @@ static void bench_ab(const BenchOpts& opts) {
   for (NodeId n : sizes) {
     Network net = make_net(n, n);
     auto eng = attach_engine(net, opts.threads);
-    ButterflyOverlay topo(n);
+    Overlay topo(OverlayKind::kButterfly, n);
     std::vector<std::optional<Val>> inputs(n, Val{1, 0});
     auto res = aggregate_and_broadcast(topo, net, inputs, agg::sum);
     NCC_ASSERT(res.value && (*res.value)[0] == n);

@@ -14,8 +14,8 @@
 #include "core/mis.hpp"
 #include "core/orientation_algo.hpp"
 #include "core/overlay_join.hpp"
-#include "overlay/butterfly.hpp"
 #include "graph/generators.hpp"
+#include "overlay/overlay.hpp"
 
 using namespace ncc;
 
@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
   Network net(cfg);
 
   // Phase 0: butterfly overlay from restricted knowledge.
-  ButterflyOverlay topo(n);
+  Overlay topo(OverlayKind::kButterfly, n);
   auto join = build_overlay_join(net, topo, {}, 15);
   std::printf("overlay join: %lu rounds, %lu introductions, avg %.1f hops, "
               "knowledge %u..%u ids/node, complete=%s\n",

@@ -1,4 +1,5 @@
-// Bit-manipulation helpers shared by the butterfly topology and hashing code.
+// Bit-manipulation helpers used across the library: overlay address
+// arithmetic, the NCC capacity log (cap_log) and power-of-two rounding.
 #pragma once
 
 #include <bit>

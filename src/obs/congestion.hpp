@@ -4,7 +4,7 @@
 // The paper's cost claims bound the per-round in-degree at overlay hosts
 // (congestion <= receive capacity); the augmented cube's aggregation tree in
 // particular concentrates up to 2d-1 in-messages per round at the root's
-// host (see overlay/augmented_cube.hpp and the capacity_factor >= 2 floor in
+// host (see overlay/overlay.hpp and the capacity_factor >= 2 floor in
 // README). CongestionMonitor turns that hand-derivation into measurement: it
 // subscribes to the Network's delivery stream (coexisting with RoundTrace /
 // MetricsCollector / Tracer — hooks are ordered subscriber lists) and

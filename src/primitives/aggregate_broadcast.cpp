@@ -84,8 +84,8 @@ AbResult aggregate_and_broadcast(const Overlay& topo, Network& net,
 
   // Broadcast phase: the aggregation steps replayed in reverse; at broadcast
   // step b (undoing merge step i = steps-1-b) every not-yet-informed column
-  // receives the value from its unique tree parent — the reverse of the
-  // agg_children edge, staged child-major so no per-column children lists are
+  // receives the value from its unique tree parent — the reverse of its
+  // agg_parent edge, staged child-major so no per-column children lists are
   // materialized. Informedness is a pure function of the tree (never of the
   // data), kept in a per-column flag vector that is read-only inside the
   // shard-parallel send loop and advanced by the parent relation between
@@ -96,7 +96,7 @@ AbResult aggregate_and_broadcast(const Overlay& topo, Network& net,
   std::vector<uint8_t> informed(cols, 0);
   informed[0] = 1;
   std::vector<uint8_t> informed_next(cols);
-  // Parent cache: one virtual tree lookup per column per step, written
+  // Parent cache: one tree lookup per column per step, written
   // inside the (per-item, parallel-safe) send loop and reused by the
   // informed-advance pass.
   std::vector<NodeId> parent(cols);
@@ -162,7 +162,7 @@ uint64_t sync_barrier(const Overlay& topo, Network& net) {
   std::vector<uint8_t> present_next(cols);
   // Parent of each column under the step being processed, written once per
   // step inside the (per-item, parallel-safe) send loop and reused by the
-  // merge/informed passes — one virtual tree lookup per column per step.
+  // merge/informed passes — one tree lookup per column per step.
   std::vector<NodeId> parent(cols);
   engine_for(net, cols, [&](uint64_t ci) {
     NodeId c = static_cast<NodeId>(ci);

@@ -3,14 +3,13 @@
 // Inputs held by a subset A of nodes are aggregated along the overlay's
 // aggregation tree over the column ids to the root (column 0) and the result
 // is broadcast back out to every node, all in O(log n) rounds. The tree is a
-// property of the Overlay (agg_steps / agg_parent / agg_children): the
-// default is the seed's clear-bit-i binary tree, bit-identical on the
-// butterfly, hypercube and radix-4 butterfly, while the augmented cube's
-// suffix-complement tree aggregates in ceil((d+1)/2) steps — about half the
-// rounds. The schedule is fixed at 2*agg_steps() + 2 rounds regardless of
-// the inputs, which is what makes A&B usable as the synchronization barrier
-// the other primitives use between phases (the paper's token variant; the
-// round cost is identical).
+// property of the Overlay (agg_steps / agg_parent): the seed's clear-bit-i
+// binary tree, bit-identical on the butterfly, hypercube and radix-4
+// butterfly, while the augmented cube's suffix-complement tree aggregates in
+// ceil((d+1)/2) steps — about half the rounds. The schedule is fixed at
+// 2*agg_steps() + 2 rounds regardless of the inputs, which is what makes
+// A&B usable as the synchronization barrier the other primitives use between
+// phases (the paper's token variant; the round cost is identical).
 #pragma once
 
 #include <optional>

@@ -311,10 +311,12 @@ bool apply_spec_key(ScenarioSpec& spec, const std::string& key,
     spec.provided.algorithm = true;
   } else if (key == "overlay") {
     auto k = overlay_from_name(val);
-    if (!k)
-      return fail(
-          "overlay must be butterfly|hypercube|augmented_cube|radix4_butterfly, got `" +
-          val + "`");
+    if (!k) {
+      std::string names;
+      for (OverlayKind o : all_overlay_kinds())
+        names += (names.empty() ? "" : "|") + std::string(overlay_name(o));
+      return fail("overlay must be " + names + ", got `" + val + "`");
+    }
     spec.overlay = *k;
   } else if (key == "seed") {
     ok = parse_u64(val, &spec.seed);

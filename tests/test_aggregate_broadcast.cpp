@@ -1,7 +1,7 @@
 // Tests for the Aggregate-and-Broadcast primitive (Theorem 2.2).
 #include <gtest/gtest.h>
 
-#include "overlay/butterfly.hpp"
+#include "overlay/overlay.hpp"
 #include "primitives/aggregate_broadcast.hpp"
 
 using namespace ncc;
@@ -18,7 +18,7 @@ Network make(NodeId n, uint64_t seed = 1) {
 TEST(AggregateBroadcast, MaxOverSubset) {
   const NodeId n = 40;
   Network net = make(n);
-  ButterflyOverlay topo(n);
+  Overlay topo(OverlayKind::kButterfly, n);
   std::vector<std::optional<Val>> inputs(n);
   inputs[3] = Val{17, 3};
   inputs[21] = Val{99, 21};
@@ -31,7 +31,7 @@ TEST(AggregateBroadcast, MaxOverSubset) {
 
 TEST(AggregateBroadcast, SingleInput) {
   Network net = make(17);
-  ButterflyOverlay topo(17);
+  Overlay topo(OverlayKind::kButterfly, 17);
   std::vector<std::optional<Val>> inputs(17);
   inputs[16] = Val{5, 0};  // a non-emulating node (16 = 2^4)
   auto res = aggregate_and_broadcast(topo, net, inputs, agg::sum);
@@ -42,7 +42,7 @@ TEST(AggregateBroadcast, SingleInput) {
 TEST(AggregateBroadcast, MinNodeId) {
   const NodeId n = 100;
   Network net = make(n);
-  ButterflyOverlay topo(n);
+  Overlay topo(OverlayKind::kButterfly, n);
   std::vector<std::optional<Val>> inputs(n);
   for (NodeId u = 30; u < 70; ++u) inputs[u] = Val{u, 0};
   auto res = aggregate_and_broadcast(topo, net, inputs, agg::min_by_first);
@@ -53,7 +53,7 @@ TEST(AggregateBroadcast, MinNodeId) {
 TEST(AggregateBroadcast, RoundsAreLogarithmic) {
   for (NodeId n : {8u, 64u, 512u, 4096u}) {
     Network net = make(n);
-    ButterflyOverlay topo(n);
+    Overlay topo(OverlayKind::kButterfly, n);
     std::vector<std::optional<Val>> inputs(n, Val{1, 0});
     auto res = aggregate_and_broadcast(topo, net, inputs, agg::sum);
     // Exactly 2d + 2 rounds by construction (attach + d down + d up + detach).
@@ -65,7 +65,7 @@ TEST(AggregateBroadcast, RoundsAreLogarithmic) {
 TEST(AggregateBroadcast, BarrierHasFixedCost) {
   const NodeId n = 128;
   Network net = make(n);
-  ButterflyOverlay topo(n);
+  Overlay topo(OverlayKind::kButterfly, n);
   uint64_t r1 = sync_barrier(topo, net);
   uint64_t r2 = sync_barrier(topo, net);
   EXPECT_EQ(r1, r2);
@@ -75,7 +75,7 @@ TEST(AggregateBroadcast, BarrierHasFixedCost) {
 TEST(AggregateBroadcast, XorAggregate) {
   const NodeId n = 33;
   Network net = make(n);
-  ButterflyOverlay topo(n);
+  Overlay topo(OverlayKind::kButterfly, n);
   std::vector<std::optional<Val>> inputs(n);
   uint64_t expect0 = 0, expect1 = 0;
   for (NodeId u = 0; u < n; ++u) {
@@ -93,7 +93,7 @@ TEST(AggregateBroadcast, XorAggregate) {
 TEST(AggregateBroadcast, CapacityNeverExceeded) {
   const NodeId n = 200;
   Network net = make(n);  // strict_send on: would abort on violation
-  ButterflyOverlay topo(n);
+  Overlay topo(OverlayKind::kButterfly, n);
   std::vector<std::optional<Val>> inputs(n, Val{1, 0});
   aggregate_and_broadcast(topo, net, inputs, agg::sum);
   EXPECT_LE(net.stats().max_send_load, net.cap());

@@ -1,6 +1,6 @@
-// Tests for the butterfly overlay and the combining random-rank router on it
-// (overlay-generic router behaviour on the other overlays is covered by
-// tests/test_overlay.cpp).
+// Tests for the butterfly overlay (Overlay built with OverlayKind::kButterfly)
+// and the combining random-rank router on it (overlay-generic router
+// behaviour on the other overlays is covered by tests/test_overlay.cpp).
 #include <gtest/gtest.h>
 
 #include <map>
@@ -8,13 +8,13 @@
 
 #include "common/hash.hpp"
 #include "net/network.hpp"
-#include "overlay/butterfly.hpp"
+#include "overlay/overlay.hpp"
 #include "overlay/router.hpp"
 
 using namespace ncc;
 
-TEST(ButterflyOverlay, DimensionsAndHosting) {
-  ButterflyOverlay t(100);  // d = 6, 64 columns
+TEST(Butterfly, DimensionsAndHosting) {
+  Overlay t(OverlayKind::kButterfly, 100);  // d = 6, 64 columns
   EXPECT_EQ(t.dims(), 6u);
   EXPECT_EQ(t.columns(), 64u);
   EXPECT_EQ(t.levels(), 7u);
@@ -26,8 +26,8 @@ TEST(ButterflyOverlay, DimensionsAndHosting) {
   EXPECT_EQ(t.overlay_node_count(), t.node_count());  // levels are physical
 }
 
-TEST(ButterflyOverlay, EdgesAreInverses) {
-  ButterflyOverlay t(64);
+TEST(Butterfly, EdgesAreInverses) {
+  Overlay t(OverlayKind::kButterfly, 64);
   for (uint32_t level = 0; level + 1 < t.levels(); ++level) {
     for (NodeId c = 0; c < t.columns(); ++c) {
       for (uint32_t e = 0; e < t.down_degree(level); ++e) {
@@ -38,8 +38,8 @@ TEST(ButterflyOverlay, EdgesAreInverses) {
   }
 }
 
-TEST(ButterflyOverlay, GreedyRouteFixesOneBitPerLevel) {
-  ButterflyOverlay t(64);
+TEST(Butterfly, GreedyRouteFixesOneBitPerLevel) {
+  Overlay t(OverlayKind::kButterfly, 64);
   for (NodeId src = 0; src < t.columns(); src += 7) {
     for (NodeId dst = 0; dst < t.columns(); dst += 5) {
       NodeId cur = src;
@@ -57,7 +57,7 @@ namespace {
 struct RouterFixture {
   NodeId n;
   Network net;
-  ButterflyOverlay topo;
+  Overlay topo;
   KWiseHash hdest;
   KWiseHash hrank;
 
@@ -65,7 +65,7 @@ struct RouterFixture {
       : n(n_),
         net(NetConfig{.n = n_, .capacity_factor = 8, .strict_send = true,
                       .seed = seed}),
-        topo(n_),
+        topo(OverlayKind::kButterfly, n_),
         hdest(4, Rng(seed * 31)),
         hrank(4, Rng(seed * 37)) {}
 

@@ -3,7 +3,7 @@
 // Message/NetConfig plumbing edge cases.
 #include <gtest/gtest.h>
 
-#include "overlay/butterfly.hpp"
+#include "overlay/overlay.hpp"
 #include "primitives/context.hpp"
 
 using namespace ncc;
@@ -95,7 +95,7 @@ TEST(NetConfigEdge, SmallestNetworkWorks) {
   net.send(0, 1, 1, {42});
   net.end_round();
   ASSERT_EQ(net.inbox(1).size(), 1u);
-  ButterflyOverlay topo(2);
+  Overlay topo(OverlayKind::kButterfly, 2);
   EXPECT_EQ(topo.dims(), 1u);
   EXPECT_EQ(topo.columns(), 2u);
 }

@@ -1,8 +1,9 @@
-// Tests for the pluggable overlay layer (src/overlay/): structural properties
-// of the hypercube Q_d, the augmented cube AQ_d and the level-dependent
-// radix-4 butterfly, greedy-route convergence on every overlay, the butterfly
-// == time-unrolled-hypercube identity, the generalized router on the
-// augmented cube, the overlay-native aggregation trees (default binary tree
+// Tests for the overlay layer (src/overlay/): the table-driven Overlay
+// against reference oracles of the closed-form per-overlay rules it replaced,
+// structural properties of the hypercube Q_d, the augmented cube AQ_d and the
+// level-dependent radix-4 butterfly, greedy-route convergence on every
+// overlay, the butterfly == time-unrolled-hypercube identity, the router on
+// the augmented cube, the overlay-native aggregation trees (binary tree
 // bit-identical to seed, AQ_d tree at half the depth, barrier fast-path and
 // thread-count byte identity), and the acceptance property that every
 // registered algorithm produces identical verified outputs on all overlays
@@ -13,14 +14,13 @@
 #include <bit>
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/hash.hpp"
 #include "engine/engine.hpp"
 #include "net/network.hpp"
-#include "overlay/augmented_cube.hpp"
-#include "overlay/hypercube.hpp"
 #include "overlay/overlay.hpp"
-#include "overlay/radix4_butterfly.hpp"
 #include "overlay/router.hpp"
 #include "primitives/aggregate_broadcast.hpp"
 #include "primitives/context.hpp"
@@ -40,8 +40,146 @@ TEST(OverlayNames, RoundTrip) {
   EXPECT_FALSE(overlay_from_name("torus").has_value());
 }
 
-TEST(HypercubeOverlay, StructureIsQd) {
-  HypercubeOverlay q(64);  // d = 6
+// --- Reference oracle ----------------------------------------------------
+// The closed-form rules of the per-overlay classes the generator tables
+// replaced, kept verbatim as the oracle the one greedy rule must reproduce.
+namespace {
+namespace ref {
+
+bool is_aq(OverlayKind k) { return k == OverlayKind::kAugmentedCube; }
+bool is_r4(OverlayKind k) { return k == OverlayKind::kRadix4Butterfly; }
+
+/// AQ_d: the generator that clears `delta` (!= 0) — e_h for an isolated msb,
+/// s_h = 2^{h+1}-1 when the msb heads a run of set bits.
+NodeId greedy_mask(NodeId delta) {
+  uint32_t h = floor_log2(delta);
+  uint32_t l = h;
+  while (l > 0 && ((delta >> (l - 1)) & 1u)) --l;
+  if (l == h && h != 0) return NodeId{1} << h;
+  return (NodeId{1} << (h + 1)) - 1;
+}
+
+/// Radix-4: dimensions owned by `level` (2, or 1 at an odd d's last level).
+uint32_t pair_width(uint32_t d, uint32_t level) { return 2 * level + 1 < d ? 2 : 1; }
+
+uint32_t levels(OverlayKind k, uint32_t d) {
+  if (is_aq(k)) return ceil_div(d + 1, 2) + 1;
+  if (is_r4(k)) return ceil_div(d, 2) + 1;
+  return d + 1;
+}
+
+uint32_t down_degree(OverlayKind k, uint32_t d, uint32_t level) {
+  if (is_aq(k)) return 2 * d;
+  if (is_r4(k)) return pair_width(d, level) == 2 ? 4 : 2;
+  return 2;
+}
+
+/// Column XOR mask of down-edge `edge` at `level`.
+NodeId generator(OverlayKind k, uint32_t d, uint32_t level, uint32_t edge) {
+  if (edge == 0) return 0;
+  if (is_aq(k))
+    return edge <= d ? NodeId{1} << (edge - 1) : (NodeId{1} << (edge - d + 1)) - 1;
+  if (is_r4(k)) return static_cast<NodeId>(edge) << (2 * level);
+  return NodeId{1} << level;
+}
+
+uint32_t edge_from_delta(OverlayKind k, uint32_t d, uint32_t level, NodeId delta) {
+  if (is_aq(k)) {
+    if ((delta & (delta - 1)) == 0) return 1 + floor_log2(delta);
+    return 1 + d + (floor_log2(delta) - 1);
+  }
+  if (is_r4(k)) return static_cast<uint32_t>(delta >> (2 * level));
+  return 1;
+}
+
+uint32_t route_edge(OverlayKind k, uint32_t d, uint32_t level, NodeId col, NodeId dest) {
+  NodeId delta = col ^ dest;
+  if (is_aq(k)) return delta == 0 ? 0 : edge_from_delta(k, d, level, greedy_mask(delta));
+  if (is_r4(k)) {
+    NodeId mask = (NodeId{1} << pair_width(d, level)) - 1;
+    return static_cast<uint32_t>((delta >> (2 * level)) & mask);
+  }
+  return (delta >> level) & 1u;
+}
+
+uint32_t agg_steps(OverlayKind k, uint32_t d) {
+  return is_aq(k) ? ceil_div(d + 1, 2) : d;
+}
+
+NodeId agg_parent(OverlayKind k, uint32_t step, NodeId col) {
+  if (is_aq(k)) return col == 0 ? 0 : col ^ greedy_mask(col);
+  return col & ~(NodeId{1} << step);  // the seed tree: clear bit `step`
+}
+
+std::vector<NodeId> column_neighbors(OverlayKind k, uint32_t d, NodeId col) {
+  std::vector<NodeId> out;
+  for (uint32_t i = 0; i < d; ++i) out.push_back(col ^ (NodeId{1} << i));
+  if (is_aq(k))
+    for (uint32_t j = 1; j < d; ++j) out.push_back(col ^ ((NodeId{2} << j) - 1));
+  if (is_r4(k))
+    for (uint32_t l = 0; 2 * l + 1 < d; ++l) out.push_back(col ^ (NodeId{3} << (2 * l)));
+  return out;
+}
+
+uint64_t overlay_node_count(OverlayKind k, uint32_t d) {
+  bool levels_are_nodes = k == OverlayKind::kButterfly || is_r4(k);
+  return levels_are_nodes ? uint64_t{levels(k, d)} << d : uint64_t{1} << d;
+}
+
+uint64_t seed_broadcast_rounds(OverlayKind k, NodeId n, uint32_t words) {
+  uint32_t depth = is_aq(k) ? agg_steps(k, floor_log2(n)) : cap_log(n);
+  return 2ull * depth + ceil_div(words, cap_log(n));
+}
+
+}  // namespace ref
+}  // namespace
+
+TEST(OverlayTables, MatchClosedFormReference) {
+  std::vector<NodeId> sizes;
+  for (NodeId n = 2; n <= 40; ++n) sizes.push_back(n);
+  for (NodeId n : {48u, 100u, 257u, 512u}) sizes.push_back(n);
+  bool depth_terms_differ = false;  // seed_depth != cap_log(n) was exercised
+  for (OverlayKind k : all_overlay_kinds()) {
+    for (NodeId n : sizes) {
+      Overlay o(k, n);
+      const uint32_t d = o.dims();
+      const std::string at = std::string(overlay_name(k)) + " n=" + std::to_string(n);
+      ASSERT_EQ(o.levels(), ref::levels(k, d)) << at;
+      ASSERT_EQ(o.overlay_node_count(), ref::overlay_node_count(k, d)) << at;
+      for (uint32_t words : {1u, 7u, 64u})
+        ASSERT_EQ(o.seed_broadcast_rounds(words), ref::seed_broadcast_rounds(k, n, words))
+            << at << " words=" << words;
+      if (ref::is_aq(k) && o.agg_steps() != cap_log(n)) depth_terms_differ = true;
+      for (NodeId c = 0; c < o.columns(); ++c)
+        ASSERT_EQ(o.column_neighbors(c), ref::column_neighbors(k, d, c)) << at;
+      // Counted, not asserted per call: the sweep makes ~10M comparisons.
+      uint64_t bad = 0;
+      for (uint32_t l = 0; l + 1 < o.levels(); ++l) {
+        const uint32_t deg = ref::down_degree(k, d, l);
+        ASSERT_EQ(o.down_degree(l), deg) << at << " level " << l;
+        for (uint32_t e = 1; e < deg; ++e) {
+          const NodeId g = ref::generator(k, d, l, e);
+          bad += o.edge_from_delta(l, g) != ref::edge_from_delta(k, d, l, g);
+        }
+        for (NodeId col = 0; col < o.columns(); ++col) {
+          for (uint32_t e = 0; e < deg; ++e)
+            bad += o.down_column(l, col, e) != (col ^ ref::generator(k, d, l, e));
+          for (NodeId dest = 0; dest < o.columns(); ++dest)
+            bad += o.route_edge(l, col, dest) != ref::route_edge(k, d, l, col, dest);
+        }
+      }
+      ASSERT_EQ(o.agg_steps(), ref::agg_steps(k, d)) << at;
+      for (uint32_t i = 0; i < o.agg_steps(); ++i)
+        for (NodeId c = 0; c < o.columns(); ++c)
+          bad += o.agg_parent(i, c) != ref::agg_parent(k, i, c);
+      EXPECT_EQ(bad, 0u) << at;
+    }
+  }
+  EXPECT_TRUE(depth_terms_differ);
+}
+
+TEST(Hypercube, StructureIsQd) {
+  Overlay q(OverlayKind::kHypercube, 64);  // d = 6
   EXPECT_EQ(q.levels(), 7u);
   EXPECT_EQ(q.overlay_node_count(), 64u);  // levels collapse onto 2^d vertices
   for (NodeId c = 0; c < q.columns(); ++c) {
@@ -58,9 +196,9 @@ TEST(HypercubeOverlay, StructureIsQd) {
   }
 }
 
-TEST(AugmentedCubeOverlay, StructureIsAQd) {
+TEST(AugmentedCube, StructureIsAQd) {
   for (NodeId n : {2u, 8u, 64u, 256u}) {
-    AugmentedCubeOverlay aq(n);
+    Overlay aq(OverlayKind::kAugmentedCube, n);
     const uint32_t d = aq.dims();
     for (NodeId c = 0; c < aq.columns(); ++c) {
       auto nb = aq.column_neighbors(c);
@@ -85,17 +223,17 @@ TEST(AugmentedCubeOverlay, StructureIsAQd) {
   }
 }
 
-TEST(AugmentedCubeOverlay, LevelsMatchDiameterBound) {
+TEST(AugmentedCube, LevelsMatchDiameterBound) {
   // ceil((d+1)/2) routing steps suffice (the AQ_d diameter): levels = that +1.
   for (NodeId n : {2u, 4u, 16u, 64u, 1024u}) {
-    AugmentedCubeOverlay aq(n);
+    Overlay aq(OverlayKind::kAugmentedCube, n);
     EXPECT_EQ(aq.levels(), (aq.dims() + 1 + 1) / 2 + 1) << "n=" << n;
   }
 }
 
-TEST(Radix4ButterflyOverlay, LevelDependentGeneratorSets) {
+TEST(Radix4Butterfly, LevelDependentGeneratorSets) {
   for (NodeId n : {2u, 8u, 32u, 64u, 256u}) {
-    Radix4ButterflyOverlay r4(n);
+    Overlay r4(OverlayKind::kRadix4Butterfly, n);
     const uint32_t d = r4.dims();
     EXPECT_EQ(r4.levels(), (d + 1) / 2 + 1) << "n=" << n;
     // Per-level generator sets: the pair {e_{2l}, e_{2l+1}, e_{2l}^e_{2l+1}}
@@ -282,11 +420,23 @@ TEST(OverlayRouter, HypercubeIsTheUnrolledButterfly) {
 
 // --- Overlay-native aggregation trees (A&B / sync_barrier) -----------------
 
+namespace {
+
+/// Columns merging into `col` at `step`: agg_parent inverted, column-ascending.
+std::vector<NodeId> agg_children(const Overlay& o, uint32_t step, NodeId col) {
+  std::vector<NodeId> out;
+  for (NodeId c = 0; c < o.columns(); ++c)
+    if (c != col && o.agg_parent(step, c) == col) out.push_back(c);
+  return out;
+}
+
+}  // namespace
+
 TEST(AggTree, DefaultIsTheSeedBinaryTree) {
-  // Every overlay that does not override the tree — butterfly, hypercube and
-  // the new level-dependent radix-4 butterfly — keeps the seed's clear-bit-i
-  // binary tree exactly: dims() steps, parent clears bit `step`, children
-  // invert parents.
+  // Every overlay whose aggregation table is {e_i} at step i — butterfly,
+  // hypercube and the level-dependent radix-4 butterfly — keeps the seed's
+  // clear-bit-i binary tree exactly: dims() steps, parent clears bit `step`,
+  // children invert parents.
   for (OverlayKind kind : {OverlayKind::kButterfly, OverlayKind::kHypercube,
                            OverlayKind::kRadix4Butterfly}) {
     auto topo = make_overlay(kind, 48);
@@ -294,7 +444,7 @@ TEST(AggTree, DefaultIsTheSeedBinaryTree) {
     for (uint32_t i = 0; i < topo->agg_steps(); ++i) {
       for (NodeId c = 0; c < topo->columns(); ++c) {
         EXPECT_EQ(topo->agg_parent(i, c), c & ~(NodeId{1} << i)) << overlay_name(kind);
-        auto kids = topo->agg_children(i, c);
+        auto kids = agg_children(*topo, i, c);
         if (c & (NodeId{1} << i)) {
           EXPECT_TRUE(kids.empty());
         } else {
@@ -319,7 +469,7 @@ TEST(AggTree, EveryColumnReachesRootWithinAggSteps) {
         for (uint32_t i = 0; i < S; ++i) {
           NodeId p = topo->agg_parent(i, c);
           if (p != c) {
-            auto kids = topo->agg_children(i, p);
+            auto kids = agg_children(*topo, i, p);
             EXPECT_TRUE(std::count(kids.begin(), kids.end(), c))
                 << overlay_name(kind) << " step " << i << " " << c << "->" << p;
           }
@@ -333,7 +483,7 @@ TEST(AggTree, EveryColumnReachesRootWithinAggSteps) {
 
 TEST(AggTree, AugmentedCubeHalvesTheDepth) {
   for (NodeId n : {8u, 64u, 256u, 1024u, 4096u}) {
-    AugmentedCubeOverlay aq(n);
+    Overlay aq(OverlayKind::kAugmentedCube, n);
     const uint32_t d = aq.dims();
     EXPECT_EQ(aq.agg_steps(), (d + 1 + 1) / 2) << "n=" << n;  // ceil((d+1)/2)
     EXPECT_LT(aq.agg_steps(), d) << "n=" << n;                // strict for d >= 3
@@ -435,7 +585,7 @@ TEST(AggTree, AbValueIdenticalAcrossOverlaysAndThreads) {
 }
 
 // The acceptance criterion: on a reliable network every registered algorithm
-// produces identical verified outputs on all three overlays — the overlay
+// produces identical verified outputs on every overlay — the overlay
 // changes how results are routed, never what they are.
 TEST(OverlayEquivalence, AllAlgorithmsAgreeAcrossOverlays) {
   using namespace ncc::scenario;

@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "primitives/aggregate_broadcast.hpp"
-#include "overlay/butterfly.hpp"
+#include "overlay/overlay.hpp"
 #include "primitives/aggregation.hpp"
 #include "primitives/multi_aggregation.hpp"
 #include "primitives/multicast.hpp"
@@ -25,7 +25,7 @@ Network make_net(NodeId n, uint64_t seed = 7) {
 TEST(AggregateBroadcast, SumOfAllInputs) {
   const NodeId n = 37;  // deliberately not a power of two
   Network net = make_net(n);
-  ButterflyOverlay topo(n);
+  Overlay topo(OverlayKind::kButterfly, n);
   std::vector<std::optional<Val>> inputs(n);
   uint64_t expect = 0;
   for (NodeId u = 0; u < n; ++u) {
@@ -40,7 +40,7 @@ TEST(AggregateBroadcast, SumOfAllInputs) {
 
 TEST(AggregateBroadcast, EmptyInputYieldsNothing) {
   Network net = make_net(16);
-  ButterflyOverlay topo(16);
+  Overlay topo(OverlayKind::kButterfly, 16);
   std::vector<std::optional<Val>> inputs(16);
   auto res = aggregate_and_broadcast(topo, net, inputs, agg::sum);
   EXPECT_FALSE(res.value.has_value());

@@ -11,7 +11,7 @@
 #include <tuple>
 
 #include "engine/engine.hpp"
-#include "overlay/butterfly.hpp"
+#include "overlay/overlay.hpp"
 #include "overlay/router.hpp"
 #include "net/network.hpp"
 
@@ -21,11 +21,11 @@ namespace {
 
 struct Fix {
   Network net;
-  ButterflyOverlay topo;
+  Overlay topo;
   explicit Fix(NodeId n, uint64_t seed = 1)
       : net(NetConfig{.n = n, .capacity_factor = 8, .strict_send = true,
                       .seed = seed}),
-        topo(n) {}
+        topo(OverlayKind::kButterfly, n) {}
 };
 
 }  // namespace

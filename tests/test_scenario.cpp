@@ -158,7 +158,12 @@ TEST(ScenarioSpec, RejectsMalformedSpecs) {
       "perturb_every = 4\nperturb_for = 4\n",
       "perturb_for");
   expect_reject("graph = clique\nn = 64\nalgorithm = bfs\noverlay = torus\n",
-                "overlay");
+                "overlay must be butterfly|hypercube|augmented_cube|radix4_butterfly, "
+                "got `torus`");
+  // The listed names come from the overlay name table: every kind appears.
+  for (OverlayKind kind : all_overlay_kinds())
+    expect_reject("graph = clique\nn = 64\nalgorithm = bfs\noverlay = torus\n",
+                  overlay_name(kind));
   // The AQ_d aggregation tree needs a receive budget of 2d-1 at the root's
   // host (measured in tests/test_obs.cpp); capacity_factor 1 cannot carry it.
   expect_reject(
