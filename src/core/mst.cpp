@@ -71,10 +71,41 @@ MstResult run_mst(const Shared& shared, Network& net, const Graph& g,
                                       2 * logn);
   Rng coin_rng = shared.local_rng(mix64(0xc011 ^ rng_tag));
 
+  // Per directed arc, in CSR order (node u's arcs are arc_off[u]..arc_off[u+1],
+  // one per neighbor): its FindMin key and the index of its reverse arc.
+  std::vector<uint64_t> arc_off(n + 1, 0);
+  for (NodeId u = 0; u < n; ++u) arc_off[u + 1] = arc_off[u] + g.degree(u);
+  std::vector<uint64_t> arc_key(arc_off[n]);
+  std::vector<uint64_t> arc_rev(arc_off[n]);
+  for (NodeId u = 0; u < n; ++u) {
+    auto nb = g.neighbors(u);
+    for (size_t k = 0; k < nb.size(); ++k) {
+      const NodeId v = nb[k];
+      auto nv = g.neighbors(v);
+      arc_key[arc_off[u] + k] = codec.key(u, v, g.weight(u, v));
+      arc_rev[arc_off[u] + k] =
+          arc_off[v] + (std::lower_bound(nv.begin(), nv.end(), u) - nv.begin());
+    }
+  }
+  // Sketch bits per directed arc, refreshed each phase: bit t is trial t's
+  // hash of the salted arc id (node-local work, no rounds or messages).
+  const uint32_t max_bits = std::min(params.trials, 60u);
+  std::vector<uint64_t> arc_bits(arc_off[n]);
+
   while (true) {
     ++res.phases;
     NCC_ASSERT_MSG(res.phases <= 8 * logn + 8, "MST failed to converge");
     const uint64_t phase_salt = mix64(rng_tag ^ (res.phases * 0x9e3779b9ULL));
+    for (NodeId u = 0; u < n; ++u) {
+      auto nb = g.neighbors(u);
+      for (size_t k = 0; k < nb.size(); ++k) {
+        const uint64_t x = mix64(arc_id(u, nb[k]) ^ phase_salt);
+        uint64_t word = 0;
+        for (uint32_t t = 0; t < max_bits; ++t)
+          word |= static_cast<uint64_t>(fam.fn(t).bit(x)) << t;
+        arc_bits[arc_off[u] + k] = word;
+      }
+    }
 
     // Rebuild component multicast trees: members = C \ {leader}, group id =
     // leader id (disjoint groups => congestion O(log n), Theorem 2.4).
@@ -134,22 +165,18 @@ MstResult run_mst(const Shared& shared, Network& net, const Graph& g,
       return (phi - plo) / A + 1;  // ceil((hi-lo+1)/A)
     };
     for (uint32_t iter = 0; iter < iters; ++iter) {
-      // Leaders multicast the probe range [lo, hi]; nodes derive the A-way
-      // split locally (A is a global parameter).
+      // Leaders multicast the probe range [lo, hi], so every node learns its
+      // component's probe (leaders know theirs locally); nodes derive the
+      // A-way split locally (A is a global parameter).
       std::vector<MulticastSend> probes;
-      // det-lint: allow(unordered-container) — drained into the dense per-node array
-      // node_probe, a scatter to distinct slots; traversal order cannot leak.
-      std::unordered_map<NodeId, std::pair<uint64_t, uint64_t>> probe_of;
+      std::vector<std::pair<uint64_t, uint64_t>> node_probe(n, {1, 0});
       for (auto& [l, s] : search) {
         if (s.done || (iter > 0 && s.lo >= s.hi)) continue;
         probes.push_back({l, l, Val{s.lo, s.hi}});
-        probe_of[l] = {s.lo, s.hi};
+        node_probe[l] = {s.lo, s.hi};
       }
       auto mc = run_multicast(shared, net, trees.trees, probes, 1,
                               mix64(rng_tag ^ (res.phases * 31 + 3 + iter)));
-      // Every node learns its component's probe (leaders know locally).
-      std::vector<std::pair<uint64_t, uint64_t>> node_probe(n, {1, 0});
-      for (auto& [l, pr] : probe_of) node_probe[l] = pr;
       for (NodeId u = 0; u < n; ++u)
         for (const AggPacket& p : mc.received[u]) node_probe[u] = {p.val[0], p.val[1]};
 
@@ -158,7 +185,8 @@ MstResult run_mst(const Shared& shared, Network& net, const Graph& g,
       // whole range with the full trial budget.
       const bool existence = (iter == 0);
       const uint32_t groups = existence ? 1 : A;
-      const uint32_t bits = existence ? std::min(params.trials, 60u) : Ts;
+      const uint32_t bits = existence ? max_bits : Ts;
+      const uint64_t mask = (uint64_t{1} << bits) - 1;  // bits <= 60
       AggregationProblem prob;
       prob.combine = agg::xor_xor;
       prob.target = [](uint64_t grp) { return static_cast<NodeId>(grp); };
@@ -168,20 +196,13 @@ MstResult run_mst(const Shared& shared, Network& net, const Graph& g,
         if (plo > phi) continue;  // no probe for this component this iter
         uint64_t len = existence ? (phi - plo + 1) : split_len(plo, phi);
         uint64_t up = 0, down = 0;
-        for (NodeId v : g.neighbors(u)) {
-          uint64_t k = codec.key(u, v, g.weight(u, v));
+        for (uint64_t i = arc_off[u]; i < arc_off[u + 1]; ++i) {
+          const uint64_t k = arc_key[i];
           if (k < plo || k > phi) continue;
           uint32_t j = static_cast<uint32_t>((k - plo) / len);
           NCC_ASSERT(j < groups);
-          for (uint32_t t = 0; t < bits; ++t) {
-            uint32_t pos = j * bits + t;
-            up ^= static_cast<uint64_t>(
-                      fam.fn(t).bit(mix64(arc_id(u, v) ^ phase_salt)))
-                  << pos;
-            down ^= static_cast<uint64_t>(
-                        fam.fn(t).bit(mix64(arc_id(v, u) ^ phase_salt)))
-                    << pos;
-          }
+          up ^= (arc_bits[i] & mask) << (j * bits);
+          down ^= (arc_bits[arc_rev[i]] & mask) << (j * bits);
         }
         prob.items.push_back({u, res.leader[u], Val{up, down}});
       }
@@ -201,7 +222,6 @@ MstResult run_mst(const Shared& shared, Network& net, const Graph& g,
         }
         // Pick the lowest subrange whose sketches differ.
         uint64_t len = split_len(s.lo, s.hi);
-        const uint64_t mask = bits >= 64 ? ~uint64_t{0} : ((uint64_t{1} << bits) - 1);
         bool found = false;
         for (uint32_t j = 0; j < groups; ++j) {
           uint64_t uj = (up >> (j * bits)) & mask;

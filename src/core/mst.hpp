@@ -18,8 +18,9 @@
 // Note on trial packing: the paper repeats each sketch comparison O(log n)
 // times sequentially; since a message carries O(log n) bits, we pack the
 // O(log n) one-bit trials of a comparison into a single message word, which
-// is model-legal and shaves a log factor off the constant (documented in
-// EXPERIMENTS.md when comparing measured rounds to the O(log^4 n) bound).
+// is model-legal and shaves a log factor off the constant of the O(log^4 n)
+// bound. The sketch bits of each directed arc are computed once per phase:
+// node-local work, so it costs no rounds or messages in the model.
 #pragma once
 
 #include <cstdint>

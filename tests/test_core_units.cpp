@@ -2,6 +2,8 @@
 // graphs with known answers, plus parameter edge cases.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "baselines/sequential.hpp"
 #include "core/bfs.hpp"
 #include "core/broadcast_trees.hpp"
@@ -230,4 +232,57 @@ TEST(MstUnit, HigherSearchArityMatchesKruskal) {
   }
   // Arity 4 halves the iteration count; rounds should drop noticeably.
   EXPECT_LT(rounds_a4, rounds_a2);
+}
+
+// Golden values pinning run_mst exactly: FindMin's sketch bits are node-local,
+// so any change to how they are computed must leave every chosen edge, phase,
+// round and message bit-identical. Covers tied and distinct weights and the
+// packing regimes bits = trials (trials < 64/A) and bits = 64/A.
+TEST(MstUnit, GoldenEdgesRoundsAndMessages) {
+  struct Golden {
+    bool distinct;
+    uint32_t trials, arity;
+    size_t edges;
+    uint64_t digest;  // edges (u, v, w) and known_by, in output order
+    uint32_t phases;
+    uint64_t rounds, messages;
+  };
+  const Golden cases[] = {
+      {false, 40, 2, 47, 8341039178926475960u, 14, 21038, 260176},
+      {false, 8, 4, 47, 3627825888463844682u, 14, 13304, 163740},
+      {false, 60, 3, 47, 8341039178926475960u, 14, 15562, 191001},
+      {false, 16, 8, 47, 7059528943827011039u, 14, 9989, 121442},
+      {true, 40, 2, 47, 5097731273154214495u, 14, 26402, 326416},
+      {true, 8, 4, 47, 5097731273154214495u, 14, 15381, 189674},
+      {true, 60, 3, 47, 5097731273154214495u, 14, 18771, 230374},
+      {true, 16, 8, 47, 5097731273154214495u, 14, 12099, 148555},
+  };
+  Rng rng(71);
+  const Graph base = gnm_graph(48, 150, rng);
+  const Graph tied = with_random_weights(base, 6, rng);
+  const Graph distinct = with_distinct_weights(base, rng);
+  for (const Golden& c : cases) {
+    const Graph& g = c.distinct ? distinct : tied;
+    Network net(NetConfig{.n = g.n(), .capacity_factor = 8, .strict_send = true,
+                          .seed = 72});
+    Shared shared(g.n(), 72);
+    MstParams params;
+    params.trials = c.trials;
+    params.search_arity = c.arity;
+    SCOPED_TRACE(std::string(c.distinct ? "distinct" : "tied") + " trials " +
+                 std::to_string(c.trials) + " arity " + std::to_string(c.arity));
+    auto res = run_mst(shared, net, g, params, 73);
+    uint64_t digest = 0;
+    for (size_t i = 0; i < res.edges.size(); ++i) {
+      const Edge& e = res.edges[i];
+      digest = mix64(digest ^ arc_id(e.u, e.v));
+      digest = mix64(digest ^ e.w);
+      digest = mix64(digest ^ res.known_by[i]);
+    }
+    EXPECT_EQ(res.edges.size(), c.edges);
+    EXPECT_EQ(digest, c.digest);
+    EXPECT_EQ(res.phases, c.phases);
+    EXPECT_EQ(res.rounds, c.rounds);
+    EXPECT_EQ(net.stats().messages_sent, c.messages);
+  }
 }
