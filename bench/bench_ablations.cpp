@@ -1,4 +1,4 @@
-// Experiment ABL: ablations over the design choices DESIGN.md calls out.
+// Experiment ABL: ablations over four of the simulator's design constants.
 //
 //  A1. Capacity factor: how small can the O(log n) constant be before the
 //      network starts dropping primitive traffic?

@@ -1,6 +1,7 @@
 // Shared helpers for the benchmark harness. Every bench binary prints the
-// rows/series of one paper table/theorem (see DESIGN.md experiment index) and
-// a ratio-fit line showing how flat measured/predicted is across the sweep.
+// rows/series of one experiment (its header comment names it) and, where it
+// fits a bound, a ratio-fit line showing how flat measured/predicted is
+// across the sweep.
 //
 // Common flags: --quick (shrink sweeps for CI smoke runs), --big (also run
 // the million-node rows — slow and memory-hungry, skipped by CI; bench_diff
@@ -79,13 +80,6 @@ struct Pipeline {
 /// for as long as the network runs.
 inline std::unique_ptr<Engine> attach_engine(Network& net, uint32_t threads) {
   return threads > 1 ? std::make_unique<Engine>(net, EngineConfig{threads}) : nullptr;
-}
-
-/// True when the binary should shrink its sweeps (CI smoke runs).
-inline bool quick_mode(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i)
-    if (std::string(argv[i]) == "--quick") return true;
-  return false;
 }
 
 struct BenchOpts {

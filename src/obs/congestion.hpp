@@ -6,7 +6,7 @@
 // particular concentrates up to 2d-1 in-messages per round at the root's
 // host (see overlay/overlay.hpp and the capacity_factor >= 2 floor in
 // README). CongestionMonitor turns that hand-derivation into measurement: it
-// subscribes to the Network's delivery stream (coexisting with RoundTrace /
+// subscribes to the Network's delivery stream (coexisting with
 // MetricsCollector / Tracer — hooks are ordered subscriber lists) and
 // accumulates, per round, the in-degree of every receiving node, folding the
 // per-round view into

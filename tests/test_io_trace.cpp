@@ -1,14 +1,17 @@
-// Tests for graph I/O (edge-list round-trips, malformed input) and the
-// RoundTrace execution recorder.
+// Tests for graph I/O (edge-list round-trips, malformed input), the
+// Barabasi-Albert generator, and the per-round delivery observers
+// (MetricsCollector's sent series, CongestionMonitor's in-degree series and
+// per-node totals) on hand-made sends and on a real gossip run.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
+#include "core/gossip.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "graph/properties.hpp"
-#include "core/gossip.hpp"
-#include "net/trace.hpp"
+#include "obs/congestion.hpp"
+#include "scenario/metrics.hpp"
 
 using namespace ncc;
 
@@ -64,12 +67,13 @@ TEST(GraphIo, FileRoundTrip) {
   EXPECT_THROW((void)load_edge_list(path + ".does_not_exist"), std::runtime_error);
 }
 
-TEST(RoundTrace, RecordsPerRoundSeries) {
+TEST(PerRoundObservers, RecordsPerRoundSeries) {
   NetConfig cfg;
   cfg.n = 16;
   cfg.seed = 1;
   Network net(cfg);
-  RoundTrace trace(net);
+  scenario::MetricsCollector metrics(net);
+  obs::CongestionMonitor congestion(net);
   // Round 0: 3 messages, two to node 5.
   net.send(0, 5, 1, {1});
   net.send(1, 5, 1, {1});
@@ -80,20 +84,12 @@ TEST(RoundTrace, RecordsPerRoundSeries) {
   net.send(3, 7, 1, {1});
   net.end_round();
 
-  EXPECT_EQ(trace.total_messages(), 4u);
-  auto peak = trace.peak();
-  EXPECT_EQ(peak.round, 0u);
-  EXPECT_EQ(peak.messages, 3u);
-  EXPECT_EQ(peak.max_in_degree, 2u);
-  EXPECT_EQ(peak.busy_nodes, 2u);
-
-  std::stringstream ss;
-  trace.write_csv(ss);
-  std::string csv = ss.str();
-  EXPECT_NE(csv.find("round,messages,max_in_degree,busy_nodes"), std::string::npos);
-  EXPECT_NE(csv.find("0,3,2,2"), std::string::npos);
-  EXPECT_NE(csv.find("1,0,0,0"), std::string::npos);  // quiet round densified
-  EXPECT_NE(csv.find("2,1,1,1"), std::string::npos);
+  // Both series are dense in round index: the quiet round is a 0 entry.
+  EXPECT_EQ(metrics.series().sent, (std::vector<uint64_t>{3, 0, 1}));
+  EXPECT_EQ(congestion.max_in_degree_series(), (std::vector<uint32_t>{2, 0, 1}));
+  EXPECT_EQ(congestion.peak_in_degree(), 2u);
+  EXPECT_EQ(congestion.peak_node(), 5u);
+  EXPECT_EQ(congestion.peak_round(), 0u);
 }
 
 TEST(BarabasiAlbert, ShapeAndArboricity) {
@@ -107,16 +103,16 @@ TEST(BarabasiAlbert, ShapeAndArboricity) {
   EXPECT_LE(degeneracy(g).degeneracy, 2 * 3u);
 }
 
-TEST(RoundTrace, CoversARealAlgorithmRun) {
-  // Trace an actual gossip run: every delivered message must be accounted.
+TEST(CongestionMonitor, CoversARealAlgorithmRun) {
+  // Observe an actual gossip run: every delivered message must be accounted.
   NetConfig cfg;
   cfg.n = 64;
   cfg.seed = 3;
   Network net(cfg);
-  RoundTrace trace(net);
+  obs::CongestionMonitor congestion(net);
   run_gossip(net);
-  EXPECT_EQ(trace.total_messages(),
-            net.stats().messages_sent - net.stats().messages_dropped);
-  EXPECT_GE(trace.samples().size() + 1, net.rounds());
-  EXPECT_EQ(trace.peak().max_in_degree, net.stats().max_recv_load);
+  uint64_t delivered = 0;
+  for (NodeId u = 0; u < net.n(); ++u) delivered += congestion.node_messages(u);
+  EXPECT_EQ(delivered, net.stats().messages_sent - net.stats().messages_dropped);
+  EXPECT_EQ(congestion.peak_in_degree(), net.stats().max_recv_load);
 }

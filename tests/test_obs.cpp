@@ -11,7 +11,6 @@
 #include <map>
 
 #include "engine/engine.hpp"
-#include "net/trace.hpp"
 #include "obs/congestion.hpp"
 #include "obs/flow.hpp"
 #include "obs/json_check.hpp"
@@ -138,12 +137,11 @@ TEST(Tracer, TopLevelSpanDeltasSumToNetStats) {
 }
 
 TEST(NetworkHooks, SubscribersCoexistAndSeeTheSameStream) {
-  // The regression the multi-subscriber refactor guards: RoundTrace,
-  // MetricsCollector, CongestionMonitor, and a bare hook all observe the
-  // same delivery stream — previously each set_delivery_hook call silently
-  // clobbered the last subscriber.
+  // The regression the multi-subscriber refactor guards: MetricsCollector,
+  // CongestionMonitor, and a bare hook all observe the same delivery
+  // stream — previously each set_delivery_hook call silently clobbered the
+  // last subscriber.
   Network net = make_net(8);
-  RoundTrace trace(net);
   scenario::MetricsCollector metrics(net);
   obs::CongestionMonitor congestion(net);
   uint64_t bare_count = 0;
@@ -156,9 +154,8 @@ TEST(NetworkHooks, SubscribersCoexistAndSeeTheSameStream) {
     net.end_round();
   }
 
-  EXPECT_EQ(trace.total_messages(), 6u);      // RoundTrace saw every delivery
-  EXPECT_EQ(bare_count, 6u);                  // so did the bare subscriber
-  EXPECT_EQ(congestion.node_messages(0), 6u); // and the congestion monitor
+  EXPECT_EQ(bare_count, 6u);                  // the bare subscriber saw every delivery
+  EXPECT_EQ(congestion.node_messages(0), 6u); // so did the congestion monitor
   EXPECT_EQ(congestion.peak_in_degree(), 2u);
   EXPECT_EQ(metrics.series().rounds, 3u);     // round hooks coexist too
 
@@ -167,7 +164,7 @@ TEST(NetworkHooks, SubscribersCoexistAndSeeTheSameStream) {
   net.send(1, 0, 0x1, {3});
   net.end_round();
   EXPECT_EQ(bare_count, 6u);
-  EXPECT_EQ(trace.total_messages(), 7u);
+  EXPECT_EQ(congestion.node_messages(0), 7u);
 }
 
 TEST(Congestion, TracksPeaksHistogramAndHostSplit) {

@@ -251,7 +251,16 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg == "--dir" && i + 1 < argc) {
+    // A value flag with nothing after it (or an empty --trace=) is a usage
+    // error, never an unknown option or a silently skipped output.
+    bool wants_value =
+        arg == "--dir" || arg == "--threads" || arg == "--json" || arg == "--trace";
+    if ((wants_value && i + 1 >= argc) || arg == "--trace=") {
+      std::fprintf(stderr, "ncc_run: missing value for %s\n",
+                   wants_value ? arg.c_str() : "--trace");
+      return 1;
+    }
+    if (arg == "--dir") {
       std::string dir = argv[++i];
       std::error_code ec;
       for (const auto& e : std::filesystem::directory_iterator(dir, ec))
@@ -262,14 +271,14 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--sweep") {
       sweep_mode = true;
-    } else if (arg == "--threads" && i + 1 < argc) {
+    } else if (arg == "--threads") {
       if (!parse_cli_u32(argv[++i], &opts.threads_override) ||
           opts.threads_override == 0 || opts.threads_override > 1024) {
         std::fprintf(stderr, "ncc_run: --threads wants an integer in [1, 1024], got %s\n",
                      argv[i]);
         return 1;
       }
-    } else if (arg == "--json" && i + 1 < argc) {
+    } else if (arg == "--json") {
       json_path = argv[++i];
     } else if (arg == "--no-timing") {
       opts.timing = false;
@@ -278,7 +287,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--help" || arg == "-h") {
       print_help();
       return 0;
-    } else if (arg == "--trace" && i + 1 < argc) {
+    } else if (arg == "--trace") {
       trace_path = argv[++i];
     } else if (arg.rfind("--trace=", 0) == 0) {
       trace_path = arg.substr(8);
