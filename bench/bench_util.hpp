@@ -1,30 +1,29 @@
-// Shared helpers for the benchmark harness. Every bench binary prints the
-// rows/series of one experiment (its header comment names it) and, where it
-// fits a bound, a ratio-fit line showing how flat measured/predicted is
-// across the sweep.
+// Shared helpers for the perf benches (bench_engine, bench_overlay,
+// bench_hotkey): option parsing, the engine-attached pipeline, memory and
+// wall-clock columns, and the BENCH_*.json row writer.
 //
 // Common flags: --quick (shrink sweeps for CI smoke runs), --big (also run
 // the million-node rows — slow and memory-hungry, skipped by CI; bench_diff
 // skips baseline rows marked "big" that a non---big run did not regenerate),
 // --threads T (run the simulation on T engine threads), --json PATH (write
 // the run's machine-readable result rows, BENCH_engine.json-style, for the
-// perf-trajectory tooling; each run overwrites the file).
+// perf-trajectory tooling; each run overwrites the file). An unknown flag, a
+// value flag at the end of argv or a non-numeric --threads exits 1 with a
+// message, as ncc_run does.
 #pragma once
 
 #include <chrono>
-#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "common/stats.hpp"
 #include "common/table.hpp"
 #include "core/broadcast_trees.hpp"
 #include "core/orientation_algo.hpp"
 #include "engine/engine.hpp"
 #include "graph/generators.hpp"
-#include "graph/properties.hpp"
 #include "net/network.hpp"
 #include "primitives/context.hpp"
 
@@ -37,17 +36,7 @@ inline Network make_net(NodeId n, uint64_t seed) {
   return Network(cfg);
 }
 
-inline double lg(double x) { return std::log2(std::max(2.0, x)); }
-
-/// Prints the ratio-fit summary for a measured-vs-predicted series.
-inline void print_fit(const std::string& label, const std::vector<double>& measured,
-                      const std::vector<double>& predicted) {
-  RatioFit fit = fit_ratio(measured, predicted);
-  std::printf("fit[%s]: mean ratio %.2f, min %.2f, max %.2f, spread %.2fx\n",
-              label.c_str(), fit.mean_ratio, fit.min_ratio, fit.max_ratio, fit.spread);
-}
-
-/// Orientation + broadcast-tree pipeline used by the Section 5 benches.
+/// Orientation + broadcast-tree pipeline under bench_engine's BFS and MIS rows.
 /// A round engine is attached for the whole pipeline lifetime — also at
 /// threads == 1, so the per-shard wall-clock profile (Engine::shard_timing)
 /// exists at every point of a thread sweep; results are bit-identical across
@@ -90,17 +79,33 @@ struct BenchOpts {
 };
 
 inline BenchOpts parse_opts(int argc, char** argv) {
+  std::string prog = argv[0];
+  prog = prog.substr(prog.find_last_of('/') + 1);
+  auto usage_error = [&](const char* what, const std::string& arg) {
+    std::fprintf(stderr, "%s: %s %s\n", prog.c_str(), what, arg.c_str());
+    std::exit(1);
+  };
   BenchOpts o;
   for (int i = 1; i < argc; ++i) {
     std::string k = argv[i];
+    if ((k == "--threads" || k == "--json") && i + 1 >= argc)
+      usage_error("missing value for", k);
     if (k == "--quick") {
       o.quick = true;
     } else if (k == "--big") {
       o.big = true;
-    } else if (k == "--threads" && i + 1 < argc) {
-      o.threads = static_cast<uint32_t>(std::stoul(argv[++i]));
-    } else if (k == "--json" && i + 1 < argc) {
+    } else if (k == "--threads") {
+      // At most four digits, so stoul cannot throw; 0 = hardware threads.
+      std::string v = argv[++i];
+      bool digits = !v.empty() && v.size() <= 4 &&
+                    v.find_first_not_of("0123456789") == std::string::npos;
+      unsigned long t = digits ? std::stoul(v) : 0;
+      if (!digits || t > 1024) usage_error("bad value for --threads:", v);
+      o.threads = static_cast<uint32_t>(t);
+    } else if (k == "--json") {
       o.json = argv[++i];
+    } else {
+      usage_error("unknown option", k);
     }
   }
   if (o.threads == 0) o.threads = ThreadPool::hardware_threads();

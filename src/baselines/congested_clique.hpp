@@ -4,8 +4,8 @@
 // with *every* other node per round — Theta(n^2 log n) bits per round versus
 // the NCC's Theta(n log^2 n). We provide (a) a tiny round simulator
 // sufficient to realize gossip/broadcast in one round, demonstrating the gap
-// concretely, and (b) analytic round counts from the literature for
-// comparison columns in bench_model_gap.
+// concretely (asserted by the CongestedClique tests), and (b) analytic round
+// counts from the literature.
 #pragma once
 
 #include <cstdint>

@@ -28,23 +28,6 @@ double Accumulator::variance() const {
 
 double Accumulator::stddev() const { return std::sqrt(variance()); }
 
-RatioFit fit_ratio(const std::vector<double>& measured,
-                   const std::vector<double>& predicted) {
-  NCC_ASSERT(measured.size() == predicted.size());
-  NCC_ASSERT(!measured.empty());
-  RatioFit fit;
-  Accumulator acc;
-  for (size_t i = 0; i < measured.size(); ++i) {
-    NCC_ASSERT(predicted[i] > 0);
-    acc.add(measured[i] / predicted[i]);
-  }
-  fit.mean_ratio = acc.mean();
-  fit.min_ratio = acc.min();
-  fit.max_ratio = acc.max();
-  fit.spread = acc.min() > 0 ? acc.max() / acc.min() : 0.0;
-  return fit;
-}
-
 double percentile(std::vector<double> values, double p) {
   NCC_ASSERT(!values.empty());
   NCC_ASSERT(p >= 0.0 && p <= 100.0);

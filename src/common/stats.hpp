@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace ncc {
@@ -25,19 +24,6 @@ class Accumulator {
   uint64_t count_ = 0;
   double min_ = 0.0, max_ = 0.0, mean_ = 0.0, m2_ = 0.0, sum_ = 0.0;
 };
-
-/// Least-squares fit y = alpha * x over paired samples; used by benches to
-/// report how flat measured/predicted ratios are across a sweep.
-struct RatioFit {
-  double mean_ratio = 0.0;
-  double min_ratio = 0.0;
-  double max_ratio = 0.0;
-  /// max_ratio / min_ratio; close to 1 means the predicted shape holds.
-  double spread = 0.0;
-};
-
-RatioFit fit_ratio(const std::vector<double>& measured,
-                   const std::vector<double>& predicted);
 
 /// Simple exact percentile over a copy of the data (fine at bench sizes).
 double percentile(std::vector<double> values, double p);

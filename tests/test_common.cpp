@@ -165,14 +165,6 @@ TEST(Stats, AccumulatorMoments) {
   EXPECT_DOUBLE_EQ(acc.sum(), 10.0);
 }
 
-TEST(Stats, RatioFit) {
-  auto fit = fit_ratio({10, 20, 40}, {5, 10, 20});
-  EXPECT_DOUBLE_EQ(fit.mean_ratio, 2.0);
-  EXPECT_DOUBLE_EQ(fit.spread, 1.0);
-  auto fit2 = fit_ratio({10, 30}, {10, 10});
-  EXPECT_DOUBLE_EQ(fit2.spread, 3.0);
-}
-
 TEST(Stats, Percentile) {
   std::vector<double> v{1, 2, 3, 4, 5};
   EXPECT_DOUBLE_EQ(percentile(v, 0), 1.0);

@@ -6,7 +6,11 @@
 
 #include "baselines/congested_clique.hpp"
 #include "common/bits.hpp"
+#include "core/broadcast_trees.hpp"
 #include "core/gossip.hpp"
+#include "core/mis.hpp"
+#include "core/orientation_algo.hpp"
+#include "graph/generators.hpp"
 #include "kmachine/kmachine.hpp"
 
 using namespace ncc;
@@ -125,6 +129,32 @@ TEST(KMachine, ResetClearsState) {
   t.reset();
   EXPECT_EQ(t.kmachine_rounds(), 0u);
   EXPECT_EQ(t.remote_messages(), 0u);
+}
+
+// Corollary 2 on a real execution: orientation + broadcast trees + MIS at
+// n = 128 under a random vertex partition over k machines. The measured
+// k-machine rounds (20871, 7288, 3550, 2226, 1485 for k = 2..32, T = 1453)
+// fall strictly with k and stay within 2 (nT/k^2 + T); the largest ratio to
+// nT/k^2 + T is 1.02, at k = 16. The + T is the one k-machine round per NCC
+// round that the O~ of Corollary 2 hides.
+TEST(KMachine, Corollary2OnOrientationMis) {
+  const NodeId n = 128;
+  uint64_t prev_kmachine = UINT64_MAX;
+  for (uint32_t k : {2u, 4u, 8u, 16u, 32u}) {
+    Rng rng(1);
+    Graph g = random_forest_union(n, 4, rng);
+    Network net = make(n, 77);
+    KMachineTracker tracker(net, k, 42);
+    Shared shared(n, 77);
+    auto ori = run_orientation(shared, net, g);
+    auto bt = build_broadcast_trees(shared, net, g, ori.orientation, 7);
+    run_mis(shared, net, g, bt, 9);
+    const uint64_t T = net.rounds();
+    const uint64_t kr = tracker.kmachine_rounds();
+    EXPECT_LT(kr, prev_kmachine) << "k=" << k;
+    EXPECT_LE(static_cast<double>(kr), 2 * (kmachine_bound(n, T, k) + T)) << "k=" << k;
+    prev_kmachine = kr;
+  }
 }
 
 TEST(KMachineCc, TheoremA1TrackerAndBound) {

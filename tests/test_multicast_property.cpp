@@ -96,6 +96,17 @@ TEST_P(MulticastProperty, EveryMemberReceivesAndCongestionBounded) {
       EXPECT_FALSE(ma.at_node[u].has_value()) << u;
     }
   }
+
+  // Round bounds: setup O(L/n + l/log n + log n) (Theorem 2.4), multicast and
+  // multi-aggregation O(C + l/log n + log n) (Theorems 2.5, 2.6). The largest
+  // measured ratios over the nine cases are 5.33, 4.91 and 9.82; each
+  // ceiling is that maximum times 1.5, rounded up.
+  const double lgn = cap_log(c.n);
+  const double C = setup.trees.congestion;
+  const double spread = ell_hat / lgn + lgn;
+  EXPECT_LE(static_cast<double>(setup.rounds), 8 * (static_cast<double>(L) / c.n + spread));
+  EXPECT_LE(static_cast<double>(mc.rounds), 8 * (C + spread));
+  EXPECT_LE(static_cast<double>(ma.rounds), 15 * (C + spread));
 }
 
 INSTANTIATE_TEST_SUITE_P(
