@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark): wall-clock throughput of the
-// simulator substrate itself — network round processing, butterfly routing,
-// Aggregate-and-Broadcast latency, and the k-wise hash. These gate how large
-// the reproduction sweeps can go; they measure the simulator, not the model.
+// simulator substrate itself — network round processing and the empty-round
+// floor, Aggregate-and-Broadcast latency, aggregation, the k-wise hash and
+// FindMin's sketch bits. These gate how large the reproduction sweeps can
+// go; they measure the simulator, not the model.
 #include <benchmark/benchmark.h>
 
 #include "common/hash.hpp"
@@ -34,6 +35,24 @@ static void BM_NetworkRound(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(msgs));
 }
 BENCHMARK(BM_NetworkRound)->Arg(256)->Arg(1024)->Arg(4096);
+
+// The per-round floor: an end_round() with nothing in flight, after one busy
+// round whose inboxes it must expire. Sparse workloads (MST) are mostly such
+// rounds, so this should not grow with n.
+static void BM_EmptyRound(benchmark::State& state) {
+  NodeId n = static_cast<NodeId>(state.range(0));
+  NetConfig cfg;
+  cfg.n = n;
+  cfg.seed = 1;
+  Network net(cfg);
+  for (NodeId u = 0; u < n; ++u) net.send(u, (u + 1) % n, 1, {u});
+  net.end_round();
+  for (auto _ : state) {
+    net.end_round();
+    benchmark::DoNotOptimize(net.rounds());
+  }
+}
+BENCHMARK(BM_EmptyRound)->Arg(64)->Arg(1024)->Arg(4096);
 
 static void BM_AggregateBroadcast(benchmark::State& state) {
   NodeId n = static_cast<NodeId>(state.range(0));
@@ -81,5 +100,25 @@ static void BM_KWiseHash(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KWiseHash)->Arg(2)->Arg(16)->Arg(32);
+
+// FindMin's per-arc sketch bits (40 trials of 12-wise hashes, as in an
+// n = 64 MST): the per-trial fn(t).bit(x) loop against bit_word's one pass.
+static void BM_FindMinBits(benchmark::State& state) {
+  const bool one_pass = state.range(0) == 1;
+  HashFamily fam(40, 12, 5);
+  Rng rng(6);
+  for (auto _ : state) {
+    const uint64_t x = rng.next();
+    uint64_t word = 0;
+    if (one_pass) {
+      word = fam.bit_word(x, 40);
+    } else {
+      for (uint32_t t = 0; t < 40; ++t) word |= static_cast<uint64_t>(fam.fn(t).bit(x)) << t;
+    }
+    benchmark::DoNotOptimize(word);
+  }
+  state.SetLabel(one_pass ? "bit_word" : "loop");
+}
+BENCHMARK(BM_FindMinBits)->Arg(0)->Arg(1);
 
 BENCHMARK_MAIN();

@@ -48,8 +48,8 @@ struct Pipeline {
   OrientationRunResult orient;
   BroadcastTrees bt;
 
-  // Not movable: the engine holds Network& and an address-keyed registry
-  // entry, so a moved Network would dangle both.
+  // Not movable: the engine holds Network& and the network points back at
+  // the engine, so a moved Network would dangle both.
   Pipeline(const Pipeline&) = delete;
   Pipeline& operator=(const Pipeline&) = delete;
 

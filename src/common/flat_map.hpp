@@ -40,6 +40,9 @@ class FlatMap {
     size_ = 0;
   }
 
+  /// Heap bytes the map holds (its slot and occupancy arrays).
+  size_t capacity_bytes() const { return slots_.capacity() * sizeof(Slot) + full_.capacity(); }
+
   /// Pointer to the mapped value, or nullptr.
   V* find(uint64_t key) {
     size_t i = find_slot(key);

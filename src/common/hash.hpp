@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -51,6 +52,9 @@ class KWiseHash {
   /// to charge the O(log^2 n)-bit setup broadcast where the paper does.
   uint64_t randomness_words() const { return coeffs_.size(); }
 
+  /// Coefficients, low-to-high degree.
+  std::span<const uint64_t> coeffs() const { return coeffs_; }
+
  private:
   std::vector<uint64_t> coeffs_;  // low-to-high degree
 };
@@ -67,6 +71,13 @@ class HashFamily {
 
   /// Total shared-randomness words across the family (for setup-cost charging).
   uint64_t randomness_words() const;
+
+  /// fn(t).bit(x) for t < count, packed with trial t in bit t — the same bits
+  /// as the per-trial loop, in one pass: x^0 .. x^(k-1) are computed once
+  /// and each trial's polynomial is a 128-bit dot product with a single
+  /// Mersenne-61 reduction. k terms below p^2 each must fit in 128 bits, so
+  /// the family's independence must be at most 63 (asserted).
+  uint64_t bit_word(uint64_t x, uint32_t count) const;
 
  private:
   std::vector<KWiseHash> fns_;

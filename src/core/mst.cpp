@@ -98,13 +98,9 @@ MstResult run_mst(const Shared& shared, Network& net, const Graph& g,
     const uint64_t phase_salt = mix64(rng_tag ^ (res.phases * 0x9e3779b9ULL));
     for (NodeId u = 0; u < n; ++u) {
       auto nb = g.neighbors(u);
-      for (size_t k = 0; k < nb.size(); ++k) {
-        const uint64_t x = mix64(arc_id(u, nb[k]) ^ phase_salt);
-        uint64_t word = 0;
-        for (uint32_t t = 0; t < max_bits; ++t)
-          word |= static_cast<uint64_t>(fam.fn(t).bit(x)) << t;
-        arc_bits[arc_off[u] + k] = word;
-      }
+      for (size_t k = 0; k < nb.size(); ++k)
+        arc_bits[arc_off[u] + k] =
+            fam.bit_word(mix64(arc_id(u, nb[k]) ^ phase_salt), max_bits);
     }
 
     // Rebuild component multicast trees: members = C \ {leader}, group id =
@@ -297,7 +293,7 @@ MstResult run_mst(const Shared& shared, Network& net, const Graph& g,
     for (NodeId v = 0; v < n; ++v)
       for (const Message& m : net.inbox(v))
         if (m.tag == kTagSourceNotify) is_source[v] = true;
-    sync_barrier(topo, net);
+    sync_barrier(topo, net, shared.barrier_workspace());
     // Sources multicast (own component's coin, own leader id).
     std::vector<MulticastSend> info_sends;
     for (NodeId v = 0; v < n; ++v)
@@ -329,7 +325,7 @@ MstResult run_mst(const Shared& shared, Network& net, const Graph& g,
       for (const Message& m : net.inbox(l))
         if (m.tag == kTagLeaderReport) new_leader_of[l] = static_cast<NodeId>(m.word(0));
     }
-    sync_barrier(topo, net);
+    sync_barrier(topo, net, shared.barrier_workspace());
     // Leaders announce the merge to their components.
     std::vector<MulticastSend> merge_sends;
     for (NodeId l = 0; l < n; ++l)

@@ -324,7 +324,7 @@ OrientationRunResult run_orientation(const Shared& shared, Network& net, const G
         std::sort(red[v].begin(), red[v].end());
         red[v].erase(std::unique(red[v].begin(), red[v].end()), red[v].end());
       }
-      sync_barrier(topo, net);
+      sync_barrier(topo, net, shared.barrier_workspace());
     }
 
     // Sanity: red sets must exactly match the non-inactive neighbors — a
@@ -431,7 +431,7 @@ OrientationRunResult run_orientation(const Shared& shared, Network& net, const G
           }
         }
       }
-      sync_barrier(topo, net);
+      sync_barrier(topo, net, shared.barrier_workspace());
     }
 
     // ---------------- Conclude the phase locally ------------------------

@@ -3,9 +3,6 @@
 #include <algorithm>
 // det-lint: observational — wall-clock feeds span timestamps on the obs side only
 #include <chrono>
-#include <mutex>
-// det-lint: observational — process-local attach registry; never serialized
-#include <unordered_map>
 
 #include "common/assert.hpp"
 
@@ -21,15 +18,6 @@ uint64_t now_ns() {
           // det-lint: observational — same: span timestamps only
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-}
-
-std::mutex g_registry_mu;
-// det-lint: observational — process-local attach bookkeeping; the pointer keys
-// never leave the process and the map is never iterated
-std::unordered_map<const Network*, Engine*>& registry() {
-  // det-lint: observational — same process-local attach bookkeeping
-  static std::unordered_map<const Network*, Engine*> reg;
-  return reg;
 }
 
 class ArenaSink final : public MsgSink {
@@ -57,45 +45,33 @@ Engine::Engine(Network& net, EngineConfig cfg)
   arenas_.resize(pool_.threads());
   timing_.resize(pool_.threads());
   memory_.resize(pool_.threads());
-  {
-    std::lock_guard<std::mutex> lk(g_registry_mu);
-    auto [it, fresh] = registry().emplace(&net_, this);
-    NCC_ASSERT_MSG(fresh, "network already has an engine attached");
-    (void)it;
-  }
+  NCC_ASSERT_MSG(Engine::of(net_) == nullptr, "network already has an engine attached");
   NetExecHooks hooks;
+  hooks.engine = this;
+  hooks.parallel = deliver_;
   hooks.shards = pool_.threads();
   hooks.min_messages = cfg_.delivery_cutoff;
-  hooks.parallel = [this](uint32_t tasks, const std::function<void(uint32_t)>& fn) {
-    pool_.run(tasks, [this, &fn](uint64_t t) {
-      uint64_t t0 = now_ns();
-      fn(static_cast<uint32_t>(t));
-      EngineShardTiming& tm = timing_[t];
-      tm.deliver_ns += now_ns() - t0;
-      ++tm.deliveries;
-    });
-  };
-  net_.install_exec_hooks(std::move(hooks));
+  net_.install_exec_hooks(hooks);
 }
 
-Engine::~Engine() {
-  net_.clear_exec_hooks();
-  std::lock_guard<std::mutex> lk(g_registry_mu);
-  registry().erase(&net_);
+Engine::~Engine() { net_.clear_exec_hooks(); }
+
+void Engine::Deliver::operator()(uint32_t tasks, FnRef<void(uint32_t)> fn) const {
+  Engine* e = eng;
+  e->pool_.run(tasks, [e, fn](uint64_t t) {
+    uint64_t t0 = now_ns();
+    fn(static_cast<uint32_t>(t));
+    EngineShardTiming& tm = e->timing_[t];
+    tm.deliver_ns += now_ns() - t0;
+    ++tm.deliveries;
+  });
 }
 
-Engine* Engine::of(const Network& net) {
-  std::lock_guard<std::mutex> lk(g_registry_mu);
-  auto it = registry().find(&net);
-  return it == registry().end() ? nullptr : it->second;
+void Engine::run_shards(uint32_t shards, FnRef<void(uint32_t)> fn) {
+  pool_.run(shards, [fn](uint64_t t) { fn(static_cast<uint32_t>(t)); });
 }
 
-void Engine::run_shards(uint32_t shards, const std::function<void(uint32_t)>& fn) {
-  pool_.run(shards, [&fn](uint64_t t) { fn(static_cast<uint32_t>(t)); });
-}
-
-void Engine::ranges(uint64_t count,
-                    const std::function<void(uint32_t, uint64_t, uint64_t)>& fn) {
+void Engine::ranges(uint64_t count, FnRef<void(uint32_t, uint64_t, uint64_t)> fn) {
   uint32_t want = count >= cfg_.loop_cutoff ? pool_.threads() : 1;
   ShardPlan plan = ShardPlan::make(count, want);
   if (count == 0) return;
@@ -103,14 +79,13 @@ void Engine::ranges(uint64_t count,
              [&](uint32_t s) { fn(s, plan.begin(s), plan.end(s)); });
 }
 
-void Engine::for_each(uint64_t count, const std::function<void(uint64_t)>& fn) {
-  ranges(count, [&fn](uint32_t, uint64_t b, uint64_t e) {
+void Engine::for_each(uint64_t count, FnRef<void(uint64_t)> fn) {
+  ranges(count, [fn](uint32_t, uint64_t b, uint64_t e) {
     for (uint64_t i = b; i < e; ++i) fn(i);
   });
 }
 
-void Engine::send_loop(uint64_t count,
-                       const std::function<void(uint64_t, MsgSink&)>& step) {
+void Engine::send_loop(uint64_t count, FnRef<void(uint64_t, MsgSink&)> step) {
   uint32_t want = count >= cfg_.loop_cutoff ? pool_.threads() : 1;
   ShardPlan plan = ShardPlan::make(count, want);
   if (count == 0) return;
@@ -154,7 +129,7 @@ uint32_t engine_shards(const Network& net) {
 }
 
 void engine_ranges(const Network& net, uint64_t count,
-                   const std::function<void(uint32_t, uint64_t, uint64_t)>& fn) {
+                   FnRef<void(uint32_t, uint64_t, uint64_t)> fn) {
   if (count == 0) return;
   if (Engine* eng = Engine::of(net)) {
     eng->ranges(count, fn);
@@ -163,8 +138,7 @@ void engine_ranges(const Network& net, uint64_t count,
   }
 }
 
-void engine_for(const Network& net, uint64_t count,
-                const std::function<void(uint64_t)>& fn) {
+void engine_for(const Network& net, uint64_t count, FnRef<void(uint64_t)> fn) {
   if (Engine* eng = Engine::of(net)) {
     eng->for_each(count, fn);
   } else {
@@ -172,8 +146,7 @@ void engine_for(const Network& net, uint64_t count,
   }
 }
 
-void engine_send_loop(Network& net, uint64_t count,
-                      const std::function<void(uint64_t, MsgSink&)>& step) {
+void engine_send_loop(Network& net, uint64_t count, FnRef<void(uint64_t, MsgSink&)> step) {
   if (Engine* eng = Engine::of(net)) {
     eng->send_loop(count, step);
   } else {

@@ -19,10 +19,10 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <initializer_list>
 #include <vector>
 
+#include "common/fn_ref.hpp"
 #include "engine/shard.hpp"
 #include "engine/thread_pool.hpp"
 #include "net/message.hpp"
@@ -85,7 +85,7 @@ class MsgSink {
 class Engine {
  public:
   /// Attaches to `net` (installing its exec hooks); at most one engine per
-  /// network at a time.
+  /// network at a time — attaching a second one aborts.
   explicit Engine(Network& net, EngineConfig cfg = {});
   ~Engine();
 
@@ -95,20 +95,19 @@ class Engine {
   Network& net() { return net_; }
   uint32_t threads() const { return pool_.threads(); }
 
-  /// The engine attached to `net`, or nullptr.
-  static Engine* of(const Network& net);
+  /// The engine attached to `net`, or nullptr (a field read).
+  static Engine* of(const Network& net) { return net.exec_hooks().engine; }
 
   /// Run fn(0..shards-1) on the pool (shards <= threads()).
-  void run_shards(uint32_t shards, const std::function<void(uint32_t)>& fn);
+  void run_shards(uint32_t shards, FnRef<void(uint32_t)> fn);
 
   /// Shard [0, count) contiguously and hand each shard its range. `fn` runs
   /// concurrently across shards; per-shard accumulation indexed by `shard`
   /// (with a final merge in shard order) keeps results thread-count-free.
-  void ranges(uint64_t count,
-              const std::function<void(uint32_t shard, uint64_t begin, uint64_t end)>& fn);
+  void ranges(uint64_t count, FnRef<void(uint32_t shard, uint64_t begin, uint64_t end)> fn);
 
   /// Plain parallel loop over [0, count); fn(i) may only touch item-i state.
-  void for_each(uint64_t count, const std::function<void(uint64_t)>& fn);
+  void for_each(uint64_t count, FnRef<void(uint64_t)> fn);
 
   /// Parallel step loop with staged sends: step(i, sink) runs shard-parallel,
   /// sinks stage into per-shard arenas (acquired from the network's pool, so
@@ -116,7 +115,7 @@ class Engine {
   /// zero-copy in shard order before returning — the send order equals the
   /// sequential loop's. The round stays open; the caller ends it with
   /// net().end_round().
-  void send_loop(uint64_t count, const std::function<void(uint64_t, MsgSink&)>& step);
+  void send_loop(uint64_t count, FnRef<void(uint64_t, MsgSink&)> step);
 
   /// Per-shard wall-clock profile (one entry per pool thread). Each shard's
   /// stage/deliver slots are only ever written by the worker running that
@@ -135,6 +134,13 @@ class Engine {
   std::vector<MsgArena> arenas_;           // one staged arena per shard
   std::vector<EngineShardTiming> timing_;  // one profile per shard
   std::vector<EngineShardMemory> memory_;  // one memory profile per shard
+  // The network's delivery hook (NetExecHooks::parallel refers to it): runs
+  // the tasks on the pool and times each into its shard's deliver_ns.
+  struct Deliver {
+    Engine* eng;
+    void operator()(uint32_t tasks, FnRef<void(uint32_t)> fn) const;
+  };
+  Deliver deliver_{this};
 };
 
 /// Helpers for primitives/ and core/: route the loop through `net`'s
@@ -142,9 +148,8 @@ class Engine {
 /// the observable effects are identical.
 uint32_t engine_shards(const Network& net);
 void engine_ranges(const Network& net, uint64_t count,
-                   const std::function<void(uint32_t shard, uint64_t begin, uint64_t end)>& fn);
-void engine_for(const Network& net, uint64_t count, const std::function<void(uint64_t)>& fn);
-void engine_send_loop(Network& net, uint64_t count,
-                      const std::function<void(uint64_t, MsgSink&)>& step);
+                   FnRef<void(uint32_t shard, uint64_t begin, uint64_t end)> fn);
+void engine_for(const Network& net, uint64_t count, FnRef<void(uint64_t)> fn);
+void engine_send_loop(Network& net, uint64_t count, FnRef<void(uint64_t, MsgSink&)> step);
 
 }  // namespace ncc

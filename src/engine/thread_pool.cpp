@@ -25,7 +25,7 @@ ThreadPool::~ThreadPool() {
   for (std::thread& t : workers_) t.join();
 }
 
-void ThreadPool::run(uint64_t tasks, const std::function<void(uint64_t)>& fn) {
+void ThreadPool::run(uint64_t tasks, FnRef<void(uint64_t)> fn) {
   NCC_ASSERT_MSG(tasks <= threads_, "static dispatch needs tasks <= threads");
   if (tasks == 0) return;
   if (tasks == 1 || threads_ == 1) {
@@ -34,7 +34,7 @@ void ThreadPool::run(uint64_t tasks, const std::function<void(uint64_t)>& fn) {
   }
   {
     std::lock_guard<std::mutex> lk(mu_);
-    job_ = &fn;
+    job_ = fn;
     job_tasks_ = tasks - 1;  // workers 0 .. tasks-2
     job_done_ = 0;
     ++generation_;
@@ -43,7 +43,7 @@ void ThreadPool::run(uint64_t tasks, const std::function<void(uint64_t)>& fn) {
   fn(tasks - 1);  // the caller's share
   std::unique_lock<std::mutex> lk(mu_);
   cv_done_.wait(lk, [&] { return job_done_ == job_tasks_; });
-  job_ = nullptr;
+  job_ = {};
 }
 
 void ThreadPool::worker_loop(uint32_t widx) {
@@ -54,9 +54,9 @@ void ThreadPool::worker_loop(uint32_t widx) {
     if (stop_) return;
     seen = generation_;
     if (widx < job_tasks_) {
-      const auto* job = job_;
+      const FnRef<void(uint64_t)> job = job_;
       lk.unlock();
-      (*job)(widx);
+      job(widx);
       lk.lock();
       if (++job_done_ == job_tasks_) cv_done_.notify_one();
     }

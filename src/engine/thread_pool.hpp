@@ -9,10 +9,11 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <thread>
 #include <vector>
+
+#include "common/fn_ref.hpp"
 
 namespace ncc {
 
@@ -31,7 +32,7 @@ class ThreadPool {
   /// Run fn(0) .. fn(tasks-1), blocking until all complete. Requires
   /// tasks <= threads(). Task i runs on worker i; the caller runs the last
   /// task, so a single-threaded pool degenerates to a plain loop.
-  void run(uint64_t tasks, const std::function<void(uint64_t)>& fn);
+  void run(uint64_t tasks, FnRef<void(uint64_t)> fn);
 
   static uint32_t hardware_threads();
 
@@ -44,7 +45,7 @@ class ThreadPool {
   std::mutex mu_;
   std::condition_variable cv_work_;
   std::condition_variable cv_done_;
-  const std::function<void(uint64_t)>* job_ = nullptr;
+  FnRef<void(uint64_t)> job_;
   uint64_t job_tasks_ = 0;  // tasks assigned to workers (caller runs one more)
   uint64_t job_done_ = 0;
   uint64_t generation_ = 0;

@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "common/bits.hpp"
-#include "common/flat_map.hpp"
-#include "engine/shard.hpp"
 
 namespace ncc {
 
@@ -13,9 +11,26 @@ Network::Network(NetConfig config)
       cap_(config.capacity_factor * cap_log(config.n)),
       drop_seed_(mix64(config.seed ^ 0x6e65747730726bULL)) {
   NCC_ASSERT_MSG(config_.n >= 2, "the NCC model needs at least two nodes");
-  send_count_.assign(config_.n, 0);
-  inbox_off_.assign(config_.n, 0);
-  inbox_cnt_.assign(config_.n, 0);
+  const NodeId n = config_.n;
+  send_count_.assign(n, 0);
+  senders_.assign(n, 0);
+  dst_touched_.assign(n, 0);
+  inbox_off_.assign(n, 0);
+  inbox_cnt_.assign(n, 0);
+  recv_seen_.assign(n, 0);
+  wsum_.assign(n, 0);
+  word_off_.assign(n, 0);
+  install_exec_hooks(NetExecHooks{});
+}
+
+void Network::install_exec_hooks(NetExecHooks hooks) {
+  hooks_ = hooks;
+  // Per-shard bookkeeping sized once for the widest round, so steady-state
+  // rounds never grow it.
+  const uint32_t S = std::max<uint32_t>(1, hooks_.shards);
+  acc_.reserve(S);
+  drop_rng_.resize(std::max<size_t>(drop_rng_.size(), S));
+  scatter_allocs_.reserve(S);
 }
 
 MsgArena Network::acquire_arena() {
@@ -33,6 +48,7 @@ void Network::stage_run(MsgArena&& run) {
   for (size_t i = 0; i < count; ++i) {
     NCC_ASSERT(h[i].src < config_.n && h[i].dst < config_.n);
     NCC_ASSERT_MSG(h[i].src != h[i].dst, "nodes do not message themselves");
+    if (send_count_[h[i].src] == 0) senders_[senders_cnt_++] = h[i].src;
     if (++send_count_[h[i].src] > cap_) {
       if (config_.strict_send) {
         NCC_ASSERT_MSG(false, "send capacity exceeded (algorithm bug)");
@@ -55,6 +71,7 @@ void Network::stage_run(MsgArena&& run) {
 void Network::send(const Message& msg) {
   NCC_ASSERT(msg.src < config_.n && msg.dst < config_.n);
   NCC_ASSERT_MSG(msg.src != msg.dst, "nodes do not message themselves");
+  if (send_count_[msg.src] == 0) senders_[senders_cnt_++] = msg.src;
   ++send_count_[msg.src];
   if (send_count_[msg.src] > cap_) {
     if (config_.strict_send) {
@@ -121,22 +138,34 @@ void Network::end_round() {
   uint32_t rcap = cap_;
   if (faults_.recv_cap) rcap = std::max<uint32_t>(1, faults_.recv_cap(round, cap_));
 
+  // Send loads: only this round's senders have non-zero counts.
+  for (uint32_t i = 0; i < senders_cnt_; ++i) {
+    const NodeId u = senders_[i];
+    stats_.max_send_load = std::max(stats_.max_send_load, send_count_[u]);
+    send_count_[u] = 0;
+  }
+  senders_cnt_ = 0;
+
+  // The previous round's inboxes expire now: zero exactly the counts it set.
+  for (uint32_t s = 0; s < acc_.size(); ++s) {
+    const NodeId* touched = dst_touched_.data() + dst_plan_.begin(s);
+    for (uint32_t i = 0; i < acc_[s].touched; ++i) inbox_cnt_[touched[i]] = 0;
+  }
+
   uint32_t S = 1;
   if (hooks_.parallel && hooks_.shards > 1 && total >= hooks_.min_messages)
     S = hooks_.shards;
-  ShardPlan nodes = ShardPlan::make(n, S);
+  const ShardPlan nodes = ShardPlan::make(n, S);
   S = nodes.shards;
-  ShardPlan chunks = ShardPlan::make(total, S);
-
-  if (recv_seen_.size() != n) recv_seen_.assign(n, 0);
-  if (wsum_.size() != n) wsum_.assign(n, 0);
-  if (word_off_.size() != n) word_off_.assign(n, 0);
+  const ShardPlan chunks = ShardPlan::make(total, S);
+  dst_plan_ = nodes;
+  acc_.assign(S, ShardAcc{});
 
   // Delivery runs through the engine's parallel hook whenever one is
   // installed — including single-shard rounds, where the pool runs the one
   // task inline on the caller thread. That keeps deliver_ns attribution
   // uniform across thread counts (the engine times every hook task).
-  auto par = [&](uint32_t tasks, const std::function<void(uint32_t)>& fn) {
+  auto par = [&](uint32_t tasks, FnRef<void(uint32_t)> fn) {
     if (hooks_.parallel) {
       hooks_.parallel(tasks, fn);
     } else {
@@ -145,11 +174,13 @@ void Network::end_round() {
   };
 
   // Global send-order offsets of the runs: pending index i lives in run r at
-  // local slot i - run_start[r]. Scatter rows and scans walk indices in
+  // local slot i - run_start_[r]. Scatter rows and scans walk indices in
   // ascending order, so a running run pointer recovers (run, slot) in O(1)
   // amortized.
-  std::vector<uint64_t> run_start(R + 1, 0);
-  for (uint32_t r = 0; r < R; ++r) run_start[r + 1] = run_start[r] + runs_[r].size();
+  run_start_.resize(R + 1);
+  run_start_[0] = 0;
+  for (uint32_t r = 0; r < R; ++r) run_start_[r + 1] = run_start_[r] + runs_[r].size();
+  const uint64_t* run_start = run_start_.data();
 
   // Counting-sort index pass (multi-shard only): chunk p of the pending
   // order records the global indices headed for destination shard s in
@@ -159,8 +190,9 @@ void Network::end_round() {
   if (S > 1) {
     NCC_ASSERT_MSG(total <= UINT32_MAX,
                    "per-round pending exceeds 32-bit scatter indices");
-    scatter_.resize(static_cast<size_t>(chunks.shards) * S);
-    std::vector<uint64_t> scatter_allocs(chunks.shards, 0);
+    if (scatter_.size() < static_cast<size_t>(chunks.shards) * S)
+      scatter_.resize(static_cast<size_t>(chunks.shards) * S);
+    scatter_allocs_.assign(chunks.shards, 0);
     par(chunks.shards, [&](uint32_t p) {
       for (uint32_t s = 0; s < S; ++s) scatter_[static_cast<size_t>(p) * S + s].clear();
       uint32_t r = 0;
@@ -168,11 +200,11 @@ void Network::end_round() {
         while (i >= run_start[r + 1]) ++r;
         const MsgHdr& h = runs_[r].hdrs()[i - run_start[r]];
         auto& row = scatter_[static_cast<size_t>(p) * S + nodes.shard_of(h.dst)];
-        if (row.size() == row.capacity()) ++scatter_allocs[p];
+        if (row.size() == row.capacity()) ++scatter_allocs_[p];
         row.push_back(static_cast<uint32_t>(i));
       }
     });
-    for (uint64_t a : scatter_allocs) mem_.allocs += a;
+    for (uint64_t a : scatter_allocs_) mem_.allocs += a;
   }
 
   // Walk destination shard s's messages in arrival order; fn(hdr, words)
@@ -196,34 +228,20 @@ void Network::end_round() {
     }
   };
 
-  struct ShardAcc {
-    uint32_t max_send = 0;
-    uint32_t max_recv = 0;
-    uint64_t dropped = 0;
-    uint64_t hdr_total = 0;   // headers delivered into this shard's inboxes
-    uint64_t word_total = 0;  // this shard's span of the inbox word store
-  };
-  std::vector<ShardAcc> acc(S);
-
   // Count pass: per destination, the addressed (pre-drop) message count and
-  // payload-word budget. Overloaded destinations (count > rcap) get fixed
+  // payload-word budget; a destination's first arrival appends it to the
+  // shard's touched list. Overloaded destinations (count > rcap) get fixed
   // rcap * kMaxMessageWords word slots instead of exact sums, so reservoir
   // replacement can overwrite any slot with any payload width.
-  par(S, [&](uint32_t s) {
-    ShardAcc& a = acc[s];
-    const NodeId lo = static_cast<NodeId>(nodes.begin(s));
-    const NodeId hi = static_cast<NodeId>(nodes.end(s));
-    for (NodeId u = lo; u < hi; ++u) {
-      recv_seen_[u] = 0;
-      wsum_[u] = 0;
-    }
+  auto count_pass = [&](uint32_t s) {
+    ShardAcc& a = acc_[s];
+    NodeId* touched = dst_touched_.data() + nodes.begin(s);
     for_dst_shard(s, [&](const MsgHdr& h, const uint64_t*) {
-      ++recv_seen_[h.dst];
+      if (recv_seen_[h.dst]++ == 0) touched[a.touched++] = h.dst;
       wsum_[h.dst] += h.nwords;
     });
-    for (NodeId u = lo; u < hi; ++u) {
-      a.max_send = std::max(a.max_send, send_count_[u]);
-      send_count_[u] = 0;
+    for (uint32_t i = 0; i < a.touched; ++i) {
+      const NodeId u = touched[i];
       const uint32_t cnt = recv_seen_[u];
       a.max_recv = std::max(a.max_recv, cnt);
       if (cnt > rcap) {
@@ -235,40 +253,42 @@ void Network::end_round() {
       }
       a.word_total += wsum_[u];
     }
-  });
+  };
 
   // Shard prefix over the flat inbox arena (sequential, S terms); the arena
   // only ever grows, so steady-state rounds re-fill warm capacity.
-  uint64_t hdr_total = 0, word_total = 0;
-  std::vector<uint64_t> hdr_base(S), word_base(S);
-  for (uint32_t s = 0; s < S; ++s) {
-    hdr_base[s] = hdr_total;
-    word_base[s] = word_total;
-    hdr_total += acc[s].hdr_total;
-    word_total += acc[s].word_total;
-  }
-  NCC_ASSERT_MSG(word_total <= UINT32_MAX,
-                 "per-round inbox word store exceeds 32-bit offsets");
-  if (hdr_total > inbox_hdr_.size()) {
-    if (hdr_total > inbox_hdr_.capacity()) ++mem_.allocs;
-    inbox_hdr_.resize(hdr_total);
-  }
-  if (word_total > inbox_words_.size()) {
-    if (word_total > inbox_words_.capacity()) ++mem_.allocs;
-    inbox_words_.resize(word_total);
-  }
+  auto layout = [&] {
+    uint64_t hdr_total = 0, word_total = 0;
+    for (ShardAcc& a : acc_) {
+      a.hdr_base = hdr_total;
+      a.word_base = word_total;
+      hdr_total += a.hdr_total;
+      word_total += a.word_total;
+    }
+    NCC_ASSERT_MSG(word_total <= UINT32_MAX,
+                   "per-round inbox word store exceeds 32-bit offsets");
+    if (hdr_total > inbox_hdr_.size()) {
+      if (hdr_total > inbox_hdr_.capacity()) ++mem_.allocs;
+      inbox_hdr_.resize(hdr_total);
+    }
+    if (word_total > inbox_words_.size()) {
+      if (word_total > inbox_words_.capacity()) ++mem_.allocs;
+      inbox_words_.resize(word_total);
+    }
+  };
 
-  // Placement pass: per destination shard, lay out each node's inbox span,
-  // then stream the shard's messages into their slots. The drop RNG is
-  // forked per (round, destination), so the surviving subset of an
-  // overloaded inbox does not depend on the shard layout or on the traffic
-  // at other destinations.
-  par(S, [&](uint32_t s) {
-    const NodeId lo = static_cast<NodeId>(nodes.begin(s));
-    const NodeId hi = static_cast<NodeId>(nodes.end(s));
-    uint64_t hcur = hdr_base[s];
-    uint64_t wcur = word_base[s];
-    for (NodeId u = lo; u < hi; ++u) {
+  // Placement pass: per destination shard, lay out each touched node's
+  // inbox span, then stream the shard's messages into their slots, then
+  // re-zero the touched nodes' scratch. The drop RNG is forked per (round,
+  // destination), so the surviving subset of an overloaded inbox does not
+  // depend on the shard layout or on the traffic at other destinations.
+  auto place_pass = [&](uint32_t s) {
+    const ShardAcc& a = acc_[s];
+    const NodeId* touched = dst_touched_.data() + nodes.begin(s);
+    uint64_t hcur = a.hdr_base;
+    uint64_t wcur = a.word_base;
+    for (uint32_t i = 0; i < a.touched; ++i) {
+      const NodeId u = touched[i];
       inbox_off_[u] = hcur;
       inbox_cnt_[u] = std::min(recv_seen_[u], rcap);
       word_off_[u] = wcur;
@@ -278,7 +298,8 @@ void Network::end_round() {
     }
     MsgHdr* hout = inbox_hdr_.data();
     uint64_t* wout = inbox_words_.data();
-    FlatMap<Rng> drop_rng;  // lookup/emplace only, never iterated
+    FlatMap<Rng>& drop_rng = drop_rng_[s];
+    if (!drop_rng.empty()) drop_rng.clear();
     for_dst_shard(s, [&](const MsgHdr& h, const uint64_t* wbase) {
       const NodeId dst = h.dst;
       const uint32_t k = wsum_[dst]++;
@@ -307,7 +328,26 @@ void Network::end_round() {
       hout[slot] = out;
       for (uint8_t w = 0; w < h.nwords; ++w) wout[woff + w] = wbase[h.off + w];
     });
-  });
+    for (uint32_t i = 0; i < a.touched; ++i) {
+      recv_seen_[touched[i]] = 0;
+      wsum_[touched[i]] = 0;
+    }
+  };
+
+  // A single-shard round runs as one delivery task (one timed hook call);
+  // a sharded one needs the sequential layout between its two passes. An
+  // empty round has nothing to deliver.
+  if (total != 0 && S == 1) {
+    par(1, [&](uint32_t) {
+      count_pass(0);
+      layout();
+      place_pass(0);
+    });
+  } else if (total != 0) {
+    par(S, count_pass);
+    layout();
+    par(S, place_pass);
+  }
 
   uint64_t container_bytes = 0;
   for (const MsgArena& r : runs_) container_bytes += r.capacity_bytes();
@@ -318,9 +358,9 @@ void Network::end_round() {
   container_bytes += (send_count_.capacity() + recv_seen_.capacity() +
                       wsum_.capacity() + inbox_cnt_.capacity()) *
                      sizeof(uint32_t);
+  container_bytes += (senders_.capacity() + dst_touched_.capacity()) * sizeof(NodeId);
   container_bytes += (inbox_off_.capacity() + word_off_.capacity()) * sizeof(uint64_t);
-  for (const ShardAcc& a : acc) {
-    stats_.max_send_load = std::max(stats_.max_send_load, a.max_send);
+  for (const ShardAcc& a : acc_) {
     stats_.max_recv_load = std::max(stats_.max_recv_load, a.max_recv);
     stats_.messages_dropped += a.dropped;
   }
@@ -400,11 +440,13 @@ void Network::reset_stats() {
   runs_.clear();
   tail_open_ = false;
   std::fill(send_count_.begin(), send_count_.end(), 0);
+  senders_cnt_ = 0;
   std::fill(recv_seen_.begin(), recv_seen_.end(), 0);
   std::fill(wsum_.begin(), wsum_.end(), 0);
   std::fill(word_off_.begin(), word_off_.end(), 0);
   std::fill(inbox_off_.begin(), inbox_off_.end(), 0);
   std::fill(inbox_cnt_.begin(), inbox_cnt_.end(), 0);
+  acc_.clear();
   inbox_hdr_.clear();
   inbox_words_.clear();
   for (auto& row : scatter_) row.clear();

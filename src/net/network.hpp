@@ -24,7 +24,10 @@
 #include <span>
 #include <vector>
 
+#include "common/flat_map.hpp"
+#include "common/fn_ref.hpp"
 #include "common/rng.hpp"
+#include "engine/shard.hpp"
 #include "net/message.hpp"
 
 namespace ncc {
@@ -129,12 +132,17 @@ class InboxView {
   size_t count_ = 0;
 };
 
+class Engine;
+
 /// Execution hooks installed by an attached engine. The network itself stays
-/// engine-agnostic: `parallel(tasks, fn)` must run fn(0..tasks-1) to
-/// completion (any interleaving — the delivery algorithm is shard-order
-/// independent), `shards` is the preferred shard count.
+/// engine-agnostic: `engine` is an opaque back-pointer (Engine::of reads it),
+/// `parallel(tasks, fn)` must run fn(0..tasks-1) to completion (any
+/// interleaving — the delivery algorithm is shard-order independent) and
+/// refers to a callable the engine owns for as long as it is attached,
+/// `shards` is the preferred shard count.
 struct NetExecHooks {
-  std::function<void(uint32_t, const std::function<void(uint32_t)>&)> parallel;
+  Engine* engine = nullptr;
+  FnRef<void(uint32_t, FnRef<void(uint32_t)>)> parallel;
   uint32_t shards = 1;
   /// Rounds with fewer pending messages deliver single-shard (perf knob; the
   /// delivery result is shard-count independent either way).
@@ -264,7 +272,7 @@ class Network {
   void reset_stats();
 
   /// Engine attachment (see src/engine/engine.hpp).
-  void install_exec_hooks(NetExecHooks hooks) { hooks_ = std::move(hooks); }
+  void install_exec_hooks(NetExecHooks hooks);
   void clear_exec_hooks() { hooks_ = NetExecHooks{}; }
   const NetExecHooks& exec_hooks() const { return hooks_; }
 
@@ -290,6 +298,10 @@ class Network {
   bool tail_open_ = false;  // runs_.back() accepts direct send()s
   std::vector<MsgArena> pool_;
   std::vector<uint32_t> send_count_;  // per-node sends this round
+  // Distinct senders of this round, senders_[0 .. senders_cnt_): the
+  // send-load pass walks (and re-zeroes) only these.
+  std::vector<NodeId> senders_;
+  uint32_t senders_cnt_ = 0;
   // Delivered inboxes, flat: headers for node u live at
   // inbox_hdr_[inbox_off_[u] .. +inbox_cnt_[u]) with payload words in
   // inbox_words_ (hdr.off indexes it). Rebuilt every end_round in place.
@@ -297,12 +309,38 @@ class Network {
   std::vector<uint64_t> inbox_words_;
   std::vector<uint64_t> inbox_off_;
   std::vector<uint32_t> inbox_cnt_;
+  // Distinct destinations of the last round, per destination shard: shard
+  // s's list starts at dst_touched_[dst_plan_.begin(s)] (a node belongs to
+  // one shard, so the lists tile one n-slot array) and holds
+  // acc_[s].touched entries in first-arrival order. Every per-node pass
+  // walks these instead of the shard's node range, and the next round
+  // zeroes exactly these stale inbox counts — a round costs O(messages +
+  // touched nodes), not O(n).
+  std::vector<NodeId> dst_touched_;
+  ShardPlan dst_plan_;
   // Per-round delivery staging (members so capacity is reused):
   // scatter_[p * S + s] = global pending indices of chunk p's messages for
   // destination shard s, ascending (the counting-sort index pass).
   std::vector<std::vector<uint32_t>> scatter_;
-  // Per-node scratch for the count/placement passes. recv_seen_[u] ends as
-  // the full addressed (pre-drop) count, which the merged-view stats read;
+  std::vector<uint64_t> scatter_allocs_;  // per-chunk row growths this round
+  // run_start_[r] = global send-order index of run r's first message.
+  std::vector<uint64_t> run_start_;
+  struct ShardAcc {
+    uint32_t max_recv = 0;
+    uint32_t touched = 0;     // distinct destinations in this shard
+    uint64_t dropped = 0;
+    uint64_t hdr_total = 0;   // headers delivered into this shard's inboxes
+    uint64_t word_total = 0;  // this shard's span of the inbox word store
+    uint64_t hdr_base = 0;    // shard prefix of hdr_total / word_total
+    uint64_t word_base = 0;
+  };
+  std::vector<ShardAcc> acc_;  // per destination shard
+  // Reservoir RNGs of this round's overloaded destinations, per shard
+  // (lookup/emplace only, never iterated).
+  std::vector<FlatMap<Rng>> drop_rng_;
+  // Per-node scratch for the count/placement passes, all zero between
+  // rounds (placement re-zeroes its touched nodes). recv_seen_[u] is the
+  // full addressed (pre-drop) count, which the merged-view stats read;
   // wsum_[u] is the node's inbox word budget during the count pass and is
   // reused as its arrival counter during placement; word_off_[u] is the
   // node's word cursor.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <map>
+#include <memory>
 #include <type_traits>
 #include <utility>
 
@@ -64,12 +65,26 @@ struct EdgeBest {
 /// Tracks the max number of distinct groups observed at any overlay node.
 class CongestionTracker {
  public:
-  explicit CongestionTracker(uint64_t node_count) : seen_(node_count) {}
+  /// Start a call over `node_count` overlay nodes: only the sets the last
+  /// call touched are cleared, and they keep their capacity.
+  void reset(uint64_t node_count) {
+    for (uint64_t i : touched_) seen_[i].clear();
+    touched_.clear();
+    seen_.resize(node_count);
+    max_ = 0;
+  }
+  size_t capacity_bytes() const {
+    size_t b = seen_.size() * sizeof(FlatMap<uint8_t>);
+    for (uint64_t i : touched_) b += seen_[i].capacity_bytes();
+    return b;
+  }
 
   void visit(uint64_t node_index, uint64_t group) {
     auto& s = seen_[node_index];
-    if (s.emplace(group, 1).second)
+    if (s.emplace(group, 1).second) {
+      if (s.size() == 1) touched_.push_back(node_index);
       max_ = std::max<uint32_t>(max_, static_cast<uint32_t>(s.size()));
+    }
   }
   uint32_t max() const { return max_; }
 
@@ -77,6 +92,7 @@ class CongestionTracker {
   // Insert + size only — never iterated, so the membership set is a FlatMap
   // used as a set (value ignored).
   std::vector<FlatMap<uint8_t>> seen_;
+  std::vector<uint64_t> touched_;  // nodes whose set is non-empty
   uint32_t max_ = 0;
 };
 
@@ -85,7 +101,10 @@ class CongestionTracker {
 /// rather than to the overlay size.
 class ActiveSet {
  public:
-  explicit ActiveSet(uint64_t node_count) : flag_(node_count, false) {}
+  void reset(uint64_t node_count) {
+    flag_.assign(node_count, false);
+    items_.clear();
+  }
 
   void add(uint64_t idx) {
     if (!flag_[idx]) {
@@ -93,12 +112,15 @@ class ActiveSet {
       items_.push_back(idx);
     }
   }
-  /// Sorted snapshot for deterministic iteration; clears membership flags so
-  /// nodes re-add themselves if they still have work.
-  std::vector<uint64_t> take() {
+  /// Sorted snapshot into `out` for deterministic iteration; clears
+  /// membership flags so nodes re-add themselves if they still have work.
+  /// The two buffers swap, so a caller reusing `out` every round keeps both
+  /// capacities warm.
+  void take(std::vector<uint64_t>& out) {
     std::sort(items_.begin(), items_.end());
     for (uint64_t i : items_) flag_[i] = false;
-    return std::exchange(items_, {});
+    out.swap(items_);
+    items_.clear();
   }
   bool empty() const { return items_.empty(); }
 
@@ -135,6 +157,97 @@ struct StepOut {
   uint64_t moved = 0, tokens = 0;
 };
 
+/// A routing state's queue entry for one group: the packet value, plus (up
+/// phase only) the up-edges it is still owed on.
+struct Queued {
+  Val val;
+  uint64_t mask;
+};
+
+}  // namespace
+
+/// The routing tables of one call, kept between calls. Every table a call
+/// fills is empty again when it returns (queues drain, tokens are re-zeroed
+/// at the next begin(), touched congestion sets are cleared), so a
+/// workspace reused on the same overlay re-fills warm capacity. Queue maps
+/// keep their capacity; contend() reductions are order-insensitive, so slot
+/// order left over from earlier calls cannot change a result.
+///
+/// Tables are kept only while their per-state storage stays within
+/// kKeepBytes (small overlays, like the MST benchmark's 448 routing
+/// states): past that — a large overlay, or queues grown by a hot-key
+/// flood — a call drops them, so the next call re-grows what it needs, as
+/// every call did before tables were kept, and memory stays at one call's
+/// footprint.
+struct RouterWorkspace::Tables {
+  static constexpr size_t kKeepBytes = size_t{1} << 20;
+
+  /// Size the tables for `topo` and `shards` and start a call. A workspace
+  /// whose previous call threw out of its round loop (a round-limit abort)
+  /// or ran on another overlay is wiped first.
+  void begin(const Overlay& topo, uint32_t shards) {
+    const uint64_t states = topo.node_count();
+    if (in_call || queues.size() != states) {
+      queues.assign(states, {});
+      outs.assign(shards, {});
+      arrivals.assign(shards, {});
+    }
+    outs.resize(shards);
+    arrivals.resize(shards);
+    active.reset(states);
+    tokens_recv.assign(states, 0);
+    token_sent.assign(states, 0);
+    congestion.reset(topo.overlay_node_count());
+    if (!meta.empty()) meta.clear();
+    if (!rank_cache.empty()) rank_cache.clear();
+    in_call = true;
+  }
+  /// End a call; false when the tables are too big to keep. A completed
+  /// call has drained every queue; any entry a fault path left behind is
+  /// cleared so the next call starts from empty queues.
+  bool end() {
+    in_call = false;
+    size_t bytes = queues.size() * (sizeof(FlatMap<Queued>) + 2 * sizeof(uint64_t)) +
+                   congestion.capacity_bytes();
+    for (FlatMap<Queued>& q : queues) {
+      if (!q.empty()) q.clear();
+      bytes += q.capacity_bytes();
+    }
+    return bytes <= kKeepBytes;
+  }
+
+  bool in_call = false;
+  // Shared by both directions (PhaseCore and run_rounds).
+  ActiveSet active;
+  std::vector<uint64_t> tokens_recv;
+  std::vector<uint64_t> token_sent;
+  std::vector<uint64_t> items;             // the active set's sorted snapshot
+  std::vector<StepOut> outs;               // per shard
+  std::vector<std::vector<Move>> arrivals;  // per shard
+  std::vector<Move> local;
+  std::vector<FlatMap<Queued>> queues;  // per routing state, per group
+  // Down phase.
+  CongestionTracker congestion;
+  FlatMap<std::pair<NodeId, uint64_t>> meta;
+  std::vector<CombiningCache::Flushed> flush_buf;
+  // Up phase.
+  FlatMap<uint64_t> rank_cache;
+};
+
+RouterWorkspace::RouterWorkspace() = default;
+RouterWorkspace::~RouterWorkspace() = default;
+RouterWorkspace::RouterWorkspace(RouterWorkspace&&) noexcept = default;
+RouterWorkspace& RouterWorkspace::operator=(RouterWorkspace&&) noexcept = default;
+
+void RouterWorkspace::release() { tables_.reset(); }
+
+RouterWorkspace::Tables& RouterWorkspace::tables() {
+  if (!tables_) tables_ = std::make_unique<Tables>();
+  return *tables_;
+}
+
+namespace {
+
 /// State and level arithmetic shared by both directions. Edge layer l joins
 /// levels l and l+1 (the down-edges of level l): a down state at level l
 /// sends on layer l and hears tokens on layer l-1, an up state sends on the
@@ -146,13 +259,19 @@ struct PhaseCore {
   static constexpr uint32_t kPacketTag = Up ? kTagUpPacket : kTagDownPacket;
   static constexpr uint32_t kTokenTag = Up ? kTagUpToken : kTagDownToken;
 
-  PhaseCore(const Overlay& t, Network& n, CombiningCache* c, MulticastTrees* rec = nullptr)
+  PhaseCore(const Overlay& t, Network& n, CombiningCache* c, RouterWorkspace::Tables& w,
+            MulticastTrees* rec = nullptr)
       : topo(t), net(n), F(t.levels() - 1), cols(t.columns()),
         flows(obs::FlowSampler::of(n)), cache(c), record(rec),
-        cache_before(c ? c->stats() : CombiningCache::Stats{}), active(t.node_count()),
-        tokens_recv(t.node_count(), 0), token_sent(t.node_count(), 0) {
+        cache_before(c ? c->stats() : CombiningCache::Stats{}), ws(w), active(w.active),
+        tokens_recv(w.tokens_recv), token_sent(w.token_sent) {
     for (uint32_t l = 0; l < F; ++l) NCC_ASSERT(topo.down_degree(l) <= kMaxDegree);
+    NCC_ASSERT(cols == NodeId{1} << t.dims());
   }
+
+  /// Inverse of topo.index(); columns() is 2^dims(), so no division.
+  uint32_t level_of(uint64_t idx) const { return static_cast<uint32_t>(idx >> topo.dims()); }
+  NodeId col_of(uint64_t idx) const { return static_cast<NodeId>(idx & (cols - 1)); }
 
   /// Tokens start ready at the source level and terminate at the sink level.
   uint32_t source() const { return Up ? F : 0; }
@@ -183,12 +302,13 @@ struct PhaseCore {
   CombiningCache* cache;
   MulticastTrees* record;  // route_down's tree recording, if on
   const CombiningCache::Stats cache_before;
-  ActiveSet active;
+  RouterWorkspace::Tables& ws;
+  ActiveSet& active;
   // Token state, one token per (state, out-edge). Tokens carry their in-edge
   // index and tokens_recv tracks in-edges as a bitmask, so duplicate
   // deliveries (the stall heartbeat's re-sends) are idempotent.
-  std::vector<uint64_t> tokens_recv;
-  std::vector<uint64_t> token_sent;
+  std::vector<uint64_t>& tokens_recv;
+  std::vector<uint64_t>& token_sent;
   uint64_t queued = 0;  // packet moves still owed by the states' queues
   // Packets and tokens moved or delivered this round, merge-point effects
   // included, so the stall heartbeat only fires when the network truly
@@ -237,10 +357,10 @@ void run_rounds(Phase& ph) {
       ph.active.add(idx);
   };
 
-  std::vector<StepOut> outs(engine_shards(net));
-  std::vector<std::vector<Move>> arrivals(engine_shards(net));
-  std::vector<Move> local;
-  std::vector<uint64_t> items;
+  std::vector<StepOut>& outs = ph.ws.outs;
+  std::vector<std::vector<Move>>& arrivals = ph.ws.arrivals;
+  std::vector<Move>& local = ph.ws.local;
+  std::vector<uint64_t>& items = ph.ws.items;
 
   bool first_round = true;
   while (ph.queued > 0 || tokens_pending > 0) {
@@ -250,8 +370,8 @@ void run_rounds(Phase& ph) {
     // a packet or token every round and never gets here.
     if (!first_round && ph.progress == 0) {
       for (uint64_t idx = 0; idx < ph.token_sent.size(); ++idx) {
-        uint32_t level = static_cast<uint32_t>(idx / cols);
-        NodeId col = static_cast<NodeId>(idx % cols);
+        const uint32_t level = ph.level_of(idx);
+        const NodeId col = ph.col_of(idx);
         uint64_t mask = ph.token_sent[idx] & ~uint64_t{1};  // straight tokens are local
         while (mask) {
           uint32_t e = static_cast<uint32_t>(std::countr_zero(mask));
@@ -270,7 +390,7 @@ void run_rounds(Phase& ph) {
     // (sends, straight-edge moves, tree recording, counters, re-activation)
     // is staged per shard and merged in shard order, which restores the
     // sequential iteration order exactly.
-    items = ph.active.take();
+    ph.active.take(items);
     engine_ranges(net, items.size(), [&](uint32_t s, uint64_t ib, uint64_t ie) {
       StepOut& out = outs[s];  // drained and cleared by the merge below
       // Per-edge contention scratch, hoisted out of the item loop: only the
@@ -280,8 +400,8 @@ void run_rounds(Phase& ph) {
       std::array<EdgeBest, kMaxDegree> best;
       for (uint64_t ii = ib; ii < ie; ++ii) {
         uint64_t idx = items[ii];
-        uint32_t level = static_cast<uint32_t>(idx / cols);
-        NodeId col = static_cast<NodeId>(idx % cols);
+        const uint32_t level = ph.level_of(idx);
+        const NodeId col = ph.col_of(idx);
         NCC_ASSERT(level != ph.sink());  // sink-level states never enqueue work
         const uint32_t nlevel = Phase::next(level);
         const uint32_t deg = topo.down_degree(Phase::out_layer(level));
@@ -393,9 +513,10 @@ void run_rounds(Phase& ph) {
 struct DownPhase : PhaseCore<false> {
   DownPhase(const Overlay& t, Network& n, CombiningCache* c, MulticastTrees* rec,
             const std::function<NodeId(uint64_t)>& dest_col_fn,
-            const std::function<uint64_t(uint64_t)>& rank_fn, const CombineFn& combine_fn)
-      : PhaseCore(t, n, c, rec), dest_col(dest_col_fn), rank(rank_fn), combine(combine_fn),
-        congestion(t.overlay_node_count()), pending(t.node_count()) {}
+            const std::function<uint64_t(uint64_t)>& rank_fn, const CombineFn& combine_fn,
+            RouterWorkspace::Tables& w)
+      : PhaseCore(t, n, c, w, rec), dest_col(dest_col_fn), rank(rank_fn), combine(combine_fn),
+        congestion(w.congestion), meta(w.meta), pending(w.queues), flush_buf(w.flush_buf) {}
 
   const std::pair<NodeId, uint64_t>& group_meta(uint64_t g) {
     auto [slot, fresh] = meta.emplace(g, {});
@@ -414,16 +535,17 @@ struct DownPhase : PhaseCore<false> {
 
   void contend(uint64_t idx, uint32_t level, NodeId col, uint32_t deg,
                std::array<EdgeBest, kMaxDegree>& best, uint64_t& wanted) const {
-    pending[idx].for_each([&](uint64_t g, const Val&) {
-      uint32_t e = topo.route_edge(level, col, meta_of(g).first);
+    pending[idx].for_each([&](uint64_t g, const Queued&) {
+      const auto& [dest, rk] = meta_of(g);
+      uint32_t e = topo.route_edge(level, col, dest);
       NCC_ASSERT(e < deg);
       wanted |= uint64_t{1} << e;
-      Prio p{meta_of(g).second, g};
+      Prio p{rk, g};
       if (!best[e].found || p < best[e].best) best[e] = {true, p, g};
     });
   }
   Val take(uint64_t idx, uint64_t g, uint32_t /*e*/) {
-    Val v = *pending[idx].find(g);
+    Val v = pending[idx].find(g)->val;
     pending[idx].erase(g);
     return v;
   }
@@ -431,11 +553,11 @@ struct DownPhase : PhaseCore<false> {
 
   /// Queue `v` at state idx, combining with its group's packet already there.
   void enqueue(uint64_t idx, uint64_t group, const Val& v) {
-    auto [slot, fresh] = pending[idx].emplace(group, v);
+    auto [slot, fresh] = pending[idx].emplace(group, Queued{v, 0});
     if (fresh) {
       ++queued;
     } else {
-      *slot = combine(*slot, v);
+      slot->val = combine(slot->val, v);
       ++result.stats.combines;
     }
   }
@@ -524,31 +646,27 @@ struct DownPhase : PhaseCore<false> {
   const std::function<NodeId(uint64_t)>& dest_col;
   const std::function<uint64_t(uint64_t)>& rank;
   const CombineFn& combine;
-  CongestionTracker congestion;
+  CongestionTracker& congestion;
   // Cached group metadata (dest column and rank are hash evaluations that
   // every node can compute from the shared randomness). Populated on arrive
   // — always sequential — so the parallel step loop reads a frozen map.
-  FlatMap<std::pair<NodeId, uint64_t>> meta;
+  FlatMap<std::pair<NodeId, uint64_t>>& meta;
   // Per routing state: combined pending packet per group.
-  std::vector<FlatMap<Val>> pending;
+  std::vector<FlatMap<Queued>>& pending;
   // Dedup index into record->cache_roots: later hits of a group at the same
   // state OR their subtree masks into the root recorded by the first hit.
   std::map<std::pair<uint64_t, uint64_t>, size_t> croot_at;
-  std::vector<CombiningCache::Flushed> flush_buf;
+  std::vector<CombiningCache::Flushed>& flush_buf;
 };
 
 /// The Spreading Phase: each state serves a group's payload along the mask
 /// of recorded up-edges it still owes (bit e = reverse of down-edge e of the
 /// level below); a group wants every edge in its mask.
 struct UpPhase : PhaseCore<true> {
-  struct Serving {
-    Val val;
-    uint64_t mask;
-  };
-
   UpPhase(const Overlay& t, Network& n, CombiningCache* c, const MulticastTrees& tr,
-          const std::function<uint64_t(uint64_t)>& rank_fn)
-      : PhaseCore(t, n, c), trees(tr), rank(rank_fn), serving(t.node_count()) {
+          const std::function<uint64_t(uint64_t)>& rank_fn, RouterWorkspace::Tables& w)
+      : PhaseCore(t, n, c, w), trees(tr), rank(rank_fn), rank_cache(w.rank_cache),
+        serving(w.queues) {
     result.at_col.assign(cols, {});
   }
 
@@ -565,7 +683,7 @@ struct UpPhase : PhaseCore<true> {
 
   void contend(uint64_t idx, uint32_t /*level*/, NodeId /*col*/, uint32_t /*deg*/,
                std::array<EdgeBest, kMaxDegree>& best, uint64_t& wanted) const {
-    serving[idx].for_each([&](uint64_t g, const Serving& srv) {
+    serving[idx].for_each([&](uint64_t g, const Queued& srv) {
       Prio p{rank_of(g), g};
       uint64_t mask = srv.mask;
       while (mask) {
@@ -577,7 +695,7 @@ struct UpPhase : PhaseCore<true> {
     });
   }
   Val take(uint64_t idx, uint64_t g, uint32_t e) {
-    Serving* sit = serving[idx].find(g);
+    Queued* sit = serving[idx].find(g);
     Val v = sit->val;
     sit->mask &= ~(uint64_t{1} << e);
     if (sit->mask == 0) serving[idx].erase(g);
@@ -590,7 +708,7 @@ struct UpPhase : PhaseCore<true> {
   /// rewrote its id in flight: count it and drop, don't abort.
   bool serve(uint64_t idx, uint64_t group, const Val& v, uint64_t mask,
              const char* collision) {
-    if (!serving[idx].emplace(group, Serving{v, mask}).second) {
+    if (!serving[idx].emplace(group, Queued{v, mask}).second) {
       NCC_ASSERT_MSG(net.corruption_possible(), collision);
       ++result.stats.misrouted;
       return false;
@@ -633,8 +751,8 @@ struct UpPhase : PhaseCore<true> {
   const std::function<uint64_t(uint64_t)>& rank;
   // Populated on arrive() — always sequential — so the parallel step loop
   // reads a frozen map.
-  FlatMap<uint64_t> rank_cache;
-  std::vector<FlatMap<Serving>> serving;
+  FlatMap<uint64_t>& rank_cache;
+  std::vector<FlatMap<Queued>>& serving;
 };
 
 }  // namespace
@@ -651,10 +769,14 @@ DownResult route_down(const Overlay& topo, Network& net,
                       const std::function<NodeId(uint64_t)>& dest_col,
                       const std::function<uint64_t(uint64_t)>& rank,
                       const CombineFn& combine, MulticastTrees* record,
-                      CombiningCache* cache) {
+                      CombiningCache* cache, RouterWorkspace* ws) {
   obs::Span span(net, "route.down");
   NCC_ASSERT(at_col.size() == topo.columns());
-  DownPhase ph(topo, net, cache, record, dest_col, rank, combine);
+  RouterWorkspace call_ws;
+  RouterWorkspace& holder = ws ? *ws : call_ws;
+  RouterWorkspace::Tables& w = holder.tables();
+  w.begin(topo, engine_shards(net));
+  DownPhase ph(topo, net, cache, record, dest_col, rank, combine, w);
   // Initialize the tree record before the first deposits: the serving-hit
   // branch reads record->children for level-0 states too.
   if (record) {
@@ -669,17 +791,22 @@ DownResult route_down(const Overlay& topo, Network& net,
 
   ph.result.stats.congestion = ph.congestion.max();
   if (record) record->congestion = ph.congestion.max();
+  if (!w.end()) holder.release();
   return std::move(ph.result);
 }
 
 UpResult route_up(const Overlay& topo, Network& net, const MulticastTrees& trees,
                   const FlatMap<Val>& payloads,
                   const std::function<uint64_t(uint64_t)>& rank,
-                  CombiningCache* cache) {
+                  CombiningCache* cache, RouterWorkspace* ws) {
   obs::Span span(net, "route.up");
   NCC_ASSERT(trees.levels == topo.levels());
   NCC_ASSERT(trees.children.size() == topo.node_count());
-  UpPhase ph(topo, net, cache, trees, rank);
+  RouterWorkspace call_ws;
+  RouterWorkspace& holder = ws ? *ws : call_ws;
+  RouterWorkspace::Tables& w = holder.tables();
+  w.begin(topo, engine_shards(net));
+  UpPhase ph(topo, net, cache, trees, rank, w);
 
   // Slot order — deterministic and thread-invariant because the caller
   // populates `payloads` sequentially (see FlatMap::for_each).
@@ -701,8 +828,8 @@ UpResult route_up(const Overlay& topo, Network& net, const MulticastTrees& trees
   // served twice. Level-0 roots are leaf-local hits — delivered straight to
   // the column, zero routing messages.
   for (const MulticastTrees::CacheRoot& cr : trees.cache_roots) {
-    uint32_t level = static_cast<uint32_t>(cr.idx / ph.cols);
-    NodeId col = static_cast<NodeId>(cr.idx % ph.cols);
+    const uint32_t level = ph.level_of(cr.idx);
+    const NodeId col = ph.col_of(cr.idx);
     ph.group_rank(cr.group);
     if (ph.flows)
       ph.flows->record_hop(cr.group, /*up=*/true, level, 0, topo.host(col),
@@ -719,7 +846,7 @@ UpResult route_up(const Overlay& topo, Network& net, const MulticastTrees& trees
   }
 
   run_rounds(ph);
-
+  if (!w.end()) holder.release();
   return std::move(ph.result);
 }
 

@@ -21,6 +21,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "common/flat_map.hpp"
@@ -123,6 +124,27 @@ struct DownResult {
   RouteStats stats;
 };
 
+/// The routing tables route_down/route_up fill during a call — per-state
+/// packet queues, congestion sets, token masks, the round loop's step
+/// buffers — kept between calls so later calls on the same overlay run
+/// their rounds without allocating. Caller-thread state: one call at a time
+/// (each run's Shared owns one); a call given none uses a call-local one.
+class RouterWorkspace {
+ public:
+  RouterWorkspace();
+  ~RouterWorkspace();
+  RouterWorkspace(RouterWorkspace&&) noexcept;
+  RouterWorkspace& operator=(RouterWorkspace&&) noexcept;
+
+  struct Tables;  // defined in router.cpp
+  Tables& tables();
+  /// Drop the tables (a call whose tables grew past the keep limit does).
+  void release();
+
+ private:
+  std::unique_ptr<Tables> tables_;
+};
+
 /// Route packets from level 0 to their groups' final-level targets,
 /// combining. `at_col[c]` holds the packets already injected at level-0
 /// column c. `dest_col(group)` gives h(group) in [0, 2^d); `rank(group)` the
@@ -132,13 +154,14 @@ struct DownResult {
 /// `record` set (tree setup) deposits are served from cached payloads and
 /// recorded as `record->cache_roots`; without it (pure aggregation) deposits
 /// park in absorbers and re-enter the descent at token completion. All cache
-/// traffic lands in the stats' cache_* counters.
+/// traffic lands in the stats' cache_* counters. `ws`, if non-null, supplies
+/// reusable routing tables (see RouterWorkspace); results are identical.
 DownResult route_down(const Overlay& topo, Network& net,
                       std::vector<std::vector<AggPacket>> at_col,
                       const std::function<NodeId(uint64_t)>& dest_col,
                       const std::function<uint64_t(uint64_t)>& rank,
                       const CombineFn& combine, MulticastTrees* record = nullptr,
-                      CombiningCache* cache = nullptr);
+                      CombiningCache* cache = nullptr, RouterWorkspace* ws = nullptr);
 
 struct UpResult {
   /// Packets delivered to level-0 leaf nodes: per column, (group, value).
@@ -151,9 +174,10 @@ struct UpResult {
 /// root recorded in `trees`. Cache roots recorded in `trees` are additionally
 /// served by injecting their cached payloads mid-overlay; `cache`, if
 /// non-null, admits every payload arrival so later setup descents can hit.
+/// `ws` as for route_down.
 UpResult route_up(const Overlay& topo, Network& net, const MulticastTrees& trees,
                   const FlatMap<Val>& payloads,
                   const std::function<uint64_t(uint64_t)>& rank,
-                  CombiningCache* cache = nullptr);
+                  CombiningCache* cache = nullptr, RouterWorkspace* ws = nullptr);
 
 }  // namespace ncc

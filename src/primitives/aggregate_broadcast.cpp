@@ -130,19 +130,18 @@ AbResult aggregate_and_broadcast(const Overlay& topo, Network& net,
   return res;
 }
 
-uint64_t sync_barrier(const Overlay& topo, Network& net) {
+uint64_t sync_barrier(const Overlay& topo, Network& net, BarrierWorkspace& ws) {
   // Fast path of the all-ones A&B: every node holds the input 1 and the
   // running values are plain subtree counts, so the barrier is replayed with
-  // column-sized count/presence vectors (reused across all 2*agg_steps()
-  // rounds) instead of the n-sized optional<Val> vector plus CombineFn
-  // plumbing of the general primitive. Value presence is tracked separately
-  // from the count (a byzantine hook may zero a count word in flight; the
-  // general primitive still forwards the present value), which keeps the
-  // rounds and the send/drop schedule identical to
-  // aggregate_and_broadcast(all-ones, sum) under every fault model —
-  // asserted by the tier-1 tests. The only divergence a fault can cause is
-  // in payload words already corrupted in flight, which barrier receivers
-  // discard unread.
+  // column-sized count/presence vectors (the caller's reusable workspace)
+  // instead of the n-sized optional<Val> vector plus CombineFn plumbing of
+  // the general primitive. Value presence is tracked separately from the
+  // count (a byzantine hook may zero a count word in flight; the general
+  // primitive still forwards the present value), which keeps the rounds and
+  // the send/drop schedule identical to aggregate_and_broadcast(all-ones,
+  // sum) under every fault model — asserted by the tier-1 tests. The only
+  // divergence a fault can cause is in payload words already corrupted in
+  // flight, which barrier receivers discard unread.
   const NodeId n = topo.n();
   const NodeId cols = topo.columns();
   const uint32_t steps = topo.agg_steps();
@@ -156,47 +155,41 @@ uint64_t sync_barrier(const Overlay& topo, Network& net) {
   });
   net.end_round();
 
-  std::vector<uint64_t> weight(cols);
-  std::vector<uint64_t> next(cols);
-  std::vector<uint8_t> present(cols, 1);  // every host holds its own input
-  std::vector<uint8_t> present_next(cols);
-  // Parent of each column under the step being processed, written once per
-  // step inside the (per-item, parallel-safe) send loop and reused by the
-  // merge/informed passes — one tree lookup per column per step.
-  std::vector<NodeId> parent(cols);
-  engine_for(net, cols, [&](uint64_t ci) {
-    NodeId c = static_cast<NodeId>(ci);
-    uint64_t w = 1;  // the hosting node's own input
-    for (const Message& m : net.inbox(topo.host(c)))
-      if (m.tag == kTagAttach) w += m.word(0);
+  // Column c's state after a round is its own slot plus its own inbox:
+  // after the attach round, its host's input and the attached reports;
+  // after merge step i, what it held (if it is its own tree parent) plus
+  // what its tree children sent. Folding reads nothing of other columns, so
+  // it runs inside the next step's per-item send loop.
+  std::vector<uint64_t>& weight = ws.weight;
+  std::vector<uint8_t>& present = ws.present;
+  weight.resize(cols);
+  present.resize(cols);
+  auto fold = [&](NodeId c, uint32_t step) {  // step == steps: the attach round
+    const bool attach = step == steps;
+    const bool held = attach || (topo.agg_parent(step, c) == c && present[c]);
+    uint64_t w = attach ? 1 : held ? weight[c] : 0;  // attach: the host's own input
+    bool got = held;
+    for (const Message& m : net.inbox(topo.host(c))) {
+      if (attach ? m.tag != kTagAttach : (m.tag & 0xff00u) != kTagAggStep) continue;
+      w += m.word(0);
+      got = true;
+    }
     weight[c] = w;
-  });
+    present[c] = got;
+  };
 
+  // Aggregation: at step i the count at column c moves to agg_parent(i, c).
   for (uint32_t i = 0; i < steps; ++i) {
     engine_send_loop(net, cols, [&](uint64_t ci, MsgSink& out) {
-      NodeId c = static_cast<NodeId>(ci);
-      NodeId nc = topo.agg_parent(i, c);
-      parent[c] = nc;
+      const NodeId c = static_cast<NodeId>(ci);
+      fold(c, i == 0 ? steps : i - 1);
+      const NodeId nc = topo.agg_parent(i, c);
       if (present[c] && nc != c)
         out.send(topo.host(c), topo.host(nc), kTagAggStep | (i + 1), {weight[c], 0});
     });
     net.end_round();
-    engine_for(net, cols, [&](uint64_t ci) {
-      NodeId c = static_cast<NodeId>(ci);
-      bool held = parent[c] == c && present[c];
-      uint64_t w = held ? weight[c] : 0;
-      bool got = held;
-      for (const Message& m : net.inbox(topo.host(c))) {
-        if ((m.tag & 0xff00u) != kTagAggStep) continue;
-        w += m.word(0);
-        got = true;
-      }
-      next[c] = w;
-      present_next[c] = got;
-    });
-    std::swap(weight, next);
-    std::swap(present, present_next);
   }
+  fold(0, steps == 0 ? steps : steps - 1);  // only the root's total is read on
   // Every input reaches the root on a clean run; fault hooks and base-model
   // receive-capacity drops (e.g. an aggressive tree in-degree against a
   // capacity_factor the overlay documentation warns about) lose counts, not
@@ -204,27 +197,38 @@ uint64_t sync_barrier(const Overlay& topo, Network& net) {
   NCC_ASSERT(weight[0] == n || net.losses_possible() ||
              net.stats().messages_dropped > 0);
 
-  // Broadcast of the total back down the reversed tree (child-major, as in
-  // the general primitive).
-  std::vector<uint8_t> informed(cols, 0);
-  informed[0] = 1;
-  std::vector<uint8_t> informed_next(cols);
+  // Broadcast of the total back down the reversed tree: at broadcast step b
+  // (undoing merge step steps-1-b) every not-yet-informed column hears from
+  // its informed tree parent. Who is informed never depends on the data, so
+  // the senders of every step are scheduled once per overlay and replayed.
+  if (ws.n != n || ws.kind != topo.kind()) {
+    ws.bcast_cols.clear();
+    ws.bcast_off.assign(1, 0);
+    std::vector<uint8_t> informed(cols, 0), informed_next(cols);
+    informed[0] = 1;
+    for (uint32_t b = 0; b < steps; ++b) {
+      const uint32_t i = steps - 1 - b;
+      for (NodeId c = 0; c < cols; ++c) {
+        const NodeId p = topo.agg_parent(i, c);
+        if (!informed[c] && p != c && informed[p]) ws.bcast_cols.push_back(c);
+        informed_next[c] = informed[c] | (p != c ? informed[p] : uint8_t{0});
+      }
+      ws.bcast_off.push_back(static_cast<uint32_t>(ws.bcast_cols.size()));
+      std::swap(informed, informed_next);
+    }
+    ws.n = n;
+    ws.kind = topo.kind();
+  }
   for (uint32_t b = 0; b < steps; ++b) {
-    uint32_t i = steps - 1 - b;
-    engine_send_loop(net, cols, [&](uint64_t ci, MsgSink& out) {
-      NodeId c = static_cast<NodeId>(ci);
-      NodeId p = topo.agg_parent(i, c);
-      parent[c] = p;
-      if (!informed[c] && p != c && informed[p])
-        out.send(topo.host(p), topo.host(c), kTagBcastStep | b, {weight[0], 0});
-    });
+    const uint32_t i = steps - 1 - b;
+    const NodeId* senders = ws.bcast_cols.data() + ws.bcast_off[b];
+    engine_send_loop(net, ws.bcast_off[b + 1] - ws.bcast_off[b],
+                     [&](uint64_t k, MsgSink& out) {
+                       const NodeId c = senders[k];
+                       out.send(topo.host(topo.agg_parent(i, c)), topo.host(c),
+                                kTagBcastStep | b, {weight[0], 0});
+                     });
     net.end_round();
-    engine_for(net, cols, [&](uint64_t ci) {
-      NodeId c = static_cast<NodeId>(ci);
-      NodeId p = parent[c];
-      informed_next[c] = informed[c] | (p != c ? informed[p] : uint8_t{0});
-    });
-    std::swap(informed, informed_next);
   }
 
   // Detach round.

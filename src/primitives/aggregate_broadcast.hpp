@@ -41,6 +41,26 @@ AbResult aggregate_and_broadcast(const Overlay& topo, Network& net,
 /// same rounds and send/drop schedule as the general primitive under every
 /// fault model (payload words a byzantine hook corrupted in flight are the
 /// only possible divergence, and barrier receivers discard them unread).
-uint64_t sync_barrier(const Overlay& topo, Network& net);
+///
+/// `ws` is the barrier's scratch, sized on first use and reused by every
+/// later barrier that passes it (each run's Shared owns one), so the
+/// barrier's rounds allocate nothing. The two-argument form uses a one-shot
+/// workspace.
+struct BarrierWorkspace {
+  std::vector<uint64_t> weight;  // subtree count held at each column
+  std::vector<uint8_t> present;  // the column holds a value (see sync_barrier)
+  // The broadcast schedule, a pure function of the aggregation tree: the
+  // columns informed at broadcast step b, ascending, are
+  // bcast_cols[bcast_off[b] .. bcast_off[b + 1]). Built once per overlay.
+  std::vector<NodeId> bcast_cols;
+  std::vector<uint32_t> bcast_off;
+  OverlayKind kind = OverlayKind::kButterfly;  // the overlay the schedule is for
+  NodeId n = 0;                                // (n = 0: none built yet)
+};
+uint64_t sync_barrier(const Overlay& topo, Network& net, BarrierWorkspace& ws);
+inline uint64_t sync_barrier(const Overlay& topo, Network& net) {
+  BarrierWorkspace ws;
+  return sync_barrier(topo, net, ws);
+}
 
 }  // namespace ncc

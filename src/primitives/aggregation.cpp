@@ -27,27 +27,34 @@ AggregationResult run_aggregation(const Shared& shared, Network& net,
   res.global_load = problem.items.size();
 
   // --- Preprocessing: batched random injection to level-0 butterfly nodes ---
-  // Per-member packet lists (the paper's enumeration p_1..p_k per node).
-  std::vector<std::vector<const AggregationItem*>> per_member(n);
+  // Per-member packet lists (the paper's enumeration p_1..p_k per node), as
+  // one counting-sorted array: member u's items, in input order, are
+  // by_member[member_off[u] .. member_off[u+1]).
+  std::vector<uint32_t> member_off(n + 1, 0);
   for (const AggregationItem& it : problem.items) {
     NCC_ASSERT(it.member < n);
-    per_member[it.member].push_back(&it);
+    ++member_off[it.member + 1];
   }
   uint32_t max_k = 0;
-  for (NodeId u = 0; u < n; ++u)
-    max_k = std::max<uint32_t>(max_k, static_cast<uint32_t>(per_member[u].size()));
+  for (NodeId u = 0; u < n; ++u) {
+    max_k = std::max(max_k, member_off[u + 1]);
+    member_off[u + 1] += member_off[u];
+  }
   res.ell1 = max_k;
+  std::vector<const AggregationItem*> by_member(problem.items.size());
+  {
+    std::vector<uint32_t> fill(member_off.begin(), member_off.end() - 1);
+    for (const AggregationItem& it : problem.items) by_member[fill[it.member]++] = &it;
+  }
 
   Rng inject = shared.local_rng(mix64(0x1a9e17 ^ rng_tag));
   std::vector<std::vector<AggPacket>> at_col(cols);
   uint32_t inject_rounds = (max_k + batch - 1) / batch;
   for (uint32_t r = 0; r < inject_rounds; ++r) {
     for (NodeId u = 0; u < n; ++u) {
-      const auto& list = per_member[u];
-      for (uint32_t j = r * batch; j < std::min<uint32_t>((r + 1) * batch,
-                                                          static_cast<uint32_t>(list.size()));
-           ++j) {
-        const AggregationItem& it = *list[j];
+      const uint32_t k = member_off[u + 1] - member_off[u];
+      for (uint32_t j = r * batch; j < std::min((r + 1) * batch, k); ++j) {
+        const AggregationItem& it = *by_member[member_off[u] + j];
         NodeId c = static_cast<NodeId>(inject.next_below(cols));
         NodeId host = topo.host(c);
         if (host == u) {
@@ -65,15 +72,16 @@ AggregationResult run_aggregation(const Shared& shared, Network& net,
       }
     }
   }
-  sync_barrier(topo, net);
+  sync_barrier(topo, net, shared.barrier_workspace());
 
   // --- Combining: random-rank routing with combining down the butterfly ---
   auto dest = [&](uint64_t g) { return shared.dest_col(g); };
   auto rank = [&](uint64_t g) { return shared.rank(g); };
   DownResult down = route_down(topo, net, std::move(at_col), dest, rank,
-                               problem.combine, nullptr, cache);
+                               problem.combine, nullptr, cache,
+                               &shared.router_workspace());
   res.route = down.stats;
-  sync_barrier(topo, net);
+  sync_barrier(topo, net, shared.barrier_workspace());
 
   // --- Postprocessing: deliver aggregates to targets in random rounds ---
   uint32_t s = std::max<uint32_t>(1, (problem.ell2_hat + batch - 1) / batch);
@@ -113,7 +121,7 @@ AggregationResult run_aggregation(const Shared& shared, Network& net,
       }
     }
   }
-  sync_barrier(topo, net);
+  sync_barrier(topo, net, shared.barrier_workspace());
 
   res.rounds = net.rounds() - start_rounds;
   return res;

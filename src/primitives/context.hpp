@@ -20,6 +20,7 @@
 // obs::Span guard is a no-op unless a Tracer is attached to the network.
 #include "obs/tracer.hpp"
 #include "overlay/overlay.hpp"
+#include "primitives/aggregate_broadcast.hpp"
 
 namespace ncc {
 
@@ -43,6 +44,13 @@ class Shared {
   /// Random rank rho(group) for the contention rule (effective K = 2^61-1,
   /// which satisfies the K >= 8C requirement of Theorem B.2 at any load).
   uint64_t rank(uint64_t group) const { return h_rank_(group); }
+
+  /// The run's sync_barrier and router scratch: every barrier and every
+  /// route_down/route_up of the run reuses them, so their rounds allocate
+  /// nothing. Caller-thread state (neither runs inside a parallel loop),
+  /// hence mutable on the otherwise read-only context.
+  BarrierWorkspace& barrier_workspace() const { return barrier_ws_; }
+  RouterWorkspace& router_workspace() const { return router_ws_; }
 
   /// Node-local randomness (injection targets, random send rounds). Forked
   /// per use-site tag so unrelated draws do not perturb each other.
@@ -68,6 +76,8 @@ class Shared {
   KWiseHash h_dest_;
   KWiseHash h_rank_;
   Rng inject_rng_;
+  mutable BarrierWorkspace barrier_ws_;
+  mutable RouterWorkspace router_ws_;
 };
 
 }  // namespace ncc

@@ -89,9 +89,10 @@ MultiAggregationResult run_multi_aggregation_impl(
 
   // Phase 2: multicast up the trees to the leaves.
   auto rank = [&](uint64_t g) { return shared.rank(g); };
-  UpResult up = route_up(topo, net, trees, payloads, rank, cache);
+  UpResult up =
+      route_up(topo, net, trees, payloads, rank, cache, &shared.router_workspace());
   res.up_route = up.stats;
-  sync_barrier(topo, net);
+  sync_barrier(topo, net, shared.barrier_workspace());
 
   // Phase 3: remap (group, member) -> (member, p) at the leaves (per-column
   // state only — shard-parallel) and redistribute the packets randomly over
@@ -144,14 +145,15 @@ MultiAggregationResult run_multi_aggregation_impl(
       }
     });
   }
-  sync_barrier(topo, net);
+  sync_barrier(topo, net, shared.barrier_workspace());
 
   // Phase 4: aggregate all packets for member u toward h(id(u)).
   auto dest = [&](uint64_t g) { return shared.dest_col(g); };
   DownResult down =
-      route_down(topo, net, std::move(at_col), dest, rank, combine, nullptr, cache);
+      route_down(topo, net, std::move(at_col), dest, rank, combine, nullptr, cache,
+                 &shared.router_workspace());
   res.down_route = down.stats;
-  sync_barrier(topo, net);
+  sync_barrier(topo, net, shared.barrier_workspace());
 
   // Phase 5: deliver f-aggregates from the intermediate targets to the nodes.
   // Every node receives at most one aggregate, so a single round suffices;
@@ -180,7 +182,7 @@ MultiAggregationResult run_multi_aggregation_impl(
       res.at_node[u] = Val{m.word(1), m.word(2)};
     }
   });
-  sync_barrier(topo, net);
+  sync_barrier(topo, net, shared.barrier_workspace());
 
   res.rounds = net.rounds() - start_rounds;
   return res;

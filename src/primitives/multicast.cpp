@@ -83,14 +83,15 @@ MulticastSetupResult setup_multicast_trees(const Shared& shared, Network& net,
       }
     });
   }
-  sync_barrier(topo, net);
+  sync_barrier(topo, net, shared.barrier_workspace());
 
   auto dest = [&](uint64_t g) { return shared.dest_col(g); };
   auto rank = [&](uint64_t g) { return shared.rank(g); };
   DownResult down = route_down(topo, net, std::move(at_col), dest, rank,
-                               agg::min_by_first, &res.trees, cache);
+                               agg::min_by_first, &res.trees, cache,
+                               &shared.router_workspace());
   res.route = down.stats;
-  sync_barrier(topo, net);
+  sync_barrier(topo, net, shared.barrier_workspace());
 
   res.rounds = net.rounds() - start_rounds;
   return res;
@@ -175,9 +176,10 @@ MulticastResult run_multicast_impl(const Shared& shared, Network& net,
 
   // Spreading phase: copy payloads up the recorded trees.
   auto rank = [&](uint64_t g) { return shared.rank(g); };
-  UpResult up = route_up(topo, net, trees, payloads, rank, cache);
+  UpResult up =
+      route_up(topo, net, trees, payloads, rank, cache, &shared.router_workspace());
   res.route = up.stats;
-  sync_barrier(topo, net);
+  sync_barrier(topo, net, shared.barrier_workspace());
 
   // Leaf delivery: l(i, u) sends p_i to u in a round chosen uniformly from
   // {1..ceil(ell_hat/log n)}. The schedule (and its random draws) is built
@@ -192,9 +194,9 @@ MulticastResult run_multicast_impl(const Shared& shared, Network& net,
     NodeId target;
   };
   std::vector<std::vector<Delivery>> schedule(s);
+  FlatMap<Val> here;  // payload per group present at the leaf column
   for (NodeId c = 0; c < cols; ++c) {
-    // Payload per group present at this leaf column.
-    FlatMap<Val> here;
+    if (!here.empty()) here.clear();
     for (const AggPacket& p : up.at_col[c]) here.emplace(p.group, p.val);
     for (const auto& [group, member] : trees.leaf_members[c]) {
       const Val* pv = here.find(group);
@@ -221,7 +223,7 @@ MulticastResult run_multicast_impl(const Shared& shared, Network& net,
       }
     });
   }
-  sync_barrier(topo, net);
+  sync_barrier(topo, net, shared.barrier_workspace());
 
   res.rounds = net.rounds() - start_rounds;
   return res;

@@ -154,6 +154,30 @@ TEST(Hash, FamilyFunctionsDiffer) {
   EXPECT_EQ(fam.randomness_words(), 4u * 8u);
 }
 
+TEST(Hash, BitWordMatchesPerTrialLoop) {
+  Rng xs(2024);
+  for (uint32_t k : {1u, 2u, 12u, 63u}) {
+    HashFamily fam(60, k, 1000 + k);
+    for (uint32_t count : {1u, 40u, 60u}) {
+      for (int i = 0; i < 10000; ++i) {
+        // Mix small, near-p and full-width inputs (bit_word reduces x first).
+        const uint64_t x = i % 3 == 0 ? xs.next_below(1000)
+                           : i % 3 == 1 ? kMersenne61 - 1 - xs.next_below(4)
+                                        : xs.next();
+        uint64_t want = 0;
+        for (uint32_t t = 0; t < count; ++t)
+          want |= static_cast<uint64_t>(fam.fn(t).bit(x)) << t;
+        ASSERT_EQ(fam.bit_word(x, count), want) << "k " << k << " count " << count << " x " << x;
+      }
+    }
+  }
+}
+
+TEST(HashDeathTest, BitWordRejectsIndependenceAbove63) {
+  HashFamily fam(4, 64, 5);
+  EXPECT_DEATH((void)fam.bit_word(7, 4), "k <= 63");
+}
+
 TEST(Stats, AccumulatorMoments) {
   Accumulator acc;
   for (double x : {1.0, 2.0, 3.0, 4.0}) acc.add(x);

@@ -97,6 +97,12 @@ TEST(Engine, AttachDetachRegistry) {
   EXPECT_EQ(engine_shards(net), 1u);
 }
 
+TEST(EngineDeathTest, SecondEngineOnOneNetworkAborts) {
+  Network net(net_cfg(8));
+  Engine eng(net, eager(1));
+  EXPECT_DEATH(Engine(net, eager(1)), "network already has an engine attached");
+}
+
 TEST(Engine, SendLoopMatchesSequentialOrder) {
   // The staged/merged send order must equal the plain sequential loop's, so
   // the delivered inboxes (which preserve arrival order under capacity) and
