@@ -102,7 +102,8 @@ Row run_barrier_workload(OverlayKind kind, NodeId n, uint32_t threads) {
   constexpr uint32_t kBarriers = 32;
   WallTimer timer;
   uint64_t per_barrier = 0;
-  for (uint32_t i = 0; i < kBarriers; ++i) per_barrier = sync_barrier(topo, net);
+  for (uint32_t i = 0; i < kBarriers; ++i)
+    per_barrier = sync_barrier(topo, net, shared.barrier_workspace());
   NCC_ASSERT_MSG(per_barrier == 2ull * topo.agg_steps() + 2,
                  "barrier schedule drifted off the tree depth");
   return {net.stats().rounds, net.stats().messages_sent, timer.ms(), 0,

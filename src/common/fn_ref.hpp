@@ -5,8 +5,7 @@
 // per-round loop costs nothing, where a std::function may heap-allocate its
 // captures on every construction. The referenced callable must outlive the
 // FnRef: take one as a parameter and call it before returning; never store
-// one past the call that received it (unless the callable is a longer-lived
-// object, as an engine's delivery hook is).
+// one past the call that received it.
 #pragma once
 
 #include <memory>

@@ -48,7 +48,6 @@ Engine::Engine(Network& net, EngineConfig cfg)
   NCC_ASSERT_MSG(Engine::of(net_) == nullptr, "network already has an engine attached");
   NetExecHooks hooks;
   hooks.engine = this;
-  hooks.parallel = deliver_;
   hooks.shards = pool_.threads();
   hooks.min_messages = cfg_.delivery_cutoff;
   net_.install_exec_hooks(hooks);
@@ -56,8 +55,8 @@ Engine::Engine(Network& net, EngineConfig cfg)
 
 Engine::~Engine() { net_.clear_exec_hooks(); }
 
-void Engine::Deliver::operator()(uint32_t tasks, FnRef<void(uint32_t)> fn) const {
-  Engine* e = eng;
+void engine_deliver(Engine& engine, uint32_t tasks, FnRef<void(uint32_t)> fn) {
+  Engine* e = &engine;
   e->pool_.run(tasks, [e, fn](uint64_t t) {
     uint64_t t0 = now_ns();
     fn(static_cast<uint32_t>(t));

@@ -134,13 +134,10 @@ class Engine {
   std::vector<MsgArena> arenas_;           // one staged arena per shard
   std::vector<EngineShardTiming> timing_;  // one profile per shard
   std::vector<EngineShardMemory> memory_;  // one memory profile per shard
-  // The network's delivery hook (NetExecHooks::parallel refers to it): runs
-  // the tasks on the pool and times each into its shard's deliver_ns.
-  struct Deliver {
-    Engine* eng;
-    void operator()(uint32_t tasks, FnRef<void(uint32_t)> fn) const;
-  };
-  Deliver deliver_{this};
+
+  // The network's delivery entry (net/network.hpp): runs the tasks on the
+  // pool and times each into its shard's deliver_ns.
+  friend void engine_deliver(Engine& engine, uint32_t tasks, FnRef<void(uint32_t)> fn);
 };
 
 /// Helpers for primitives/ and core/: route the loop through `net`'s

@@ -153,7 +153,7 @@ void Network::end_round() {
   }
 
   uint32_t S = 1;
-  if (hooks_.parallel && hooks_.shards > 1 && total >= hooks_.min_messages)
+  if (hooks_.engine && hooks_.shards > 1 && total >= hooks_.min_messages)
     S = hooks_.shards;
   const ShardPlan nodes = ShardPlan::make(n, S);
   S = nodes.shards;
@@ -161,13 +161,13 @@ void Network::end_round() {
   dst_plan_ = nodes;
   acc_.assign(S, ShardAcc{});
 
-  // Delivery runs through the engine's parallel hook whenever one is
-  // installed — including single-shard rounds, where the pool runs the one
-  // task inline on the caller thread. That keeps deliver_ns attribution
-  // uniform across thread counts (the engine times every hook task).
+  // Delivery runs through the attached engine whenever there is one —
+  // including single-shard rounds, where the pool runs the one task inline
+  // on the caller thread. That keeps deliver_ns attribution uniform across
+  // thread counts (the engine times every delivery task).
   auto par = [&](uint32_t tasks, FnRef<void(uint32_t)> fn) {
-    if (hooks_.parallel) {
-      hooks_.parallel(tasks, fn);
+    if (hooks_.engine) {
+      engine_deliver(*hooks_.engine, tasks, fn);
     } else {
       for (uint32_t t = 0; t < tasks; ++t) fn(t);
     }
@@ -370,18 +370,26 @@ void Network::end_round() {
     // Every subscriber sees the identical stream: (destination, arrival)
     // order, and within one message the subscribers run in subscription
     // order. The delivered inboxes are thread-count independent, so the
-    // streams (and anything subscribers derive from them) are too.
-    for (NodeId u = 0; u < n; ++u) {
-      const uint64_t off = inbox_off_[u];
-      for (uint32_t i = 0; i < inbox_cnt_[u]; ++i) {
-        const MsgHdr& h = inbox_hdr_[off + i];
-        Message m;
-        m.src = h.src;
-        m.dst = h.dst;
-        m.tag = h.tag;
-        m.nwords = h.nwords;
-        for (uint8_t w = 0; w < h.nwords; ++w) m.words[w] = inbox_words_[h.off + w];
-        for (auto& sub : delivery_hooks_) sub.fn(m, round);
+    // streams (and anything subscribers derive from them) are too. Shards
+    // own ascending node ranges, so sorting each shard's touched list walks
+    // the destinations in ascending order without visiting idle nodes (the
+    // lists' order is not read again: the next round only zeroes them).
+    for (uint32_t s = 0; s < acc_.size(); ++s) {
+      NodeId* touched = dst_touched_.data() + dst_plan_.begin(s);
+      std::sort(touched, touched + acc_[s].touched);
+      for (uint32_t t = 0; t < acc_[s].touched; ++t) {
+        const NodeId u = touched[t];
+        const uint64_t off = inbox_off_[u];
+        for (uint32_t i = 0; i < inbox_cnt_[u]; ++i) {
+          const MsgHdr& h = inbox_hdr_[off + i];
+          Message m;
+          m.src = h.src;
+          m.dst = h.dst;
+          m.tag = h.tag;
+          m.nwords = h.nwords;
+          for (uint8_t w = 0; w < h.nwords; ++w) m.words[w] = inbox_words_[h.off + w];
+          for (auto& sub : delivery_hooks_) sub.fn(m, round);
+        }
       }
     }
   }

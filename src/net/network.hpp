@@ -134,15 +134,17 @@ class InboxView {
 
 class Engine;
 
+/// Runs fn(0..tasks-1) to completion on `engine`'s pool (any interleaving —
+/// the delivery algorithm is shard-order independent). Defined in
+/// engine/engine.cpp.
+void engine_deliver(Engine& engine, uint32_t tasks, FnRef<void(uint32_t)> fn);
+
 /// Execution hooks installed by an attached engine. The network itself stays
-/// engine-agnostic: `engine` is an opaque back-pointer (Engine::of reads it),
-/// `parallel(tasks, fn)` must run fn(0..tasks-1) to completion (any
-/// interleaving — the delivery algorithm is shard-order independent) and
-/// refers to a callable the engine owns for as long as it is attached,
-/// `shards` is the preferred shard count.
+/// engine-agnostic: `engine` is an opaque back-pointer (Engine::of reads it,
+/// delivery runs through engine_deliver), `shards` is the preferred shard
+/// count.
 struct NetExecHooks {
   Engine* engine = nullptr;
-  FnRef<void(uint32_t, FnRef<void(uint32_t)>)> parallel;
   uint32_t shards = 1;
   /// Rounds with fewer pending messages deliver single-shard (perf knob; the
   /// delivery result is shard-count independent either way).
@@ -312,7 +314,8 @@ class Network {
   // Distinct destinations of the last round, per destination shard: shard
   // s's list starts at dst_touched_[dst_plan_.begin(s)] (a node belongs to
   // one shard, so the lists tile one n-slot array) and holds
-  // acc_[s].touched entries in first-arrival order. Every per-node pass
+  // acc_[s].touched entries in first-arrival order (sorted once placement
+  // is done when a delivery hook is attached). Every per-node pass
   // walks these instead of the shard's node range, and the next round
   // zeroes exactly these stale inbox counts — a round costs O(messages +
   // touched nodes), not O(n).

@@ -764,17 +764,15 @@ uint32_t MulticastTrees::max_leaf_load() const {
   return best;
 }
 
-DownResult route_down(const Overlay& topo, Network& net,
+DownResult route_down(const Overlay& topo, Network& net, RouterWorkspace& ws,
                       std::vector<std::vector<AggPacket>> at_col,
                       const std::function<NodeId(uint64_t)>& dest_col,
                       const std::function<uint64_t(uint64_t)>& rank,
                       const CombineFn& combine, MulticastTrees* record,
-                      CombiningCache* cache, RouterWorkspace* ws) {
+                      CombiningCache* cache) {
   obs::Span span(net, "route.down");
   NCC_ASSERT(at_col.size() == topo.columns());
-  RouterWorkspace call_ws;
-  RouterWorkspace& holder = ws ? *ws : call_ws;
-  RouterWorkspace::Tables& w = holder.tables();
+  RouterWorkspace::Tables& w = ws.tables();
   w.begin(topo, engine_shards(net));
   DownPhase ph(topo, net, cache, record, dest_col, rank, combine, w);
   // Initialize the tree record before the first deposits: the serving-hit
@@ -791,20 +789,18 @@ DownResult route_down(const Overlay& topo, Network& net,
 
   ph.result.stats.congestion = ph.congestion.max();
   if (record) record->congestion = ph.congestion.max();
-  if (!w.end()) holder.release();
+  if (!w.end()) ws.release();
   return std::move(ph.result);
 }
 
-UpResult route_up(const Overlay& topo, Network& net, const MulticastTrees& trees,
-                  const FlatMap<Val>& payloads,
+UpResult route_up(const Overlay& topo, Network& net, RouterWorkspace& ws,
+                  const MulticastTrees& trees, const FlatMap<Val>& payloads,
                   const std::function<uint64_t(uint64_t)>& rank,
-                  CombiningCache* cache, RouterWorkspace* ws) {
+                  CombiningCache* cache) {
   obs::Span span(net, "route.up");
   NCC_ASSERT(trees.levels == topo.levels());
   NCC_ASSERT(trees.children.size() == topo.node_count());
-  RouterWorkspace call_ws;
-  RouterWorkspace& holder = ws ? *ws : call_ws;
-  RouterWorkspace::Tables& w = holder.tables();
+  RouterWorkspace::Tables& w = ws.tables();
   w.begin(topo, engine_shards(net));
   UpPhase ph(topo, net, cache, trees, rank, w);
 
@@ -846,7 +842,7 @@ UpResult route_up(const Overlay& topo, Network& net, const MulticastTrees& trees
   }
 
   run_rounds(ph);
-  if (!w.end()) holder.release();
+  if (!w.end()) ws.release();
   return std::move(ph.result);
 }
 

@@ -128,7 +128,7 @@ struct DownResult {
 /// packet queues, congestion sets, token masks, the round loop's step
 /// buffers — kept between calls so later calls on the same overlay run
 /// their rounds without allocating. Caller-thread state: one call at a time
-/// (each run's Shared owns one); a call given none uses a call-local one.
+/// (each run's Shared owns one).
 class RouterWorkspace {
  public:
   RouterWorkspace();
@@ -146,22 +146,22 @@ class RouterWorkspace {
 };
 
 /// Route packets from level 0 to their groups' final-level targets,
-/// combining. `at_col[c]` holds the packets already injected at level-0
-/// column c. `dest_col(group)` gives h(group) in [0, 2^d); `rank(group)` the
-/// random rank rho(group). If `record` is non-null, tree edges and congestion
+/// combining, with `ws` supplying the routing tables (see RouterWorkspace;
+/// results never depend on what a workspace held). `at_col[c]` holds the
+/// packets already injected at level-0 column c. `dest_col(group)` gives
+/// h(group) in [0, 2^d); `rank(group)` the random rank rho(group). If `record` is non-null, tree edges and congestion
 /// are recorded into it (leaf_members must be pre-filled by the caller).
 /// `cache`, if non-null, enables en-route combining (overlay/cache.hpp): with
 /// `record` set (tree setup) deposits are served from cached payloads and
 /// recorded as `record->cache_roots`; without it (pure aggregation) deposits
 /// park in absorbers and re-enter the descent at token completion. All cache
-/// traffic lands in the stats' cache_* counters. `ws`, if non-null, supplies
-/// reusable routing tables (see RouterWorkspace); results are identical.
-DownResult route_down(const Overlay& topo, Network& net,
+/// traffic lands in the stats' cache_* counters.
+DownResult route_down(const Overlay& topo, Network& net, RouterWorkspace& ws,
                       std::vector<std::vector<AggPacket>> at_col,
                       const std::function<NodeId(uint64_t)>& dest_col,
                       const std::function<uint64_t(uint64_t)>& rank,
                       const CombineFn& combine, MulticastTrees* record = nullptr,
-                      CombiningCache* cache = nullptr, RouterWorkspace* ws = nullptr);
+                      CombiningCache* cache = nullptr);
 
 struct UpResult {
   /// Packets delivered to level-0 leaf nodes: per column, (group, value).
@@ -175,9 +175,9 @@ struct UpResult {
 /// served by injecting their cached payloads mid-overlay; `cache`, if
 /// non-null, admits every payload arrival so later setup descents can hit.
 /// `ws` as for route_down.
-UpResult route_up(const Overlay& topo, Network& net, const MulticastTrees& trees,
-                  const FlatMap<Val>& payloads,
+UpResult route_up(const Overlay& topo, Network& net, RouterWorkspace& ws,
+                  const MulticastTrees& trees, const FlatMap<Val>& payloads,
                   const std::function<uint64_t(uint64_t)>& rank,
-                  CombiningCache* cache = nullptr, RouterWorkspace* ws = nullptr);
+                  CombiningCache* cache = nullptr);
 
 }  // namespace ncc

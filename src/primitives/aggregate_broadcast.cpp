@@ -159,14 +159,17 @@ uint64_t sync_barrier(const Overlay& topo, Network& net, BarrierWorkspace& ws) {
   // after the attach round, its host's input and the attached reports;
   // after merge step i, what it held (if it is its own tree parent) plus
   // what its tree children sent. Folding reads nothing of other columns, so
-  // it runs inside the next step's per-item send loop.
+  // it runs inside the next step's per-item send loop, which also records
+  // the column's parent at its step for the next fold (one tree lookup per
+  // column per step).
   std::vector<uint64_t>& weight = ws.weight;
   std::vector<uint8_t>& present = ws.present;
+  std::vector<NodeId>& parent = ws.parent;
   weight.resize(cols);
   present.resize(cols);
-  auto fold = [&](NodeId c, uint32_t step) {  // step == steps: the attach round
-    const bool attach = step == steps;
-    const bool held = attach || (topo.agg_parent(step, c) == c && present[c]);
+  parent.resize(cols);
+  auto fold = [&](NodeId c, bool attach) {
+    const bool held = attach || (parent[c] == c && present[c]);
     uint64_t w = attach ? 1 : held ? weight[c] : 0;  // attach: the host's own input
     bool got = held;
     for (const Message& m : net.inbox(topo.host(c))) {
@@ -182,14 +185,15 @@ uint64_t sync_barrier(const Overlay& topo, Network& net, BarrierWorkspace& ws) {
   for (uint32_t i = 0; i < steps; ++i) {
     engine_send_loop(net, cols, [&](uint64_t ci, MsgSink& out) {
       const NodeId c = static_cast<NodeId>(ci);
-      fold(c, i == 0 ? steps : i - 1);
+      fold(c, i == 0);
       const NodeId nc = topo.agg_parent(i, c);
+      parent[c] = nc;
       if (present[c] && nc != c)
         out.send(topo.host(c), topo.host(nc), kTagAggStep | (i + 1), {weight[c], 0});
     });
     net.end_round();
   }
-  fold(0, steps == 0 ? steps : steps - 1);  // only the root's total is read on
+  fold(0, steps == 0);  // only the root's total is read on
   // Every input reaches the root on a clean run; fault hooks and base-model
   // receive-capacity drops (e.g. an aggressive tree in-degree against a
   // capacity_factor the overlay documentation warns about) lose counts, not

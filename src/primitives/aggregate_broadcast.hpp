@@ -44,11 +44,11 @@ AbResult aggregate_and_broadcast(const Overlay& topo, Network& net,
 ///
 /// `ws` is the barrier's scratch, sized on first use and reused by every
 /// later barrier that passes it (each run's Shared owns one), so the
-/// barrier's rounds allocate nothing. The two-argument form uses a one-shot
-/// workspace.
+/// barrier's rounds allocate nothing.
 struct BarrierWorkspace {
   std::vector<uint64_t> weight;  // subtree count held at each column
   std::vector<uint8_t> present;  // the column holds a value (see sync_barrier)
+  std::vector<NodeId> parent;    // each column's tree parent at the last merge step
   // The broadcast schedule, a pure function of the aggregation tree: the
   // columns informed at broadcast step b, ascending, are
   // bcast_cols[bcast_off[b] .. bcast_off[b + 1]). Built once per overlay.
@@ -58,9 +58,5 @@ struct BarrierWorkspace {
   NodeId n = 0;                                // (n = 0: none built yet)
 };
 uint64_t sync_barrier(const Overlay& topo, Network& net, BarrierWorkspace& ws);
-inline uint64_t sync_barrier(const Overlay& topo, Network& net) {
-  BarrierWorkspace ws;
-  return sync_barrier(topo, net, ws);
-}
 
 }  // namespace ncc

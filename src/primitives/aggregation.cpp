@@ -77,9 +77,8 @@ AggregationResult run_aggregation(const Shared& shared, Network& net,
   // --- Combining: random-rank routing with combining down the butterfly ---
   auto dest = [&](uint64_t g) { return shared.dest_col(g); };
   auto rank = [&](uint64_t g) { return shared.rank(g); };
-  DownResult down = route_down(topo, net, std::move(at_col), dest, rank,
-                               problem.combine, nullptr, cache,
-                               &shared.router_workspace());
+  DownResult down = route_down(topo, net, shared.router_workspace(), std::move(at_col),
+                               dest, rank, problem.combine, nullptr, cache);
   res.route = down.stats;
   sync_barrier(topo, net, shared.barrier_workspace());
 

@@ -90,7 +90,7 @@ MultiAggregationResult run_multi_aggregation_impl(
   // Phase 2: multicast up the trees to the leaves.
   auto rank = [&](uint64_t g) { return shared.rank(g); };
   UpResult up =
-      route_up(topo, net, trees, payloads, rank, cache, &shared.router_workspace());
+      route_up(topo, net, shared.router_workspace(), trees, payloads, rank, cache);
   res.up_route = up.stats;
   sync_barrier(topo, net, shared.barrier_workspace());
 
@@ -149,9 +149,8 @@ MultiAggregationResult run_multi_aggregation_impl(
 
   // Phase 4: aggregate all packets for member u toward h(id(u)).
   auto dest = [&](uint64_t g) { return shared.dest_col(g); };
-  DownResult down =
-      route_down(topo, net, std::move(at_col), dest, rank, combine, nullptr, cache,
-                 &shared.router_workspace());
+  DownResult down = route_down(topo, net, shared.router_workspace(), std::move(at_col),
+                               dest, rank, combine, nullptr, cache);
   res.down_route = down.stats;
   sync_barrier(topo, net, shared.barrier_workspace());
 

@@ -87,9 +87,8 @@ MulticastSetupResult setup_multicast_trees(const Shared& shared, Network& net,
 
   auto dest = [&](uint64_t g) { return shared.dest_col(g); };
   auto rank = [&](uint64_t g) { return shared.rank(g); };
-  DownResult down = route_down(topo, net, std::move(at_col), dest, rank,
-                               agg::min_by_first, &res.trees, cache,
-                               &shared.router_workspace());
+  DownResult down = route_down(topo, net, shared.router_workspace(), std::move(at_col),
+                               dest, rank, agg::min_by_first, &res.trees, cache);
   res.route = down.stats;
   sync_barrier(topo, net, shared.barrier_workspace());
 
@@ -177,7 +176,7 @@ MulticastResult run_multicast_impl(const Shared& shared, Network& net,
   // Spreading phase: copy payloads up the recorded trees.
   auto rank = [&](uint64_t g) { return shared.rank(g); };
   UpResult up =
-      route_up(topo, net, trees, payloads, rank, cache, &shared.router_workspace());
+      route_up(topo, net, shared.router_workspace(), trees, payloads, rank, cache);
   res.route = up.stats;
   sync_barrier(topo, net, shared.barrier_workspace());
 

@@ -66,8 +66,9 @@ TEST(AggregateBroadcast, BarrierHasFixedCost) {
   const NodeId n = 128;
   Network net = make(n);
   Overlay topo(OverlayKind::kButterfly, n);
-  uint64_t r1 = sync_barrier(topo, net);
-  uint64_t r2 = sync_barrier(topo, net);
+  BarrierWorkspace ws;
+  uint64_t r1 = sync_barrier(topo, net, ws);
+  uint64_t r2 = sync_barrier(topo, net, ws);
   EXPECT_EQ(r1, r2);
   EXPECT_EQ(r1, 2ull * topo.dims() + 2);
 }

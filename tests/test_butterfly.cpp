@@ -58,6 +58,7 @@ struct RouterFixture {
   NodeId n;
   Network net;
   Overlay topo;
+  RouterWorkspace ws;
   KWiseHash hdest;
   KWiseHash hrank;
 
@@ -92,7 +93,7 @@ TEST(RouteDown, CombinesGroupSums) {
     at_col[c].push_back({g, Val{1, 0}});
     ++expect[g];
   }
-  auto res = route_down(f.topo, f.net, std::move(at_col), f.dest(), f.rank(), agg::sum);
+  auto res = route_down(f.topo, f.net, f.ws, std::move(at_col), f.dest(), f.rank(), agg::sum);
   ASSERT_EQ(res.root_values.size(), expect.size());
   for (auto& [g, cnt] : expect) {
     ASSERT_TRUE(res.root_values.count(g));
@@ -109,7 +110,7 @@ TEST(RouteDown, CombinesGroupSums) {
 TEST(RouteDown, EmptyInputStillDrainsTokens) {
   RouterFixture f(32);
   std::vector<std::vector<AggPacket>> at_col(f.topo.columns());
-  auto res = route_down(f.topo, f.net, std::move(at_col), f.dest(), f.rank(), agg::sum);
+  auto res = route_down(f.topo, f.net, f.ws, std::move(at_col), f.dest(), f.rank(), agg::sum);
   EXPECT_TRUE(res.root_values.empty());
   EXPECT_GE(res.stats.rounds, f.topo.dims());  // tokens traverse all levels
 }
@@ -119,7 +120,7 @@ TEST(RouteDown, CongestionTracksGroupsPerNode) {
   std::vector<std::vector<AggPacket>> at_col(f.topo.columns());
   // A single group: congestion must be exactly 1 on the shared path.
   for (NodeId c = 0; c < f.topo.columns(); ++c) at_col[c].push_back({7, Val{1, 0}});
-  auto res = route_down(f.topo, f.net, std::move(at_col), f.dest(), f.rank(), agg::sum);
+  auto res = route_down(f.topo, f.net, f.ws, std::move(at_col), f.dest(), f.rank(), agg::sum);
   EXPECT_EQ(res.stats.congestion, 1u);
   EXPECT_EQ(res.root_values.at(7)[0], f.topo.columns());
 }
@@ -139,12 +140,12 @@ TEST(RouteUpOverRecordedTrees, DeliversToAllLeaves) {
       leaves[g].push_back(c);
     }
   }
-  route_down(f.topo, f.net, std::move(at_col), f.dest(), f.rank(), agg::sum, &trees);
+  route_down(f.topo, f.net, f.ws, std::move(at_col), f.dest(), f.rank(), agg::sum, &trees);
 
   FlatMap<Val> payloads;
   payloads.emplace(100, Val{111, 0});
   payloads.emplace(200, Val{222, 0});
-  auto up = route_up(f.topo, f.net, trees, payloads, f.rank());
+  auto up = route_up(f.topo, f.net, f.ws, trees, payloads, f.rank());
   // Every leaf column that injected a packet of group g receives g's payload.
   for (auto& [g, cols] : leaves) {
     std::set<NodeId> expect_cols(cols.begin(), cols.end());
@@ -166,7 +167,7 @@ TEST(RouteDown, HeavyLoadStaysWithinLinearRounds) {
     at_col[rng.next_below(f.topo.columns())].push_back(
         {rng.next_below(256), Val{1, 0}});
   }
-  auto res = route_down(f.topo, f.net, std::move(at_col), f.dest(), f.rank(), agg::sum);
+  auto res = route_down(f.topo, f.net, f.ws, std::move(at_col), f.dest(), f.rank(), agg::sum);
   uint64_t sum = 0;
   res.root_values.for_each([&](uint64_t, const Val& v) { sum += v[0]; });
   EXPECT_EQ(sum, total);
@@ -183,7 +184,7 @@ TEST(RouteDown, DeterministicAcrossRuns) {
     for (int i = 0; i < 300; ++i)
       at_col[rng.next_below(64)].push_back({rng.next_below(30), Val{1, 0}});
     auto res =
-        route_down(f.topo, f.net, std::move(at_col), f.dest(), f.rank(), agg::sum);
+        route_down(f.topo, f.net, f.ws, std::move(at_col), f.dest(), f.rank(), agg::sum);
     return std::make_pair(res.stats.rounds, f.net.stats().messages_sent);
   };
   EXPECT_EQ(run(), run());

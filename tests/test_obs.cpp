@@ -205,7 +205,7 @@ TEST(Congestion, AugmentedCubeRootHostBoundAcrossD) {
     Network net = make_net(n, /*capacity_factor=*/2);
     Shared shared(n, 5, OverlayKind::kAugmentedCube);
     obs::CongestionMonitor mon(net);
-    sync_barrier(shared.topo(), net);
+    sync_barrier(shared.topo(), net, shared.barrier_workspace());
     EXPECT_LE(mon.max_round_in_degree(0), 2 * d - 1)
         << "AQ_" << d << " root-host in-degree exceeds the 2d-1 bound";
     EXPECT_EQ(net.stats().messages_dropped, 0u)
@@ -227,7 +227,7 @@ TEST(Congestion, AugmentedCubeCapacityOneDropsBarrierCounts) {
   Network net(cfg);
   Shared shared(n, 5, OverlayKind::kAugmentedCube);
   obs::CongestionMonitor mon(net);
-  sync_barrier(shared.topo(), net);
+  sync_barrier(shared.topo(), net, shared.barrier_workspace());
   EXPECT_GT(net.stats().messages_dropped, 0u);
   // Pre-drop demand exceeded the cap; the monitor (which observes the
   // delivery stream) sees the clamped view.

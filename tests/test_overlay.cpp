@@ -301,6 +301,7 @@ namespace {
 struct OverlayRouterFixture {
   Network net;
   std::unique_ptr<Overlay> topo;
+  RouterWorkspace ws;
   KWiseHash hdest;
   KWiseHash hrank;
 
@@ -336,7 +337,7 @@ TEST(OverlayRouter, CombinesGroupSumsOnEveryOverlay) {
       ++expect[g];
     }
     auto res =
-        route_down(*f.topo, f.net, std::move(at_col), f.dest(), f.rank(), agg::sum);
+        route_down(*f.topo, f.net, f.ws, std::move(at_col), f.dest(), f.rank(), agg::sum);
     ASSERT_EQ(res.root_values.size(), expect.size()) << overlay_name(kind);
     for (auto& [g, cnt] : expect)
       EXPECT_EQ(res.root_values.at(g)[0], cnt)
@@ -361,14 +362,14 @@ TEST(OverlayRouter, MulticastTreesDeliverOnAugmentedCube) {
       leaves[g].insert(c);
     }
   }
-  route_down(*f.topo, f.net, std::move(at_col), f.dest(), f.rank(), agg::sum, &trees);
+  route_down(*f.topo, f.net, f.ws, std::move(at_col), f.dest(), f.rank(), agg::sum, &trees);
   EXPECT_EQ(trees.levels, f.topo->levels());
 
   FlatMap<Val> payloads;
   payloads.emplace(100, Val{111, 0});
   payloads.emplace(200, Val{222, 0});
   payloads.emplace(300, Val{333, 0});
-  auto up = route_up(*f.topo, f.net, trees, payloads, f.rank());
+  auto up = route_up(*f.topo, f.net, f.ws, trees, payloads, f.rank());
   for (auto& [g, expect_cols] : leaves) {
     std::set<NodeId> got;
     for (NodeId c = 0; c < f.topo->columns(); ++c)
@@ -392,7 +393,7 @@ TEST(OverlayRouter, AugmentedCubeUsesFewerRoutingLevels) {
       at_col[rng.next_below(f.topo->columns())].push_back(
           {rng.next_below(128), Val{1, 0}});
     auto res =
-        route_down(*f.topo, f.net, std::move(at_col), f.dest(), f.rank(), agg::sum);
+        route_down(*f.topo, f.net, f.ws, std::move(at_col), f.dest(), f.rank(), agg::sum);
     return std::make_pair(res.stats.rounds, f.net.stats().messages_sent);
   };
   auto [bf_rounds, bf_msgs] = run(OverlayKind::kButterfly);
@@ -411,7 +412,7 @@ TEST(OverlayRouter, HypercubeIsTheUnrolledButterfly) {
       at_col[rng.next_below(f.topo->columns())].push_back(
           {rng.next_below(60), Val{1, 0}});
     auto res =
-        route_down(*f.topo, f.net, std::move(at_col), f.dest(), f.rank(), agg::sum);
+        route_down(*f.topo, f.net, f.ws, std::move(at_col), f.dest(), f.rank(), agg::sum);
     return std::make_tuple(res.stats.rounds, res.stats.packets_moved,
                            f.net.stats().messages_sent);
   };
@@ -506,7 +507,8 @@ TEST(AggTree, BarrierRoundsMatchTreeDepthPerOverlay) {
     for (OverlayKind kind : all_overlay_kinds()) {
       Network net(NetConfig{.n = n, .capacity_factor = 16, .seed = 5});
       auto topo = make_overlay(kind, n);
-      rounds[kind] = sync_barrier(*topo, net);
+      BarrierWorkspace ws;
+      rounds[kind] = sync_barrier(*topo, net, ws);
       EXPECT_EQ(rounds[kind], 2ull * topo->agg_steps() + 2) << overlay_name(kind);
       EXPECT_EQ(net.stats().messages_dropped, 0u) << overlay_name(kind);
     }
@@ -539,7 +541,8 @@ TEST(AggTree, BarrierFastPathMatchesGeneralPrimitive) {
         auto topo = make_overlay(kind, 200);
         uint64_t rounds;
         if (fast) {
-          rounds = sync_barrier(*topo, net);
+          BarrierWorkspace ws;
+          rounds = sync_barrier(*topo, net, ws);
         } else {
           std::vector<std::optional<Val>> ones(200, Val{1, 0});
           rounds = aggregate_and_broadcast(*topo, net, ones, agg::sum).rounds;
@@ -570,7 +573,8 @@ TEST(AggTree, AbValueIdenticalAcrossOverlaysAndThreads) {
       std::vector<std::optional<Val>> inputs(150);
       for (NodeId u = 3; u < 150; u += 7) inputs[u] = Val{u, 1};
       auto res = aggregate_and_broadcast(*topo, net, inputs, agg::sum);
-      uint64_t barrier_rounds = sync_barrier(*topo, net);
+      BarrierWorkspace ws;
+      uint64_t barrier_rounds = sync_barrier(*topo, net, ws);
       EXPECT_TRUE(res.value.has_value());
       return std::make_tuple((*res.value)[0], (*res.value)[1], res.rounds,
                              barrier_rounds, net.stats().messages_sent);

@@ -178,7 +178,7 @@ TEST(RoundAllocs, RouterRoundsOnWarmWorkspaceAllocateNothing) {
     RouterWorkspace& ws = shared.router_workspace();
     MulticastTrees trees;
     trees.leaf_members.resize(topo.columns());
-    const DownResult down = route_down(topo, net, at_col, dest, rank, agg::sum, &trees);
+    const DownResult down = route_down(topo, net, ws, at_col, dest, rank, agg::sum, &trees);
 
     std::vector<uint64_t> at_hook;
     at_hook.reserve(1024);
@@ -197,11 +197,11 @@ TEST(RoundAllocs, RouterRoundsOnWarmWorkspaceAllocateNothing) {
     auto down_call = [&] {
       std::vector<std::vector<AggPacket>> packets = at_col;  // copied before the call
       return per_round([&] {
-        route_down(topo, net, std::move(packets), dest, rank, agg::sum, nullptr, nullptr, &ws);
+        route_down(topo, net, ws, std::move(packets), dest, rank, agg::sum);
       });
     };
     auto up_call = [&] {
-      return per_round([&] { route_up(topo, net, trees, down.root_values, rank, nullptr, &ws); });
+      return per_round([&] { route_up(topo, net, ws, trees, down.root_values, rank); });
     };
     for (int warm = 0; warm < 2; ++warm) {
       down_call();

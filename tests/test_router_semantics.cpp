@@ -22,6 +22,7 @@ namespace {
 struct Fix {
   Network net;
   Overlay topo;
+  RouterWorkspace ws;
   explicit Fix(NodeId n, uint64_t seed = 1)
       : net(NetConfig{.n = n, .capacity_factor = 8, .strict_send = true,
                       .seed = seed}),
@@ -44,7 +45,7 @@ TEST(RouterSemantics, LowerRankWinsContention) {
   }
   auto dest = [](uint64_t) { return NodeId{42}; };
   auto rank = [](uint64_t g) { return g; };  // group 1 beats group 2
-  auto res = route_down(f.topo, f.net, std::move(at_col), dest, rank, agg::sum);
+  auto res = route_down(f.topo, f.net, f.ws, std::move(at_col), dest, rank, agg::sum);
   // Both arrive combined and complete; contention resolved without loss.
   EXPECT_EQ(res.root_values.at(1)[0], 8u);
   EXPECT_EQ(res.root_values.at(2)[0], 8u);
@@ -65,7 +66,7 @@ TEST(RouterSemantics, RecordedTreesAreTrees) {
   }
   auto dest = [&](uint64_t g) { return static_cast<NodeId>((g * 37) % f.topo.columns()); };
   auto rank = [](uint64_t g) { return g; };
-  route_down(f.topo, f.net, std::move(at_col), dest, rank, agg::sum, &trees);
+  route_down(f.topo, f.net, f.ws, std::move(at_col), dest, rank, agg::sum, &trees);
 
   // Walk each tree from the root; children masks must describe a DAG that is
   // a tree: visiting via BFS never reaches the same butterfly node twice.
@@ -100,7 +101,7 @@ TEST(RouterSemantics, PerEdgeDisciplineBoundsHostTraffic) {
         {rng.next_below(512), Val{1, 0}});
   auto dest = [&](uint64_t g) { return static_cast<NodeId>(g % f.topo.columns()); };
   auto rank = [](uint64_t g) { return g * 2654435761u; };
-  route_down(f.topo, f.net, std::move(at_col), dest, rank, agg::sum);
+  route_down(f.topo, f.net, f.ws, std::move(at_col), dest, rank, agg::sum);
   EXPECT_LE(f.net.stats().max_recv_load, 2 * f.topo.dims());
   EXPECT_EQ(f.net.stats().messages_dropped, 0u);
 }
@@ -117,7 +118,7 @@ TEST(RouterSemantics, CombineOrderIndependentForCommutativeOps) {
           {rng.next_below(10), Val{static_cast<uint64_t>(i), 1}});
     auto dest = [](uint64_t g) { return static_cast<NodeId>((g * 13) % 64); };
     auto rank = [rank_salt](uint64_t g) { return mix64(g ^ rank_salt); };
-    auto res = route_down(f.topo, f.net, std::move(at_col), dest, rank, agg::sum);
+    auto res = route_down(f.topo, f.net, f.ws, std::move(at_col), dest, rank, agg::sum);
     std::map<uint64_t, uint64_t> sums;
     res.root_values.for_each([&](uint64_t g, const Val& v) { sums[g] = v[0]; });
     return sums;
@@ -139,9 +140,9 @@ TEST(RouterSemantics, UpRoutingRespectsPerEdgeDiscipline) {
   }
   auto dest = [&](uint64_t g) { return static_cast<NodeId>((g * 7) % f.topo.columns()); };
   auto rank = [](uint64_t g) { return g; };
-  route_down(f.topo, f.net, std::move(at_col), dest, rank, agg::sum, &trees);
+  route_down(f.topo, f.net, f.ws, std::move(at_col), dest, rank, agg::sum, &trees);
   f.net.reset_stats();
-  route_up(f.topo, f.net, trees, payloads, rank);
+  route_up(f.topo, f.net, f.ws, trees, payloads, rank);
   EXPECT_LE(f.net.stats().max_recv_load, 2 * f.topo.dims());
   EXPECT_EQ(f.net.stats().messages_dropped, 0u);
 }
@@ -196,6 +197,7 @@ TEST(RouterSemantics, HeartbeatDrainsTokenTailsInBothDirections) {
       ecfg.threads = threads;
       ecfg.loop_cutoff = ecfg.delivery_cutoff = 1;  // shard even tiny rounds
       Engine eng(net, ecfg);
+      RouterWorkspace ws;
       uint64_t lo = 0, hi = 0;  // drop window [lo, hi) in network rounds
       auto window_at = [&](uint64_t phase_rounds) {
         lo = net.rounds() + phase_rounds - kBefore;
@@ -216,14 +218,14 @@ TEST(RouterSemantics, HeartbeatDrainsTokenTailsInBothDirections) {
       MulticastTrees trees;
       trees.leaf_members.assign(topo->columns(), {});
       Pass p;
-      DownResult down = route_down(*topo, net, at_col, dest, rank, agg::sum, &trees);
+      DownResult down = route_down(*topo, net, ws, at_col, dest, rank, agg::sum, &trees);
       down.root_values.for_each([&](uint64_t g, const Val& v) { p.sums[g] = v[0]; });
       if (ref_down_rounds) {
         // The up phase's fault-free length over the trees this run recorded.
         Network scratch(cfg);
-        window_at(route_up(*topo, scratch, trees, payloads, rank).stats.rounds);
+        window_at(route_up(*topo, scratch, ws, trees, payloads, rank).stats.rounds);
       }
-      UpResult up = route_up(*topo, net, trees, payloads, rank);
+      UpResult up = route_up(*topo, net, ws, trees, payloads, rank);
       for (NodeId c = 0; c < up.at_col.size(); ++c)
         for (const AggPacket& pk : up.at_col[c]) p.delivered.emplace_back(c, pk.group, pk.val[0]);
       p.down = down.stats;
