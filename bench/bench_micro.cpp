@@ -1,14 +1,16 @@
 // Micro-benchmarks (google-benchmark): wall-clock throughput of the
 // simulator substrate itself — network round processing and the empty-round
-// floor, Aggregate-and-Broadcast latency, aggregation, the k-wise hash and
-// FindMin's sketch bits. These gate how large the reproduction sweeps can
-// go; they measure the simulator, not the model.
+// floor, Aggregate-and-Broadcast latency, aggregation, the router's
+// hot-state worst case, the k-wise hash and FindMin's sketch bits. These
+// gate how large the reproduction sweeps can go; they measure the
+// simulator, not the model.
 #include <benchmark/benchmark.h>
 
 #include "common/hash.hpp"
 #include "graph/generators.hpp"
 #include "net/network.hpp"
 #include "overlay/overlay.hpp"
+#include "overlay/router.hpp"
 #include "primitives/aggregate_broadcast.hpp"
 #include "primitives/aggregation.hpp"
 
@@ -90,6 +92,32 @@ static void BM_Aggregation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Aggregation)->Arg(256)->Arg(1024);
+
+// The router's worst case for per-state queue scans: `range(0)` distinct
+// groups injected at one level-0 column, so a single routing state queues
+// all of them and every round contends over the whole queue.
+static void BM_RouteDownHotState(benchmark::State& state) {
+  const uint64_t groups = static_cast<uint64_t>(state.range(0));
+  constexpr NodeId kN = 1024;
+  NetConfig cfg;
+  cfg.n = kN;
+  cfg.seed = 1;
+  Network net(cfg);
+  Overlay topo(OverlayKind::kButterfly, kN);
+  RouterWorkspace ws;
+  std::vector<std::vector<AggPacket>> at_col(topo.columns());
+  for (uint64_t g = 0; g < groups; ++g) at_col[0].push_back({g, Val{1, 0}});
+  auto dest = [](uint64_t g) { return static_cast<NodeId>(mix64(g) % kN); };
+  auto rank = [](uint64_t g) { return mix64(g ^ 0x5eed); };
+  uint64_t moved = 0;
+  for (auto _ : state) {
+    DownResult res = route_down(topo, net, ws, at_col, dest, rank, agg::sum);
+    moved += res.stats.packets_moved;
+    benchmark::DoNotOptimize(res.root_values);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(moved));
+}
+BENCHMARK(BM_RouteDownHotState)->Arg(1000);
 
 static void BM_KWiseHash(benchmark::State& state) {
   Rng rng(4);

@@ -1,20 +1,24 @@
-// Flat open-addressing hash map for the router's hot group tables.
+// Flat open-addressing hash map from uint64_t keys, the repository's
+// deterministic-path replacement for std::unordered_map.
 //
-// The overlay router keeps one tiny map per routing state (pending packets,
-// multicast serving sets) plus a couple of call-wide caches (group metadata,
-// ranks). std::unordered_map pays a heap node per entry and chases a pointer
-// per probe — on the router's step loop, which touches these maps for every
-// packet every round, that is the dominant single-thread cost after PR 8
-// flattened the message engine. This map stores the entries inline in one
-// slot array: linear probing over power-of-two capacities, backward-shift
-// deletion (no tombstones, so probe chains never rot), and an empty map owns
-// no memory at all — a vector<FlatMap> over every routing state costs three
-// pointers per state until traffic actually lands there.
+// Users are call- or run-wide tables keyed by group or node id: the overlay
+// router's group metadata and rank caches, its root values and root columns,
+// the primitives' per-call group tables, the network's per-shard drop
+// generators, and sets and counters in the algorithms. The router's
+// per-routing-state tables are not FlatMaps: a state holds few groups (at
+// most the congestion), so its queue and its multicast-tree children are
+// short vectors scanned linearly (see overlay/router.hpp).
+//
+// std::unordered_map pays a heap node per entry and chases a pointer per
+// probe; this map stores the entries inline in one slot array: linear
+// probing over power-of-two capacities, backward-shift deletion (no
+// tombstones, so probe chains never rot), and an empty map owns no memory.
 //
 // Determinism note: iteration order differs from std::unordered_map (slot
-// order, which depends on insertion history). The router's uses are all
-// order-insensitive — per-edge contention winners are min-reductions and
-// edge masks are ORs — which the catalog byte-identity checks pin down.
+// order, which depends on insertion history). Callers either drain in slot
+// order after a sequential fill (a pure function of the insertion history,
+// so thread-count invariant) or use the map order-insensitively; the
+// catalog byte-identity checks pin this down.
 #pragma once
 
 #include <algorithm>

@@ -9,6 +9,7 @@
 
 #include "common/assert.hpp"
 #include "common/flat_map.hpp"
+#include "common/rng.hpp"
 #include "overlay/cache.hpp"
 #include "engine/engine.hpp"
 #include "obs/flow.hpp"
@@ -59,40 +60,83 @@ struct Prio {
 struct EdgeBest {
   bool found = false;
   Prio best{};
-  uint64_t group = 0;
 };
 
-/// Tracks the max number of distinct groups observed at any overlay node.
+/// Tracks the max number of distinct groups observed at any overlay node:
+/// one call-wide open-addressing set of (overlay node, group) pairs (linear
+/// probing, load factor below 3/4, never erased from during a call) and a
+/// distinct-group count per overlay node.
 class CongestionTracker {
  public:
-  /// Start a call over `node_count` overlay nodes: only the sets the last
-  /// call touched are cleared, and they keep their capacity.
+  /// Start a call over `node_count` overlay nodes. The set is emptied by
+  /// starting a new epoch (a slot is live only if stamped with the current
+  /// one), so a call pays for the pairs it inserts, not for the capacity
+  /// earlier calls left behind; the counts the last call touched are zeroed.
   void reset(uint64_t node_count) {
-    for (uint64_t i : touched_) seen_[i].clear();
+    NCC_ASSERT(node_count <= UINT32_MAX);
+    for (uint32_t i : touched_) count_[i] = 0;
     touched_.clear();
-    seen_.resize(node_count);
+    count_.resize(node_count, 0);
+    if (++epoch_ == 0) {  // wrapped: clear the stamps for real
+      std::fill(slots_.begin(), slots_.end(), Slot{});
+      epoch_ = 1;
+    }
+    size_ = 0;
     max_ = 0;
   }
   size_t capacity_bytes() const {
-    size_t b = seen_.size() * sizeof(FlatMap<uint8_t>);
-    for (uint64_t i : touched_) b += seen_[i].capacity_bytes();
-    return b;
+    return slots_.capacity() * sizeof(Slot) + count_.capacity() * sizeof(uint32_t) +
+           touched_.capacity() * sizeof(uint32_t);
   }
 
   void visit(uint64_t node_index, uint64_t group) {
-    auto& s = seen_[node_index];
-    if (s.emplace(group, 1).second) {
-      if (s.size() == 1) touched_.push_back(node_index);
-      max_ = std::max<uint32_t>(max_, static_cast<uint32_t>(s.size()));
-    }
+    const uint32_t node = static_cast<uint32_t>(node_index);
+    if (!insert(node, group)) return;
+    if (count_[node]++ == 0) touched_.push_back(node);
+    max_ = std::max(max_, count_[node]);
   }
   uint32_t max() const { return max_; }
 
  private:
-  // Insert + size only — never iterated, so the membership set is a FlatMap
-  // used as a set (value ignored).
-  std::vector<FlatMap<uint8_t>> seen_;
-  std::vector<uint64_t> touched_;  // nodes whose set is non-empty
+  struct Slot {
+    uint32_t node = 0;
+    uint32_t epoch = 0;  // the call that filled the slot; any other value: empty
+    uint64_t group = 0;
+  };
+  static constexpr size_t kInitialSlots = 64;
+
+  size_t home(uint32_t node, uint64_t group) const {
+    return static_cast<size_t>(mix64(group + node * 0x9e3779b97f4a7c15ULL)) & (slots_.size() - 1);
+  }
+  /// Add (node, group); false if the pair was already present.
+  bool insert(uint32_t node, uint64_t group) {
+    if ((size_ + 1) * 4 > slots_.size() * 3) grow();
+    for (size_t i = home(node, group);; i = (i + 1) & (slots_.size() - 1)) {
+      Slot& s = slots_[i];
+      if (s.epoch != epoch_) {
+        s = {node, epoch_, group};
+        ++size_;
+        return true;
+      }
+      if (s.node == node && s.group == group) return false;
+    }
+  }
+  void grow() {
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(std::max(kInitialSlots, 2 * old.size()), Slot{});
+    for (const Slot& s : old) {
+      if (s.epoch != epoch_) continue;
+      size_t i = home(s.node, s.group);
+      while (slots_[i].epoch == epoch_) i = (i + 1) & (slots_.size() - 1);
+      slots_[i] = s;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  size_t size_ = 0;        // live pairs of this call
+  uint32_t epoch_ = 0;     // current call; slots start at 0, so never live
+  std::vector<uint32_t> count_;    // distinct groups per overlay node
+  std::vector<uint32_t> touched_;  // nodes whose count is non-zero
   uint32_t max_ = 0;
 };
 
@@ -157,28 +201,45 @@ struct StepOut {
   uint64_t moved = 0, tokens = 0;
 };
 
-/// A routing state's queue entry for one group: the packet value, plus (up
-/// phase only) the up-edges it is still owed on.
+/// A routing state's queue entry for one group. `mask` holds the edges the
+/// entry still wants: the one edge of the group's greedy route (down phase,
+/// fixed when the entry is created) or the recorded up-edges it is still
+/// owed on (up phase). `rank` is rho(group), read once at creation, so
+/// contention reads nothing outside the queue.
 struct Queued {
+  uint64_t group;
   Val val;
   uint64_t mask;
+  uint64_t rank;
 };
+
+/// A state's queue holds one entry per group queued there (at most the
+/// congestion), so a group is found by a linear scan; bench_micro's
+/// BM_RouteDownHotState times a 1,000-group queue.
+Queued* find_queued(std::vector<Queued>& queue, uint64_t group) {
+  for (Queued& q : queue)
+    if (q.group == group) return &q;
+  return nullptr;
+}
 
 }  // namespace
 
 /// The routing tables of one call, kept between calls. Every table a call
 /// fills is empty again when it returns (queues drain, tokens are re-zeroed
-/// at the next begin(), touched congestion sets are cleared), so a
-/// workspace reused on the same overlay re-fills warm capacity. Queue maps
-/// keep their capacity; contend() reductions are order-insensitive, so slot
-/// order left over from earlier calls cannot change a result.
+/// at the next begin(), the congestion set is emptied at the next begin()),
+/// so a workspace reused on the same overlay re-fills warm capacity. Queue
+/// vectors keep their capacity; contend() is a min-reduction over a total
+/// order, so the entry order swap-removal leaves behind cannot change a
+/// result.
 ///
-/// Tables are kept only while their per-state storage stays within
-/// kKeepBytes (small overlays, like the MST benchmark's 448 routing
-/// states): past that — a large overlay, or queues grown by a hot-key
-/// flood — a call drops them, so the next call re-grows what it needs, as
-/// every call did before tables were kept, and memory stays at one call's
-/// footprint.
+/// Tables are kept only while their storage (end() counts every capacity)
+/// stays within kKeepBytes. Small overlays stay well under it: the MST
+/// benchmark's 448 routing states keep about 85 KiB. Past it — a large
+/// overlay (hotkey_cache's 53,248 states need 2.4-3.6 MiB per call), or a
+/// call whose congestion set grew under a flood of groups (bfs_gnm's 11,264
+/// states, up to 14 MiB) — a call drops them, so the next call re-grows
+/// what it needs and memory stays at one call's footprint. Keeping them at
+/// every size raised hotkey_cache's max_rss_mb from 16.9 to 19.0 MiB.
 struct RouterWorkspace::Tables {
   static constexpr size_t kKeepBytes = size_t{1} << 20;
 
@@ -207,11 +268,11 @@ struct RouterWorkspace::Tables {
   /// cleared so the next call starts from empty queues.
   bool end() {
     in_call = false;
-    size_t bytes = queues.size() * (sizeof(FlatMap<Queued>) + 2 * sizeof(uint64_t)) +
+    size_t bytes = queues.size() * (sizeof(std::vector<Queued>) + 2 * sizeof(uint64_t)) +
                    congestion.capacity_bytes();
-    for (FlatMap<Queued>& q : queues) {
-      if (!q.empty()) q.clear();
-      bytes += q.capacity_bytes();
+    for (std::vector<Queued>& q : queues) {
+      q.clear();
+      bytes += q.capacity() * sizeof(Queued);
     }
     return bytes <= kKeepBytes;
   }
@@ -225,7 +286,7 @@ struct RouterWorkspace::Tables {
   std::vector<StepOut> outs;               // per shard
   std::vector<std::vector<Move>> arrivals;  // per shard
   std::vector<Move> local;
-  std::vector<FlatMap<Queued>> queues;  // per routing state, per group
+  std::vector<std::vector<Queued>> queues;  // per routing state, one entry per group
   // Down phase.
   CongestionTracker congestion;
   FlatMap<std::pair<NodeId, uint64_t>> meta;
@@ -264,7 +325,7 @@ struct PhaseCore {
       : topo(t), net(n), F(t.levels() - 1), cols(t.columns()),
         flows(obs::FlowSampler::of(n)), cache(c), record(rec),
         cache_before(c ? c->stats() : CombiningCache::Stats{}), ws(w), active(w.active),
-        tokens_recv(w.tokens_recv), token_sent(w.token_sent) {
+        tokens_recv(w.tokens_recv), token_sent(w.token_sent), queues(w.queues) {
     for (uint32_t l = 0; l < F; ++l) NCC_ASSERT(topo.down_degree(l) <= kMaxDegree);
     NCC_ASSERT(cols == NodeId{1} << t.dims());
   }
@@ -290,6 +351,33 @@ struct PhaseCore {
     return level == source() || tokens_recv[idx] == full_mask(in_layer(level));
   }
 
+  /// Per-edge winners of state idx's queue: a min-reduction over its
+  /// entries' (rank, group), so the entries' order cannot matter.
+  void contend(uint64_t idx, std::array<EdgeBest, kMaxDegree>& best, uint64_t& wanted) const {
+    for (const Queued& q : queues[idx]) {
+      const Prio p{q.rank, q.group};
+      wanted |= q.mask;
+      for (uint64_t m = q.mask; m; m &= m - 1) {
+        EdgeBest& b = best[std::countr_zero(m)];
+        if (!b.found || p < b.best) b = {true, p};
+      }
+    }
+  }
+  /// Move `group`'s packet off state idx's queue along edge e; the entry is
+  /// swap-removed once it wants no edge.
+  Val take(uint64_t idx, uint64_t group, uint32_t e) {
+    std::vector<Queued>& queue = queues[idx];
+    Queued* q = find_queued(queue, group);
+    const Val v = q->val;
+    q->mask &= ~(uint64_t{1} << e);
+    if (q->mask == 0) {
+      *q = queue.back();
+      queue.pop_back();
+    }
+    return v;
+  }
+  bool idle(uint64_t idx) const { return queues[idx].empty(); }
+
   const Overlay& topo;
   Network& net;
   const uint32_t F;  // final routing level
@@ -309,6 +397,9 @@ struct PhaseCore {
   // deliveries (the stall heartbeat's re-sends) are idempotent.
   std::vector<uint64_t>& tokens_recv;
   std::vector<uint64_t>& token_sent;
+  // Per routing state: one entry per group (see Queued). The step mutates
+  // only the queue of the state it works on.
+  std::vector<std::vector<Queued>>& queues;
   uint64_t queued = 0;  // packet moves still owed by the states' queues
   // Packets and tokens moved or delivered this round, merge-point effects
   // included, so the stall heartbeat only fires when the network truly
@@ -320,10 +411,8 @@ struct PhaseCore {
 /// The router's one round loop, run by both directions: the Combining and
 /// Spreading Phases are one algorithm run in opposite directions
 /// (docs/ARCHITECTURE.md, "Router phase machine"). `Phase` derives PhaseCore
-/// and supplies the direction-specific pieces:
-///   contend(idx, level, col, deg, best, wanted)  per-edge winners of a queue
-///   take(idx, group, e) -> Val   remove the winner's packet for edge e
-///   idle(idx)                    the state's queue is empty
+/// and supplies the direction-specific merge points (the queue itself —
+/// contend, take, idle — is shared, in PhaseCore):
 ///   arrive(level, col, group, v) packet merge point
 ///   tokens_complete(idx)         token-completion merge point
 template <class Phase>
@@ -407,12 +496,12 @@ void run_rounds(Phase& ph) {
         const uint32_t deg = topo.down_degree(Phase::out_layer(level));
         uint64_t edge_used = 0, edge_wanted = 0;
         for (uint32_t e = 0; e < deg; ++e) best[e].found = false;
-        ph.contend(idx, level, col, deg, best, edge_wanted);
+        ph.contend(idx, best, edge_wanted);
         for (uint32_t e = 0; e < deg; ++e) {
           if (!best[e].found) continue;
           uint64_t bit = uint64_t{1} << e;
           edge_used |= bit;
-          uint64_t g = best[e].group;
+          uint64_t g = best[e].best.group;
           Val v = ph.take(idx, g, e);
           ++out.moved;
           NodeId ncol = ph.next_column(level, col, e);
@@ -451,7 +540,7 @@ void run_rounds(Phase& ph) {
     for (StepOut& out : outs) {
       net.send_bulk(out.sends);
       local.insert(local.end(), out.local.begin(), out.local.end());
-      for (const RecordOp& op : out.rec) ph.record->children[op.cidx][op.group] |= op.bit;
+      for (const RecordOp& op : out.rec) ph.record->add_child(op.cidx, op.group, op.bit);
       for (uint64_t idx : out.readd) ph.active.add(idx);
       ph.result.stats.packets_moved += out.moved;
       ph.progress += out.moved + out.tokens;
@@ -516,9 +605,11 @@ struct DownPhase : PhaseCore<false> {
             const std::function<uint64_t(uint64_t)>& rank_fn, const CombineFn& combine_fn,
             RouterWorkspace::Tables& w)
       : PhaseCore(t, n, c, w, rec), dest_col(dest_col_fn), rank(rank_fn), combine(combine_fn),
-        congestion(w.congestion), meta(w.meta), pending(w.queues), flush_buf(w.flush_buf) {}
+        congestion(w.congestion), meta(w.meta), flush_buf(w.flush_buf) {}
 
-  const std::pair<NodeId, uint64_t>& group_meta(uint64_t g) {
+  using Meta = std::pair<NodeId, uint64_t>;  // (h(group), rho(group))
+  /// A group's Meta, computed on its first arrival.
+  const Meta& group_meta(uint64_t g) {
     auto [slot, fresh] = meta.emplace(g, {});
     if (fresh) {
       NodeId dc = dest_col(g);
@@ -527,45 +618,27 @@ struct DownPhase : PhaseCore<false> {
     }
     return *slot;
   }
-  const std::pair<NodeId, uint64_t>& meta_of(uint64_t g) const {
-    const auto* slot = meta.find(g);
-    NCC_ASSERT(slot != nullptr);
-    return *slot;
-  }
-
-  void contend(uint64_t idx, uint32_t level, NodeId col, uint32_t deg,
-               std::array<EdgeBest, kMaxDegree>& best, uint64_t& wanted) const {
-    pending[idx].for_each([&](uint64_t g, const Queued&) {
-      const auto& [dest, rk] = meta_of(g);
-      uint32_t e = topo.route_edge(level, col, dest);
-      NCC_ASSERT(e < deg);
-      wanted |= uint64_t{1} << e;
-      Prio p{rk, g};
-      if (!best[e].found || p < best[e].best) best[e] = {true, p, g};
-    });
-  }
-  Val take(uint64_t idx, uint64_t g, uint32_t /*e*/) {
-    Val v = pending[idx].find(g)->val;
-    pending[idx].erase(g);
-    return v;
-  }
-  bool idle(uint64_t idx) const { return pending[idx].empty(); }
-
-  /// Queue `v` at state idx, combining with its group's packet already there.
-  void enqueue(uint64_t idx, uint64_t group, const Val& v) {
-    auto [slot, fresh] = pending[idx].emplace(group, Queued{v, 0});
-    if (fresh) {
-      ++queued;
-    } else {
-      slot->val = combine(slot->val, v);
+  /// Queue `v` at state idx, combining with its group's packet already
+  /// there; a new entry wants the group's greedy edge out of idx.
+  void enqueue(uint64_t idx, uint64_t group, const Val& v, const Meta& m) {
+    std::vector<Queued>& queue = queues[idx];
+    if (Queued* q = find_queued(queue, group)) {
+      q->val = combine(q->val, v);
       ++result.stats.combines;
+      return;
     }
+    const uint32_t level = level_of(idx);
+    const uint32_t e = topo.route_edge(level, col_of(idx), m.first);
+    NCC_ASSERT(e < topo.down_degree(level));
+    queue.push_back({group, v, uint64_t{1} << e, m.second});
+    ++queued;
   }
 
   void arrive(uint32_t level, NodeId col, uint64_t group, const Val& v) {
     uint64_t idx = topo.index(level, col);
     congestion.visit(topo.overlay_node(level, col), group);
-    const NodeId dest = group_meta(group).first;
+    const Meta m = group_meta(group);  // a copy: group_meta may rehash the map
+    const NodeId dest = m.first;
     // Serving-side cache hit (tree setup only): the state holds this group's
     // payload, so the request ends here. Snapshot-and-clear the subtree
     // recorded below this state and register it as a cache root; the next
@@ -579,7 +652,7 @@ struct DownPhase : PhaseCore<false> {
                         topo.host(col), net.rounds(), /*cache_hit=*/pv != nullptr);
     if (pv) {
       uint64_t mask = 0;
-      if (uint64_t* recorded = record->children[idx].find(group)) {
+      if (uint64_t* recorded = record->child_mask(idx, group)) {
         mask = *recorded;
         *recorded = 0;
       }
@@ -618,15 +691,15 @@ struct DownPhase : PhaseCore<false> {
     // absorber instead of climbing separately; its mass re-enters the
     // pending queue at this state's token-completion transition. A packet
     // whose group is still queued here just combines with it.
-    if (cache && !record && level >= 1 && !pending[idx].find(group)) {
+    if (cache && !record && level >= 1 && !find_queued(queues[idx], group)) {
       if (cache->absorb(idx, group, v, combine)) return;
       // Arm only while more packets can still arrive (tokens incomplete): an
       // absorber armed after the flush transition would never drain.
       CombiningCache::Flushed ev;
       if (!token_ready(level, idx) && cache->arm_absorber(idx, group, &ev))
-        enqueue(idx, ev.group, ev.val);
+        enqueue(idx, ev.group, ev.val, group_meta(ev.group));
     }
-    enqueue(idx, group, v);
+    enqueue(idx, group, v, m);
     active.add(idx);
   }
 
@@ -638,7 +711,7 @@ struct DownPhase : PhaseCore<false> {
     flush_buf.clear();
     cache->flush_absorbers(idx, &flush_buf);
     for (const CombiningCache::Flushed& f : flush_buf) {
-      enqueue(idx, f.group, f.val);
+      enqueue(idx, f.group, f.val, group_meta(f.group));
       active.add(idx);
     }
   }
@@ -648,11 +721,9 @@ struct DownPhase : PhaseCore<false> {
   const CombineFn& combine;
   CongestionTracker& congestion;
   // Cached group metadata (dest column and rank are hash evaluations that
-  // every node can compute from the shared randomness). Populated on arrive
-  // — always sequential — so the parallel step loop reads a frozen map.
-  FlatMap<std::pair<NodeId, uint64_t>>& meta;
-  // Per routing state: combined pending packet per group.
-  std::vector<FlatMap<Queued>>& pending;
+  // every node can compute from the shared randomness). Read only on the
+  // sequential merge points, when an arrival or a queue entry is created.
+  FlatMap<Meta>& meta;
   // Dedup index into record->cache_roots: later hits of a group at the same
   // state OR their subtree masks into the root recorded by the first hit.
   std::map<std::pair<uint64_t, uint64_t>, size_t> croot_at;
@@ -665,8 +736,7 @@ struct DownPhase : PhaseCore<false> {
 struct UpPhase : PhaseCore<true> {
   UpPhase(const Overlay& t, Network& n, CombiningCache* c, const MulticastTrees& tr,
           const std::function<uint64_t(uint64_t)>& rank_fn, RouterWorkspace::Tables& w)
-      : PhaseCore(t, n, c, w), trees(tr), rank(rank_fn), rank_cache(w.rank_cache),
-        serving(w.queues) {
+      : PhaseCore(t, n, c, w), trees(tr), rank(rank_fn), rank_cache(w.rank_cache) {
     result.at_col.assign(cols, {});
   }
 
@@ -675,44 +745,19 @@ struct UpPhase : PhaseCore<true> {
     if (fresh) *slot = rank(g);
     return *slot;
   }
-  uint64_t rank_of(uint64_t g) const {
-    const uint64_t* slot = rank_cache.find(g);
-    NCC_ASSERT(slot != nullptr);
-    return *slot;
-  }
-
-  void contend(uint64_t idx, uint32_t /*level*/, NodeId /*col*/, uint32_t /*deg*/,
-               std::array<EdgeBest, kMaxDegree>& best, uint64_t& wanted) const {
-    serving[idx].for_each([&](uint64_t g, const Queued& srv) {
-      Prio p{rank_of(g), g};
-      uint64_t mask = srv.mask;
-      while (mask) {
-        uint32_t e = static_cast<uint32_t>(std::countr_zero(mask));
-        mask &= mask - 1;
-        wanted |= uint64_t{1} << e;
-        if (!best[e].found || p < best[e].best) best[e] = {true, p, g};
-      }
-    });
-  }
-  Val take(uint64_t idx, uint64_t g, uint32_t e) {
-    Queued* sit = serving[idx].find(g);
-    Val v = sit->val;
-    sit->mask &= ~(uint64_t{1} << e);
-    if (sit->mask == 0) serving[idx].erase(g);
-    return v;
-  }
-  bool idle(uint64_t idx) const { return serving[idx].empty(); }
 
   /// Start serving `group` at state idx along the up-edges in `mask`. A
   /// group already served there collides only when byzantine corruption
   /// rewrote its id in flight: count it and drop, don't abort.
   bool serve(uint64_t idx, uint64_t group, const Val& v, uint64_t mask,
              const char* collision) {
-    if (!serving[idx].emplace(group, Queued{v, mask}).second) {
+    std::vector<Queued>& queue = queues[idx];
+    if (find_queued(queue, group)) {
       NCC_ASSERT_MSG(net.corruption_possible(), collision);
       ++result.stats.misrouted;
       return false;
     }
+    queue.push_back({group, v, mask, group_rank(group)});
     queued += std::popcount(mask);
     active.add(idx);
     return true;
@@ -720,7 +765,6 @@ struct UpPhase : PhaseCore<true> {
 
   void arrive(uint32_t level, NodeId col, uint64_t group, const Val& v) {
     uint64_t idx = topo.index(level, col);
-    group_rank(group);
     if (flows)
       flows->record_hop(group, /*up=*/true, level, 0, topo.host(col), net.rounds());
     if (level == 0) {
@@ -730,7 +774,7 @@ struct UpPhase : PhaseCore<true> {
       result.at_col[col].push_back({group, v});
       return;
     }
-    const uint64_t* mask = trees.children[idx].find(group);
+    const uint64_t* mask = trees.child_mask(idx, group);
     if (!mask || *mask == 0) {
       // Off-tree arrival: on a reliable network packets only follow recorded
       // tree edges, so this stays a hard invariant there; byzantine
@@ -749,13 +793,27 @@ struct UpPhase : PhaseCore<true> {
 
   const MulticastTrees& trees;
   const std::function<uint64_t(uint64_t)>& rank;
-  // Populated on arrive() — always sequential — so the parallel step loop
-  // reads a frozen map.
+  // Read on the sequential merge points, when a queue entry is created.
   FlatMap<uint64_t>& rank_cache;
-  std::vector<FlatMap<Queued>>& serving;
 };
 
 }  // namespace
+
+const uint64_t* MulticastTrees::child_mask(uint64_t idx, uint64_t group) const {
+  for (const auto& [g, mask] : children[idx])
+    if (g == group) return &mask;
+  return nullptr;
+}
+uint64_t* MulticastTrees::child_mask(uint64_t idx, uint64_t group) {
+  return const_cast<uint64_t*>(std::as_const(*this).child_mask(idx, group));
+}
+void MulticastTrees::add_child(uint64_t idx, uint64_t group, uint64_t bits) {
+  if (uint64_t* mask = child_mask(idx, group)) {
+    *mask |= bits;
+  } else {
+    children[idx].emplace_back(group, bits);
+  }
+}
 
 uint32_t MulticastTrees::max_leaf_load() const {
   uint32_t best = 0;
@@ -826,7 +884,6 @@ UpResult route_up(const Overlay& topo, Network& net, RouterWorkspace& ws,
   for (const MulticastTrees::CacheRoot& cr : trees.cache_roots) {
     const uint32_t level = ph.level_of(cr.idx);
     const NodeId col = ph.col_of(cr.idx);
-    ph.group_rank(cr.group);
     if (ph.flows)
       ph.flows->record_hop(cr.group, /*up=*/true, level, 0, topo.host(col),
                            net.rounds(), /*cache_hit=*/true);

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/flat_map.hpp"
@@ -55,14 +56,17 @@ struct AggPacket {
 };
 
 /// Multicast trees produced by route_down with recording enabled
-/// (Theorem 2.4). `children[index(level, col)]` maps a group id to the
-/// bitmask of recorded up-edges (bit e = down-edge e of the level below,
-/// reversed) that lead toward its recorded leaves; `leaf_members[col]` lists
-/// (group, member) pairs whose leaf l(group, member) is the level-0 node of
-/// column `col`.
+/// (Theorem 2.4). `children[index(level, col)]` lists one (group, mask) pair
+/// per group whose tree passes routing state (level, col): the bitmask of
+/// recorded up-edges (bit e = down-edge e of the level below, reversed) that
+/// lead toward its recorded leaves. A state holds one pair per group that
+/// visits it (at most the congestion), so the list is unsorted and searched
+/// linearly; read and write it through child_mask() and add_child().
+/// `leaf_members[col]` lists (group, member) pairs whose leaf
+/// l(group, member) is the level-0 node of column `col`.
 struct MulticastTrees {
   uint32_t levels = 0;  // routing levels of the overlay that recorded them
-  std::vector<FlatMap<uint64_t>> children;
+  std::vector<std::vector<std::pair<uint64_t, uint64_t>>> children;
   FlatMap<NodeId> root_col;  // group -> final-level column
   std::vector<std::vector<std::pair<uint64_t, NodeId>>> leaf_members;
   uint32_t congestion = 0;  // max #groups sharing one overlay node
@@ -71,8 +75,9 @@ struct MulticastTrees {
   /// (overlay/cache.hpp): the request of `group` deposited at routing state
   /// `idx` while the state held the group's payload, so the subtree recorded
   /// below idx (`mask`, the up-edge bits snapshotted-and-cleared from
-  /// `children[idx]` at hit time) is served by injecting the cached payload
-  /// `val` at idx during route_up instead of descending from the group root.
+  /// child_mask(idx, group) at hit time) is served by injecting the cached
+  /// payload `val` at idx during route_up instead of descending from the
+  /// group root.
   /// Deduplicated per (idx, group): later hits OR their masks in.
   struct CacheRoot {
     uint64_t group = 0;
@@ -81,6 +86,13 @@ struct MulticastTrees {
     uint64_t mask = 0;  // up-edges to serve; 0 only at level 0 (leaf-local hit)
   };
   std::vector<CacheRoot> cache_roots;
+
+  /// The recorded up-edge mask of `group` at routing state `idx`, or
+  /// nullptr if the group's tree never reached that state.
+  uint64_t* child_mask(uint64_t idx, uint64_t group);
+  const uint64_t* child_mask(uint64_t idx, uint64_t group) const;
+  /// OR `bits` into the mask of `group` at routing state `idx`.
+  void add_child(uint64_t idx, uint64_t group, uint64_t bits);
 
   /// Max number of leaf deliveries any single level-0 column performs.
   uint32_t max_leaf_load() const;
@@ -125,7 +137,7 @@ struct DownResult {
 };
 
 /// The routing tables route_down/route_up fill during a call — per-state
-/// packet queues, congestion sets, token masks, the round loop's step
+/// packet queues, the congestion set, token masks, the round loop's step
 /// buffers — kept between calls so later calls on the same overlay run
 /// their rounds without allocating. Caller-thread state: one call at a time
 /// (each run's Shared owns one).

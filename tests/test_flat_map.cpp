@@ -1,5 +1,5 @@
 // FlatMap (common/flat_map.hpp) unit + stress tests: the open-addressing
-// replacement for the router's per-state std::unordered_map group tables.
+// replacement for std::unordered_map on deterministic paths.
 // The backward-shift erase is the delicate part — the randomized test drives
 // long mixed histories against a std::unordered_map reference and checks the
 // full content after every erase burst.

@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <memory>
 #include <map>
+#include <ostream>
 #include <set>
 #include <stdexcept>
 #include <tuple>
@@ -80,7 +83,7 @@ TEST(RouterSemantics, RecordedTreesAreTrees) {
       uint64_t idx = f.topo.index(level, col);
       EXPECT_TRUE(visited.insert(idx).second) << "node visited twice in tree " << g;
       if (level == 0) continue;
-      const uint64_t* mask = trees.children[idx].find(g);
+      const uint64_t* mask = trees.child_mask(idx, g);
       if (!mask) continue;
       for (uint32_t e = 0; e < f.topo.down_degree(level - 1); ++e)
         if ((*mask >> e) & 1)
@@ -259,5 +262,179 @@ TEST(RouterSemantics, HeartbeatDrainsTokenTailsInBothDirections) {
     EXPECT_EQ(t1.delivered, t4.delivered);
     expect_same_stats(t1.down, t4.down);
     expect_same_stats(t1.up, t4.up);
+  }
+}
+
+namespace {
+
+/// The source columns and groups of a routing workload: seeded multi-source
+/// groups, plus `hot` distinct single-source groups all injected at column
+/// 0, whose level-0 state therefore queues at least `hot` groups at once.
+std::vector<std::vector<AggPacket>> seeded_sources(const Overlay& topo, uint64_t seed,
+                                                   uint64_t groups, uint64_t hot) {
+  Rng rng(seed);
+  std::vector<std::vector<AggPacket>> at_col(topo.columns());
+  for (uint64_t i = 0; i < groups; ++i) {
+    const uint64_t g = i * 7919 + 3;
+    const uint64_t sources = 1 + rng.next_below(8);
+    for (uint64_t s = 0; s < sources; ++s)
+      at_col[rng.next_below(topo.columns())].push_back({g, Val{1, g}});
+  }
+  for (uint64_t i = 0; i < hot; ++i) at_col[0].push_back({(groups + i) * 7919 + 3, Val{1, 0}});
+  return at_col;
+}
+
+NodeId seeded_dest(const Overlay& topo, uint64_t g) {
+  return static_cast<NodeId>(mix64(g ^ 0xd15c) & (topo.columns() - 1));
+}
+uint64_t seeded_rank(uint64_t g) { return mix64(g ^ 0x5eed); }
+
+/// A router run on its own network, optionally under a sharded engine.
+struct EngineFix {
+  Network net;
+  std::unique_ptr<Engine> eng;
+  RouterWorkspace ws;
+  EngineFix(NodeId n, uint32_t threads)
+      : net(NetConfig{.n = n, .capacity_factor = 8, .strict_send = true, .seed = 3}) {
+    if (threads > 1) {
+      EngineConfig ecfg;
+      ecfg.threads = threads;
+      ecfg.loop_cutoff = ecfg.delivery_cutoff = 1;  // shard even tiny rounds
+      eng = std::make_unique<Engine>(net, ecfg);
+    }
+  }
+};
+
+/// Max number of distinct groups at one overlay node, computed without the
+/// router: on a reliable network with the cache off, a group visits exactly
+/// the union of its sources' greedy paths from level 0 to the final level.
+uint32_t oracle_congestion(const Overlay& topo, const std::vector<std::vector<AggPacket>>& at_col,
+                           const std::function<NodeId(uint64_t)>& dest) {
+  std::set<std::pair<uint64_t, uint64_t>> visits;  // (overlay node, group)
+  std::map<uint64_t, uint32_t> distinct;           // overlay node -> #groups
+  const uint32_t F = topo.levels() - 1;
+  for (NodeId c = 0; c < at_col.size(); ++c) {
+    for (const AggPacket& p : at_col[c]) {
+      const NodeId d = dest(p.group);
+      NodeId col = c;
+      for (uint32_t l = 0;; ++l) {
+        if (visits.insert({topo.overlay_node(l, col), p.group}).second)
+          ++distinct[topo.overlay_node(l, col)];
+        if (l == F) break;
+        col = topo.down_column(l, col, topo.route_edge(l, col, d));
+      }
+      EXPECT_EQ(col, d) << "greedy path of group " << p.group << " missed its root";
+    }
+  }
+  uint32_t best = 0;
+  for (const auto& [node, k] : distinct) best = std::max(best, k);
+  return best;
+}
+
+}  // namespace
+
+TEST(RouterSemantics, CongestionMatchesGreedyPathOracle) {
+  for (NodeId n : {NodeId{64}, NodeId{1024}}) {
+    for (OverlayKind kind : all_overlay_kinds()) {
+      SCOPED_TRACE(testing::Message() << overlay_name(kind) << " n=" << n);
+      const auto topo = make_overlay(kind, n);
+      const auto at_col = seeded_sources(*topo, n + 17, n / 2, 600);
+      auto dest = [&](uint64_t g) { return seeded_dest(*topo, g); };
+      const uint32_t expected = oracle_congestion(*topo, at_col, dest);
+      ASSERT_GE(expected, 600u);  // the hot level-0 state alone holds 600 groups
+      for (uint32_t threads : {1u, 4u}) {
+        SCOPED_TRACE(testing::Message() << "threads=" << threads);
+        EngineFix f(n, threads);
+        DownResult plain = route_down(*topo, f.net, f.ws, at_col, dest, seeded_rank, agg::sum);
+        EXPECT_EQ(plain.stats.congestion, expected);
+        MulticastTrees trees;
+        trees.leaf_members.assign(topo->columns(), {});
+        DownResult rec =
+            route_down(*topo, f.net, f.ws, at_col, dest, seeded_rank, agg::sum, &trees);
+        EXPECT_EQ(rec.stats.congestion, expected);
+        EXPECT_EQ(trees.congestion, expected);
+      }
+    }
+  }
+}
+
+namespace {
+
+/// What a recording route_down plus route_up produced, folded to pins.
+struct GoldenPass {
+  uint64_t down_rounds, down_moved, down_combines;
+  uint32_t congestion;
+  uint64_t root_sum;  // root_values in drain order, with each root column
+  uint64_t up_rounds, up_moved;
+  uint64_t leaf_sum;  // deliveries, column by column in arrival order
+  bool operator==(const GoldenPass&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const GoldenPass& p) {
+  return os << "{" << p.down_rounds << ", " << p.down_moved << ", " << p.down_combines << ", "
+            << p.congestion << ", 0x" << std::hex << p.root_sum << std::dec << ", "
+            << p.up_rounds << ", " << p.up_moved << ", 0x" << std::hex << p.leaf_sum
+            << std::dec << "}";
+}
+
+void fold(uint64_t& h, uint64_t x) { h = mix64(h ^ mix64(x)); }
+
+GoldenPass golden_pass(OverlayKind kind, uint32_t threads) {
+  constexpr NodeId kN = 256;
+  const auto topo = make_overlay(kind, kN);
+  EngineFix f(kN, threads);
+  auto dest = [&](uint64_t g) { return seeded_dest(*topo, g); };
+  MulticastTrees trees;
+  trees.leaf_members.assign(topo->columns(), {});
+  DownResult down = route_down(*topo, f.net, f.ws, seeded_sources(*topo, 41, 1500, 300), dest,
+                               seeded_rank, agg::sum, &trees);
+  GoldenPass p{};
+  p.down_rounds = down.stats.rounds;
+  p.down_moved = down.stats.packets_moved;
+  p.down_combines = down.stats.combines;
+  p.congestion = down.stats.congestion;
+  EXPECT_EQ(trees.congestion, down.stats.congestion);
+  FlatMap<Val> payloads;
+  down.root_values.for_each([&](uint64_t g, const Val& v) {
+    fold(p.root_sum, g);
+    fold(p.root_sum, v[0]);
+    fold(p.root_sum, v[1]);
+    fold(p.root_sum, down.root_col.at(g));
+    payloads[g] = Val{v[0] * 31 + g, v[1] ^ g};
+  });
+  UpResult up = route_up(*topo, f.net, f.ws, trees, payloads, seeded_rank);
+  p.up_rounds = up.stats.rounds;
+  p.up_moved = up.stats.packets_moved;
+  for (NodeId c = 0; c < up.at_col.size(); ++c) {
+    for (const AggPacket& pk : up.at_col[c]) {
+      fold(p.leaf_sum, c);
+      fold(p.leaf_sum, pk.group);
+      fold(p.leaf_sum, pk.val[0]);
+      fold(p.leaf_sum, pk.val[1]);
+    }
+  }
+  return p;
+}
+
+}  // namespace
+
+TEST(RouterSemantics, GoldenRecordAndSpreadPins) {
+  // Pinned against the router before its per-state tables were flattened:
+  // any change to contention order, combining, tree recording or delivery
+  // order moves one of these.
+  const std::vector<std::pair<OverlayKind, GoldenPass>> pins = {
+      {OverlayKind::kButterfly,
+       {172, 50577, 5135, 324, 0xa6f8c036999b311d, 172, 45301, 0xeca08df35716b82b}},
+      {OverlayKind::kHypercube,
+       {172, 50577, 5135, 389, 0xa6f8c036999b311d, 172, 45301, 0xeca08df35716b82b}},
+      {OverlayKind::kAugmentedCube,
+       {88, 25764, 5135, 363, 0xf1dbcf366b6a4d0, 88, 23223, 0x2cdc28fd1cd1fc03}},
+      {OverlayKind::kRadix4Butterfly,
+       {98, 25824, 5135, 324, 0x543f78224ccd1896, 98, 23820, 0xa5384d6e09597beb}},
+  };
+  for (const auto& [kind, pin] : pins) {
+    SCOPED_TRACE(overlay_name(kind));
+    EXPECT_EQ(golden_pass(kind, 1), pin);
+    EXPECT_EQ(golden_pass(kind, 4), pin);  // the parallel step swap-removes entries
   }
 }
