@@ -46,7 +46,4 @@ uint64_t cc_broadcast_rounds(CongestedClique& cc) {
   return cc.rounds() - start;
 }
 
-uint64_t cc_mst_rounds_bound() { return 1; }
-uint64_t cc_routing_rounds_bound() { return 1; }
-
 }  // namespace ncc

@@ -2,10 +2,9 @@
 //
 // In the Congested Clique every node may exchange one O(log n)-bit message
 // with *every* other node per round — Theta(n^2 log n) bits per round versus
-// the NCC's Theta(n log^2 n). We provide (a) a tiny round simulator
-// sufficient to realize gossip/broadcast in one round, demonstrating the gap
-// concretely (asserted by the CongestedClique tests), and (b) analytic round
-// counts from the literature.
+// the NCC's Theta(n log^2 n). A tiny round simulator realizes gossip and
+// broadcast in one round, demonstrating the gap concretely (asserted by the
+// CongestedClique tests).
 #pragma once
 
 #include <cstdint>
@@ -65,11 +64,5 @@ uint64_t cc_gossip_rounds(CongestedClique& cc);
 
 /// Broadcast in the Congested Clique: exactly 1 round.
 uint64_t cc_broadcast_rounds(CongestedClique& cc);
-
-/// Analytic comparison rounds from the literature (constants set to 1):
-/// MST in O(1) rounds [Jurdzinski-Nowicki SODA'18].
-uint64_t cc_mst_rounds_bound();
-/// Routing/sorting in O(1) rounds [Lenzen PODC'13].
-uint64_t cc_routing_rounds_bound();
 
 }  // namespace ncc

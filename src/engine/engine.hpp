@@ -51,7 +51,7 @@ struct EngineShardTiming {
 /// EngineShardTiming. Capacities and allocation counts depend on the shard
 /// layout and buffer-reuse history, so — like wall-clock — they are strictly
 /// observational and never reach determinism-compared bytes (emitters gate
-/// them behind the memory flag, see obs::MemoryMonitor).
+/// them behind the memory flag, see obs::RoundLedger::write_memory_json).
 struct EngineShardMemory {
   uint64_t staged_msgs_peak = 0;   // max messages staged in one send_loop
   uint64_t staged_bytes_peak = 0;  // peak capacity bytes of the staged arena

@@ -435,10 +435,18 @@ InboxView Network::inbox(NodeId u) const {
   return InboxView(inbox_hdr_.data() + inbox_off_[u], inbox_words_.data(), cnt);
 }
 
+void Network::for_each_delivered(FnRef<void(NodeId, uint32_t)> fn) const {
+  for (uint32_t s = 0; s < acc_.size(); ++s) {
+    const NodeId* touched = dst_touched_.data() + dst_plan_.begin(s);
+    for (uint32_t i = 0; i < acc_[s].touched; ++i) fn(touched[i], inbox_cnt_[touched[i]]);
+  }
+}
+
 void Network::charge_rounds(uint64_t k) { stats_.charged_rounds += k; }
 
 void Network::reset_stats() {
   stats_ = NetStats{};
+  ++stats_resets_;
   mem_ = NetMemStats{};
   for (MsgArena& r : runs_) {
     r.clear();

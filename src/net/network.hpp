@@ -65,7 +65,7 @@ struct NetStats {
 /// capacity/allocation counters depend on the shard layout and buffer-reuse
 /// history, so — like wall-clock — they are observational only and must never
 /// reach determinism-compared bytes (emitters gate them behind the memory
-/// flag, see obs::MemoryMonitor).
+/// flag, see obs::RoundLedger::write_memory_json).
 struct NetMemStats {
   // Thread-count invariant (message counts are part of the determinism
   // contract; sizeof(Message) — the logical AoS message size — is a
@@ -216,6 +216,13 @@ class Network {
   /// flat inbox arena in place and is invalidated by the next end_round().
   InboxView inbox(NodeId u) const;
 
+  /// Calls fn(u, inbox(u).size()) once for every node that received
+  /// messages in the last round, walking the delivery's touched lists — in
+  /// first-arrival order per shard, not in id order. Costs O(touched nodes);
+  /// nothing after reset_stats() until the next end_round(). Read-only: the
+  /// lists are written by the delivery shards inside end_round().
+  void for_each_delivered(FnRef<void(NodeId, uint32_t)> fn) const;
+
   /// Charge `k` rounds without simulating them (used only for the
   /// shared-randomness setup broadcasts whose cost the paper states in
   /// closed form; tracked separately in stats).
@@ -232,7 +239,7 @@ class Network {
   using HookId = uint64_t;
 
   /// Observers invoked for every *delivered* message (k-machine accounting,
-  /// tracing, congestion monitors). Each receives the message and the round
+  /// ad-hoc probes in tests). Each receives the message and the round
   /// in which it was delivered. Hooks are an ordered subscriber list: every
   /// subscriber sees the identical stream, sequentially in (destination,
   /// arrival) order — engine or not — and within one message subscribers run
@@ -244,7 +251,7 @@ class Network {
 
   /// Observers invoked sequentially at the end of every end_round() with the
   /// index of the round just closed and the cumulative stats (scenario
-  /// metrics sampling, span bookkeeping). Run after delivery, on the caller
+  /// observation via obs::RoundLedger). Run after delivery, on the caller
   /// thread, in subscription order.
   using RoundHook = std::function<void(uint64_t round, const NetStats&)>;
   HookId add_round_hook(RoundHook hook);
@@ -272,6 +279,9 @@ class Network {
   /// Reset round/message statistics (topology and config are kept). Also
   /// clears pending traffic and the per-shard delivery staging.
   void reset_stats();
+  /// Number of reset_stats() calls so far: observers that difference the
+  /// cumulative stats compare it to know when to rebase to zero.
+  uint64_t stats_resets() const { return stats_resets_; }
 
   /// Engine attachment (see src/engine/engine.hpp).
   void install_exec_hooks(NetExecHooks hooks);
@@ -289,6 +299,7 @@ class Network {
   uint32_t cap_;
   uint64_t drop_seed_;  // forked per (round, dst) for the drop subsets
   NetStats stats_;
+  uint64_t stats_resets_ = 0;
   NetMemStats mem_;
   NetExecHooks hooks_;
   FaultHooks faults_;

@@ -8,12 +8,10 @@
 #include <sstream>
 
 #include "engine/engine.hpp"
-#include "obs/congestion.hpp"
 #include "obs/flow.hpp"
-#include "obs/memory.hpp"
+#include "obs/round_ledger.hpp"
 #include "obs/tracer.hpp"
 #include "scenario/faults.hpp"
-#include "scenario/metrics.hpp"
 #include "scenario/registry.hpp"
 
 namespace ncc::scenario {
@@ -121,20 +119,17 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec, const RunOptions& opts) {
   std::unique_ptr<Engine> engine =
       threads > 1 ? std::make_unique<Engine>(net, EngineConfig{threads}) : nullptr;
   FaultInjector faults(net, spec.faults, spec.seed, spec.round_limit);
-  MetricsCollector metrics(net, opts.max_series_rounds);
   // The observability layer attaches whenever its output is consumed: the
-  // full JSON document carries deterministic "spans"/"congestion" sections,
-  // and collect_trace asks for the Chrome-trace payload even on compact
-  // sweep-cell runs.
+  // full JSON document carries deterministic "per_round"/"spans"/
+  // "congestion" sections, and collect_trace asks for the Chrome-trace
+  // payload even on compact sweep-cell runs.
   bool want_obs = opts.build_json || opts.collect_trace;
   std::optional<obs::Tracer> tracer;
-  std::optional<obs::CongestionMonitor> congestion;
-  std::optional<obs::MemoryMonitor> memmon;
+  std::optional<obs::RoundLedger> ledger;
   std::optional<obs::FlowSampler> flowsamp;
   if (want_obs) {
     tracer.emplace(net);
-    congestion.emplace(net, opts.max_series_rounds);
-    memmon.emplace(net, opts.max_series_rounds);
+    ledger.emplace(net);
     flowsamp.emplace(net, spec.seed);
   }
 
@@ -166,9 +161,9 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec, const RunOptions& opts) {
   out.corrupted = st.corrupted;
   out.crashed = faults.crashed_count();
   out.failed = verdict_failed(out.expect, out);
-  if (memmon) {
-    out.peak_live_bytes = memmon->peak_live_bytes();
-    out.allocs = memmon->total_allocs();
+  if (ledger) {
+    out.peak_live_bytes = ledger->peak_live_bytes();
+    out.allocs = ledger->total_allocs();
   }
   if (opts.collect_trace && tracer) {
     std::ostringstream label;
@@ -178,8 +173,8 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec, const RunOptions& opts) {
     out.trace.name = label.str();
     out.trace.rounds = st.rounds;
     out.trace.spans = tracer->spans();
-    out.trace.max_in_degree = congestion->max_in_degree_series();
-    out.trace.live_bytes = memmon->live_bytes_series();
+    out.trace.max_in_degree = ledger->max_in_degree();
+    out.trace.live_bytes = ledger->live_bytes();
     out.trace.flows = flowsamp->flows();
     out.trace.cache_series = result.cache_series;
     if (engine) out.trace.shard_timing = engine->shard_timing();
@@ -211,11 +206,11 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec, const RunOptions& opts) {
   for (const auto& [k, v] : result.counters) w.kv(k, v);
   w.end_object();
   w.key("per_round");
-  metrics.write_json(w);
+  ledger->write_per_round_json(w);
   w.key("spans");
   tracer->write_json(w);
   w.key("congestion");
-  congestion->write_json(w);
+  ledger->write_congestion_json(w);
   // Sampled token flows are thread-count invariant (hops are recorded at the
   // router's sequential deposit/arrive points), so — unlike timing/memory —
   // the section lives inside the determinism-compared bytes.
@@ -232,7 +227,7 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec, const RunOptions& opts) {
   }
   if (opts.memory) {
     w.key("memory");
-    memmon->write_json(w);
+    ledger->write_memory_json(w);
   }
   w.end_object();
   out.json = w.str();

@@ -27,11 +27,9 @@ struct RunOptions {
   /// Emit the non-deterministic "timing" section (wall_ms, threads).
   bool timing = true;
   /// Emit the non-deterministic "memory" section (container capacities and
-  /// allocation counts; see obs::MemoryMonitor). Off by default — like
+  /// allocation counts; see obs::RoundLedger). Off by default — like
   /// timing it must never reach determinism-compared bytes.
   bool memory = false;
-  /// Cap on the per-round series length in the JSON.
-  size_t max_series_rounds = 512;
   /// Assemble the full per-run JSON document. The sweep driver turns this
   /// off — it builds compact per-cell records from the outcome fields and
   /// would otherwise pay for a per-round series it never reads.

@@ -58,7 +58,6 @@ TEST(CongestedClique, GossipAndBroadcastOneRound) {
   CongestedClique cc(64);
   EXPECT_EQ(cc_gossip_rounds(cc), 1u);
   EXPECT_EQ(cc_broadcast_rounds(cc), 1u);
-  EXPECT_EQ(cc_mst_rounds_bound(), 1u);
 }
 
 TEST(CongestedCliqueDeathTest, OneMessagePerPairPerRound) {

@@ -1,7 +1,7 @@
 // Tests for graph I/O (edge-list round-trips, malformed input), the
-// Barabasi-Albert generator, and the per-round delivery observers
-// (MetricsCollector's sent series, CongestionMonitor's in-degree series and
-// per-node totals) on hand-made sends and on a real gossip run.
+// Barabasi-Albert generator, and the round ledger's per-round columns (sent,
+// max in-degree) and per-node totals on hand-made sends and on a real
+// gossip run.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -10,8 +10,7 @@
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "graph/properties.hpp"
-#include "obs/congestion.hpp"
-#include "scenario/metrics.hpp"
+#include "obs/round_ledger.hpp"
 
 using namespace ncc;
 
@@ -72,8 +71,7 @@ TEST(PerRoundObservers, RecordsPerRoundSeries) {
   cfg.n = 16;
   cfg.seed = 1;
   Network net(cfg);
-  scenario::MetricsCollector metrics(net);
-  obs::CongestionMonitor congestion(net);
+  obs::RoundLedger ledger(net);
   // Round 0: 3 messages, two to node 5.
   net.send(0, 5, 1, {1});
   net.send(1, 5, 1, {1});
@@ -84,12 +82,12 @@ TEST(PerRoundObservers, RecordsPerRoundSeries) {
   net.send(3, 7, 1, {1});
   net.end_round();
 
-  // Both series are dense in round index: the quiet round is a 0 entry.
-  EXPECT_EQ(metrics.series().sent, (std::vector<uint64_t>{3, 0, 1}));
-  EXPECT_EQ(congestion.max_in_degree_series(), (std::vector<uint32_t>{2, 0, 1}));
-  EXPECT_EQ(congestion.peak_in_degree(), 2u);
-  EXPECT_EQ(congestion.peak_node(), 5u);
-  EXPECT_EQ(congestion.peak_round(), 0u);
+  // Both columns are dense in round index: the quiet round is a 0 entry.
+  EXPECT_EQ(ledger.sent(), (std::vector<uint64_t>{3, 0, 1}));
+  EXPECT_EQ(ledger.max_in_degree(), (std::vector<uint32_t>{2, 0, 1}));
+  EXPECT_EQ(ledger.peak_in_degree(), 2u);
+  EXPECT_EQ(ledger.peak_node(), 5u);
+  EXPECT_EQ(ledger.peak_round(), 0u);
 }
 
 TEST(BarabasiAlbert, ShapeAndArboricity) {
@@ -103,16 +101,16 @@ TEST(BarabasiAlbert, ShapeAndArboricity) {
   EXPECT_LE(degeneracy(g).degeneracy, 2 * 3u);
 }
 
-TEST(CongestionMonitor, CoversARealAlgorithmRun) {
+TEST(RoundLedger, CongestionCoversARealAlgorithmRun) {
   // Observe an actual gossip run: every delivered message must be accounted.
   NetConfig cfg;
   cfg.n = 64;
   cfg.seed = 3;
   Network net(cfg);
-  obs::CongestionMonitor congestion(net);
+  obs::RoundLedger ledger(net);
   run_gossip(net);
   uint64_t delivered = 0;
-  for (NodeId u = 0; u < net.n(); ++u) delivered += congestion.node_messages(u);
+  for (NodeId u = 0; u < net.n(); ++u) delivered += ledger.node_messages(u);
   EXPECT_EQ(delivered, net.stats().messages_sent - net.stats().messages_dropped);
-  EXPECT_EQ(congestion.peak_in_degree(), net.stats().max_recv_load);
+  EXPECT_EQ(ledger.peak_in_degree(), net.stats().max_recv_load);
 }

@@ -1,25 +1,27 @@
 // Observability subsystem tests: Tracer span nesting / round intervals /
 // NetStats deltas, hook-subscriber coexistence (the multi-subscriber Network
-// refactor), per-host congestion accounting incl. the AQ_d aggregation-tree
-// root-host bound from the ROADMAP residual, Chrome trace-event
+// refactor), the RoundLedger's per-round columns and per-host congestion
+// accounting (against a brute-force oracle, across reset_stats(), and the
+// AQ_d aggregation-tree root-host bound), Chrome trace-event
 // well-formedness via the obs JSON checker, and the determinism contract:
 // span streams and trace bytes identical at threads=1 vs threads=8 under
 // every fault model, with wall-clock strictly segregated behind the timing
 // flag.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <memory>
 
+#include "common/bits.hpp"
 #include "engine/engine.hpp"
-#include "obs/congestion.hpp"
 #include "obs/flow.hpp"
 #include "obs/json_check.hpp"
-#include "obs/memory.hpp"
+#include "obs/round_ledger.hpp"
 #include "obs/trace_export.hpp"
 #include "obs/tracer.hpp"
 #include "primitives/aggregate_broadcast.hpp"
 #include "primitives/context.hpp"
-#include "scenario/metrics.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
 
@@ -137,16 +139,18 @@ TEST(Tracer, TopLevelSpanDeltasSumToNetStats) {
 }
 
 TEST(NetworkHooks, SubscribersCoexistAndSeeTheSameStream) {
-  // The regression the multi-subscriber refactor guards: MetricsCollector,
-  // CongestionMonitor, and a bare hook all observe the same delivery
+  // The regression the multi-subscriber refactor guards: two bare delivery
+  // hooks, and the round ledger beside a bare round hook, observe the same
   // stream — previously each set_delivery_hook call silently clobbered the
-  // last subscriber.
+  // last subscriber, and the bare hooks' reads of the touched lists must
+  // not disturb the ledger.
   Network net = make_net(8);
-  scenario::MetricsCollector metrics(net);
-  obs::CongestionMonitor congestion(net);
-  uint64_t bare_count = 0;
+  obs::RoundLedger ledger(net);
+  uint64_t bare_count = 0, bare_count2 = 0, bare_rounds = 0;
   Network::HookId id = net.add_delivery_hook(
       [&](const Message&, uint64_t) { ++bare_count; });
+  net.add_delivery_hook([&](const Message&, uint64_t) { ++bare_count2; });
+  net.add_round_hook([&](uint64_t, const NetStats&) { ++bare_rounds; });
 
   for (int r = 0; r < 3; ++r) {
     net.send(1, 0, 0x1, {1});
@@ -154,22 +158,27 @@ TEST(NetworkHooks, SubscribersCoexistAndSeeTheSameStream) {
     net.end_round();
   }
 
-  EXPECT_EQ(bare_count, 6u);                  // the bare subscriber saw every delivery
-  EXPECT_EQ(congestion.node_messages(0), 6u); // so did the congestion monitor
-  EXPECT_EQ(congestion.peak_in_degree(), 2u);
-  EXPECT_EQ(metrics.series().rounds, 3u);     // round hooks coexist too
+  EXPECT_EQ(bare_count, 6u);              // both bare subscribers saw every delivery
+  EXPECT_EQ(bare_count2, 6u);
+  EXPECT_EQ(ledger.node_messages(0), 6u); // so did the ledger
+  EXPECT_EQ(ledger.peak_in_degree(), 2u);
+  EXPECT_EQ(ledger.rounds(), 3u);         // both round subscribers saw every round
+  EXPECT_EQ(bare_rounds, 3u);
 
   // Removal only detaches the one subscriber.
   net.remove_delivery_hook(id);
   net.send(1, 0, 0x1, {3});
   net.end_round();
   EXPECT_EQ(bare_count, 6u);
-  EXPECT_EQ(congestion.node_messages(0), 7u);
+  EXPECT_EQ(bare_count2, 7u);
+  EXPECT_EQ(ledger.node_messages(0), 7u);
+  EXPECT_EQ(ledger.rounds(), 4u);
+  EXPECT_EQ(bare_rounds, 4u);
 }
 
 TEST(Congestion, TracksPeaksHistogramAndHostSplit) {
   Network net = make_net(12);  // columns = 8, nodes 8..11 attach-only
-  obs::CongestionMonitor mon(net);
+  obs::RoundLedger mon(net);
   // Round 0: node 3 receives 4 messages, node 9 receives 1.
   for (NodeId s = 4; s < 8; ++s) net.send(s, 3, 0x1, {s});
   net.send(0, 9, 0x1, {0});
@@ -191,9 +200,9 @@ TEST(Congestion, TracksPeaksHistogramAndHostSplit) {
   ASSERT_EQ(top.size(), 2u);
   EXPECT_EQ(top[0].first, 3u);
   EXPECT_EQ(top[0].second, 4u);
-  ASSERT_EQ(mon.max_in_degree_series().size(), 2u);
-  EXPECT_EQ(mon.max_in_degree_series()[0], 4u);
-  EXPECT_EQ(mon.max_in_degree_series()[1], 0u);
+  ASSERT_EQ(mon.max_in_degree().size(), 2u);
+  EXPECT_EQ(mon.max_in_degree()[0], 4u);
+  EXPECT_EQ(mon.max_in_degree()[1], 0u);
 }
 
 TEST(Congestion, AugmentedCubeRootHostBoundAcrossD) {
@@ -204,7 +213,7 @@ TEST(Congestion, AugmentedCubeRootHostBoundAcrossD) {
     NodeId n = NodeId{1} << d;
     Network net = make_net(n, /*capacity_factor=*/2);
     Shared shared(n, 5, OverlayKind::kAugmentedCube);
-    obs::CongestionMonitor mon(net);
+    obs::RoundLedger mon(net);
     sync_barrier(shared.topo(), net, shared.barrier_workspace());
     EXPECT_LE(mon.max_round_in_degree(0), 2 * d - 1)
         << "AQ_" << d << " root-host in-degree exceeds the 2d-1 bound";
@@ -226,13 +235,196 @@ TEST(Congestion, AugmentedCubeCapacityOneDropsBarrierCounts) {
   cfg.strict_send = false;  // the send budget overflows too; observe, don't abort
   Network net(cfg);
   Shared shared(n, 5, OverlayKind::kAugmentedCube);
-  obs::CongestionMonitor mon(net);
+  obs::RoundLedger mon(net);
   sync_barrier(shared.topo(), net, shared.barrier_workspace());
   EXPECT_GT(net.stats().messages_dropped, 0u);
-  // Pre-drop demand exceeded the cap; the monitor (which observes the
-  // delivery stream) sees the clamped view.
+  // Pre-drop demand exceeded the cap; the ledger (which reads the delivered
+  // inboxes) sees the clamped view.
   EXPECT_GT(net.stats().max_recv_load, net.cap());
   EXPECT_LE(mon.max_round_in_degree(0), net.cap());
+}
+
+TEST(RoundLedger, RebasesAcrossResetStats) {
+  // reset_stats() zeroes the cumulative NetStats the ledger differences; a
+  // ledger attached across it must count the next round from zero, not
+  // record a wrapped (negative) delta.
+  Network net = make_net(8);  // cap 24
+  obs::RoundLedger ledger(net);
+  // Round 0: 26 messages into node 0, 2 over its receive budget.
+  for (uint64_t i = 0; i < 26; ++i) net.send(1 + i % 2, 0, 0x1, {i});
+  net.end_round();
+  net.reset_stats();
+  net.send(1, 0, 0x1, {9});
+  net.end_round();
+
+  EXPECT_EQ(ledger.rounds(), 2u);
+  EXPECT_EQ(ledger.sent(), (std::vector<uint64_t>{26, 1}));
+  EXPECT_EQ(ledger.dropped(), (std::vector<uint64_t>{2, 0}));
+  EXPECT_EQ(ledger.corrupted(), (std::vector<uint64_t>{0, 0}));
+  EXPECT_EQ(ledger.max_in_degree(), (std::vector<uint32_t>{24, 1}));
+  EXPECT_EQ(ledger.peak_live_bytes(), 26 * sizeof(Message));
+  EXPECT_EQ(ledger.sent_per_round().max(), 26.0);
+  EXPECT_EQ(ledger.node_messages(0), 25u);
+  // The network's own peak restarted at the reset.
+  EXPECT_EQ(net.mem_stats().live_bytes_peak, 1 * sizeof(Message));
+
+  // Attached mid-round, before the first end_round(): the round count
+  // alone cannot show the reset, and the sends after it may outnumber
+  // those before.
+  for (uint64_t after : {1u, 5u}) {
+    SCOPED_TRACE("sends after reset=" + std::to_string(after));
+    Network fresh = make_net(8);
+    for (uint64_t i = 0; i < 3; ++i) fresh.send(1, 0, 0x1, {i});
+    obs::RoundLedger mid(fresh);
+    fresh.reset_stats();
+    for (uint64_t i = 0; i < after; ++i) fresh.send(2, 0, 0x1, {i});
+    fresh.end_round();
+    EXPECT_EQ(mid.sent(), (std::vector<uint64_t>{after}));
+    EXPECT_EQ(mid.dropped(), (std::vector<uint64_t>{0}));
+    EXPECT_EQ(mid.peak_live_bytes(), after * sizeof(Message));
+  }
+}
+
+TEST(RoundLedger, MatchesBruteForceOracleUnderFaults) {
+  // Independent oracle: after every end_round(), each per-round column is
+  // recomputed from NetStats snapshot differences and from inbox(u).size()
+  // over all n nodes, scanned in ascending id order. Drop, corrupt and
+  // receive-capacity faults are on from round 1; round 0 plants a tie in
+  // the peak in-degree whose first arrival is the larger id; 600 rounds
+  // cover the 512-round cap.
+  constexpr uint64_t kRounds = 600;
+  for (uint32_t threads : {1u, 3u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    Network net = make_net(64);  // cap 48, columns 64
+    std::unique_ptr<Engine> eng =
+        threads > 1 ? std::make_unique<Engine>(net, EngineConfig{threads, 1, 1})
+                    : nullptr;
+    FaultHooks fh;
+    fh.drop = [](const Message&, uint64_t round, uint64_t idx) {
+      return round > 0 && mix64(round * 0x9e37 + idx) % 10 == 0;
+    };
+    fh.corrupt = [](Message& m, uint64_t round, uint64_t idx) {
+      if (round == 0 || mix64(~round ^ (idx * 31)) % 8 != 0) return false;
+      m.words[0] ^= 1;
+      return true;
+    };
+    fh.recv_cap = [](uint64_t round, uint32_t cap) {
+      return round % 5 == 4 ? cap / 12 : cap;
+    };
+    net.install_fault_hooks(fh);
+    obs::RoundLedger ledger(net);
+
+    const NodeId n = net.n();
+    const NodeId columns = NodeId{1} << floor_log2(n);
+    NetStats prev;
+    Accumulator sent_acc;
+    std::vector<uint64_t> sent, dropped, corrupted;
+    std::vector<uint32_t> max_in;
+    std::vector<uint32_t> node_peak(n, 0);
+    std::vector<uint64_t> node_total(n, 0), hist(33, 0);
+    uint64_t host = 0, attach = 0, peak_round = 0;
+    uint32_t peak = 0;
+    NodeId peak_node = 0;
+    Rng rng(5);
+    for (uint64_t r = 0; r < kRounds; ++r) {
+      if (r == 0) {
+        // Node 9 fills its inbox first, node 4 second: equal in-degree cap.
+        for (uint32_t i = 0; i < net.cap(); ++i) net.send(20, 9, 0x1, {i});
+        for (uint32_t i = 0; i < net.cap(); ++i) net.send(21, 4, 0x1, {i});
+      } else if (r % 50 == 0) {
+        for (NodeId u = 30; u < 40; ++u)
+          for (uint64_t i = 0; i < 8; ++i) net.send(u, 2, 0x1, {i});
+      } else {
+        for (NodeId u = 0; u < n; ++u) {
+          uint64_t k = rng.next_below(4);
+          for (uint64_t i = 0; i < k; ++i) {
+            NodeId v = rng.next_below(4) == 0 ? static_cast<NodeId>(rng.next_below(3))
+                                              : static_cast<NodeId>(rng.next_below(n));
+            if (v != u) net.send(u, v, 0x1, {r});
+          }
+        }
+      }
+      net.end_round();
+
+      const NetStats& st = net.stats();
+      const uint64_t d_sent = st.messages_sent - prev.messages_sent;
+      sent_acc.add(static_cast<double>(d_sent));
+      uint32_t round_max = 0;
+      NodeId round_node = 0;
+      for (NodeId u = 0; u < n; ++u) {
+        const uint32_t deg = static_cast<uint32_t>(net.inbox(u).size());
+        if (deg == 0) continue;
+        ++hist[floor_log2(deg)];
+        node_peak[u] = std::max(node_peak[u], deg);
+        node_total[u] += deg;
+        (u < columns ? host : attach) += deg;
+        if (deg > round_max) {
+          round_max = deg;
+          round_node = u;
+        }
+      }
+      if (round_max > peak) {
+        peak = round_max;
+        peak_node = round_node;
+        peak_round = r;
+      }
+      if (r < obs::RoundLedger::kMaxRounds) {
+        sent.push_back(d_sent);
+        dropped.push_back((st.messages_dropped + st.fault_drops) -
+                          (prev.messages_dropped + prev.fault_drops));
+        corrupted.push_back(st.corrupted - prev.corrupted);
+        max_in.push_back(round_max);
+      }
+      prev = st;
+    }
+
+    // The faults fired, and round 0's tie is the run's peak.
+    ASSERT_GT(net.stats().fault_drops, 0u);
+    ASSERT_GT(net.stats().messages_dropped, 0u);
+    ASSERT_GT(net.stats().corrupted, 0u);
+    EXPECT_EQ(peak, net.cap());
+    EXPECT_EQ(peak_node, 4u);
+    EXPECT_EQ(peak_round, 0u);
+
+    EXPECT_EQ(ledger.rounds(), kRounds);
+    EXPECT_TRUE(ledger.truncated());
+    EXPECT_EQ(ledger.sent(), sent);
+    EXPECT_EQ(ledger.dropped(), dropped);
+    EXPECT_EQ(ledger.corrupted(), corrupted);
+    EXPECT_EQ(ledger.max_in_degree(), max_in);
+    ASSERT_EQ(ledger.live_bytes().size(), sent.size());
+    for (size_t r = 0; r < sent.size(); ++r)
+      EXPECT_EQ(ledger.live_bytes()[r], sent[r] * sizeof(Message));
+    EXPECT_EQ(ledger.sent_per_round().count(), kRounds);
+    EXPECT_EQ(ledger.sent_per_round().mean(), sent_acc.mean());
+    EXPECT_EQ(ledger.sent_per_round().max(), sent_acc.max());
+    EXPECT_EQ(ledger.peak_live_bytes(),
+              static_cast<uint64_t>(sent_acc.max()) * sizeof(Message));
+
+    EXPECT_EQ(ledger.peak_in_degree(), peak);
+    EXPECT_EQ(ledger.peak_node(), peak_node);
+    EXPECT_EQ(ledger.peak_round(), peak_round);
+    EXPECT_EQ(ledger.columns(), columns);
+    EXPECT_EQ(ledger.host_messages(), host);
+    EXPECT_EQ(ledger.attach_messages(), attach);
+    EXPECT_EQ(ledger.degree_histogram(), hist);
+    for (NodeId u = 0; u < n; ++u) {
+      EXPECT_EQ(ledger.max_round_in_degree(u), node_peak[u]) << "node " << u;
+      EXPECT_EQ(ledger.node_messages(u), node_total[u]) << "node " << u;
+    }
+    // Hottest hosts by repeated selection: largest total, smallest id.
+    std::vector<std::pair<NodeId, uint64_t>> hottest;
+    std::vector<uint64_t> left = node_total;
+    for (int k = 0; k < 8; ++k) {
+      NodeId best = 0;
+      for (NodeId u = 1; u < n; ++u)
+        if (left[u] > left[best]) best = u;
+      if (left[best] == 0) break;
+      hottest.emplace_back(best, left[best]);
+      left[best] = 0;
+    }
+    EXPECT_EQ(ledger.hottest(8), hottest);
+  }
 }
 
 TEST(TraceExport, ChromeTraceIsWellFormedAndMonotonic) {
@@ -392,9 +584,9 @@ TEST(JsonCheck, ParsesGoodAndRejectsBadDocuments) {
   }
 }
 
-TEST(Memory, MonitorTracksLiveBytesAndContainerFootprint) {
+TEST(Memory, LedgerTracksLiveBytesAndContainerFootprint) {
   Network net = make_net(8);
-  obs::MemoryMonitor mon(net);
+  obs::RoundLedger mon(net);
   // Round 0: 3 messages in flight; round 1: 1; round 2: none.
   for (NodeId s = 1; s < 4; ++s) net.send(s, 0, 0x1, {s});
   net.end_round();
@@ -403,11 +595,11 @@ TEST(Memory, MonitorTracksLiveBytesAndContainerFootprint) {
   net.end_round();
 
   EXPECT_EQ(mon.peak_live_bytes(), 3 * sizeof(Message));
-  ASSERT_EQ(mon.live_bytes_series().size(), 3u);
-  EXPECT_EQ(mon.live_bytes_series()[0], 3 * sizeof(Message));
-  EXPECT_EQ(mon.live_bytes_series()[1], 1 * sizeof(Message));
-  EXPECT_EQ(mon.live_bytes_series()[2], 0u);
-  EXPECT_FALSE(mon.series_truncated());
+  ASSERT_EQ(mon.live_bytes().size(), 3u);
+  EXPECT_EQ(mon.live_bytes()[0], 3 * sizeof(Message));
+  EXPECT_EQ(mon.live_bytes()[1], 1 * sizeof(Message));
+  EXPECT_EQ(mon.live_bytes()[2], 0u);
+  EXPECT_FALSE(mon.truncated());
 
   const NetMemStats& nm = net.mem_stats();
   EXPECT_EQ(nm.live_msgs_peak, 3u);

@@ -42,8 +42,8 @@
 #include <vector>
 
 #include "common/table.hpp"
+#include "obs/json.hpp"
 #include "obs/trace_export.hpp"
-#include "scenario/metrics.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
