@@ -64,7 +64,7 @@ struct Row {
 
 /// `zipf_s` < 0 selects the uniform control: wave-unique fresh group ids, so
 /// nothing can ever hit. `cache_size` 0 = cache off.
-Row run_cdn(double zipf_s, uint32_t cache_size, uint32_t threads) {
+Row run_cdn(double zipf_s, uint32_t cache_size) {
   Network net = [&] {
     NetConfig cfg;
     cfg.n = kNodes;
@@ -72,7 +72,6 @@ Row run_cdn(double zipf_s, uint32_t cache_size, uint32_t threads) {
     cfg.capacity_factor = 16;
     return Network(cfg);
   }();
-  auto engine = attach_engine(net, threads);
   Shared shared(kNodes, 45, OverlayKind::kButterfly);
   std::unique_ptr<CombiningCache> cache;
   if (cache_size)
@@ -153,7 +152,7 @@ int main(int argc, char** argv) {
               "(%u-node butterfly, %u waves x %llu requests, %u hot keys) ==\n",
               kNodes, kWaves, static_cast<unsigned long long>(kRequests),
               kHotKeys);
-  std::printf("   engine threads: %u\n\n", opts.threads);
+  std::printf("\n");
 
   struct Traffic {
     const char* name;
@@ -168,7 +167,7 @@ int main(int argc, char** argv) {
   for (const Traffic& tr : traffics) {
     Row off{};
     for (uint32_t cs : cache_sizes) {
-      Row r = run_cdn(tr.zipf_s, cs, opts.threads);
+      Row r = run_cdn(tr.zipf_s, cs);
       if (cs == 0) off = r;
       std::string cache_name = cs == 0 ? "off" : "lru" + std::to_string(cs);
       t.add_row({tr.name, cache_name, Table::num(r.rounds),
@@ -176,8 +175,8 @@ int main(int argc, char** argv) {
                  Table::num(r.hits), Table::num(r.evictions),
                  Table::num(r.wall_ms, 1),
                  Table::num(static_cast<double>(r.routed) / off.routed, 2)});
-      json.add(std::string("cdn/") + tr.name + "/" + cache_name, kNodes,
-               opts.threads, r.rounds, r.wall_ms, r.messages,
+      json.add(std::string("cdn/") + tr.name + "/" + cache_name, kNodes, r.rounds,
+               r.wall_ms, r.messages,
                cache_extra(tr.zipf_s, cs, r));
     }
   }

@@ -48,13 +48,12 @@ struct Row {
   uint64_t messages = 0;
   double wall_ms = 0.0;
   uint32_t congestion = 0;
-  uint64_t peak_bytes = 0;  // peak container capacity (net + staged buffers)
+  uint64_t peak_bytes = 0;  // peak network container capacity
   uint64_t allocs = 0;      // capacity-growth events on the same containers
 };
 
-Row run_aggregation_workload(OverlayKind kind, NodeId n, uint32_t threads) {
+Row run_aggregation_workload(OverlayKind kind, NodeId n) {
   Network net = make_overlay_net(n, 42);
-  auto engine = attach_engine(net, threads);
   Shared shared(n, 42, kind);
   const uint64_t groups = n / 4;
   AggregationProblem prob;
@@ -69,13 +68,12 @@ Row run_aggregation_workload(OverlayKind kind, NodeId n, uint32_t threads) {
   AggregationResult res = run_aggregation(shared, net, prob, 1);
   NCC_ASSERT_MSG(res.at_target.size() == groups, "aggregation lost groups");
   return {net.stats().rounds, net.stats().messages_sent, timer.ms(),
-          res.route.congestion, mem_peak_bytes(net, engine.get()),
-          mem_allocs(net, engine.get())};
+          res.route.congestion, net.mem_stats().container_bytes_peak,
+          net.mem_stats().allocs};
 }
 
-Row run_multicast_workload(OverlayKind kind, NodeId n, uint32_t threads) {
+Row run_multicast_workload(OverlayKind kind, NodeId n) {
   Network net = make_overlay_net(n, 43);
-  auto engine = attach_engine(net, threads);
   Shared shared(n, 43, kind);
   const uint64_t groups = n / 8;
   std::vector<MulticastMembership> members;
@@ -90,13 +88,12 @@ Row run_multicast_workload(OverlayKind kind, NodeId n, uint32_t threads) {
   for (NodeId u = 0; u < n; ++u) delivered += !res.received[u].empty();
   NCC_ASSERT_MSG(delivered == n, "multicast missed members");
   return {net.stats().rounds, net.stats().messages_sent, timer.ms(),
-          setup.trees.congestion, mem_peak_bytes(net, engine.get()),
-          mem_allocs(net, engine.get())};
+          setup.trees.congestion, net.mem_stats().container_bytes_peak,
+          net.mem_stats().allocs};
 }
 
-Row run_barrier_workload(OverlayKind kind, NodeId n, uint32_t threads) {
+Row run_barrier_workload(OverlayKind kind, NodeId n) {
   Network net = make_overlay_net(n, 44);
-  auto engine = attach_engine(net, threads);
   Shared shared(n, 44, kind);
   const Overlay& topo = shared.topo();
   constexpr uint32_t kBarriers = 32;
@@ -107,7 +104,7 @@ Row run_barrier_workload(OverlayKind kind, NodeId n, uint32_t threads) {
   NCC_ASSERT_MSG(per_barrier == 2ull * topo.agg_steps() + 2,
                  "barrier schedule drifted off the tree depth");
   return {net.stats().rounds, net.stats().messages_sent, timer.ms(), 0,
-          mem_peak_bytes(net, engine.get()), mem_allocs(net, engine.get())};
+          net.mem_stats().container_bytes_peak, net.mem_stats().allocs};
 }
 
 }  // namespace
@@ -116,13 +113,13 @@ int main(int argc, char** argv) {
   BenchOpts opts = parse_opts(argc, argv);
   std::printf("== OVERLAY: butterfly vs hypercube vs augmented cube vs "
               "radix-4 butterfly (pluggable overlay layer) ==\n");
-  std::printf("   engine threads: %u\n\n", opts.threads);
+  std::printf("\n");
 
   std::vector<NodeId> sizes = opts.quick ? std::vector<NodeId>{128}
                                          : std::vector<NodeId>{128, 512, 2048};
   struct Workload {
     const char* name;
-    Row (*run)(OverlayKind, NodeId, uint32_t);
+    Row (*run)(OverlayKind, NodeId);
   } workloads[] = {{"aggregation", run_aggregation_workload},
                    {"multicast", run_multicast_workload},
                    {"barrier_x32", run_barrier_workload}};
@@ -134,7 +131,7 @@ int main(int argc, char** argv) {
     for (NodeId n : sizes) {
       Row base{};
       for (OverlayKind kind : all_overlay_kinds()) {
-        Row r = w.run(kind, n, opts.threads);
+        Row r = w.run(kind, n);
         if (kind == OverlayKind::kButterfly) base = r;
         auto topo = make_overlay(kind, n);
         t.add_row({Table::num(uint64_t{n}), overlay_name(kind),
@@ -143,8 +140,8 @@ int main(int argc, char** argv) {
                    Table::num(r.wall_ms, 1),
                    Table::num(static_cast<double>(r.rounds) / base.rounds, 2),
                    Table::num(static_cast<double>(r.messages) / base.messages, 2)});
-        json.add(std::string(w.name) + "/" + overlay_name(kind), n, opts.threads,
-                 r.rounds, r.wall_ms, r.messages,
+        json.add(std::string(w.name) + "/" + overlay_name(kind), n, r.rounds,
+                 r.wall_ms, r.messages,
                  mem_extra(r.peak_bytes, r.allocs));
       }
     }

@@ -1,7 +1,9 @@
 # ctest acceptance check for the sweep subsystem: one `ncc_run --sweep` run
 # over the checked-in grid specs must emit byte-identical BENCH_sweeps.json
-# at --threads 1 and --threads 8 (with --no-timing the output is a pure
-# function of (spec, seed); partition/heal and byzantine cells included).
+# at --threads 1 and --threads 8: the cells run one at a time or eight at
+# once, and the cell runner emits them in cell order (with --no-timing the
+# output is a pure function of (spec, seed); partition/heal and byzantine
+# cells included).
 #
 #   cmake -DNCC_RUN=<path> -DSCEN_DIR=<path> -DOUT_DIR=<path> -P sweep_determinism.cmake
 foreach(var NCC_RUN SCEN_DIR OUT_DIR)

@@ -1,10 +1,10 @@
 # ctest acceptance check for the observability layer: with --no-timing, both
 # the scenario JSON (carrying the deterministic "spans"/"congestion"/"flows"
 # sections) and the Chrome trace-event file from `ncc_run --trace` must be
-# byte-identical at --threads 1 and --threads 8 — spans, congestion counters,
-# live-message-bytes counters, and sampled token flows are derived only from
-# rounds + NetStats + the sequential deposit/arrive order, all thread-count
-# invariant. The trace file must also pass trace_check, which additionally
+# byte-identical at --threads 1 and --threads 8 — the cell runner emits in
+# cell order, and spans, congestion counters, live-message-bytes counters,
+# and sampled token flows are derived only from rounds + NetStats + the
+# router's deposit/arrive order, all a pure function of (spec, seed). The trace file must also pass trace_check, which additionally
 # asserts the memory counter track and at least one sampled flow exist
 # (--require-memory/--require-flows) with matched flow begin/end ids.
 #

@@ -3,8 +3,8 @@
 //
 // Users are call- or run-wide tables keyed by group or node id: the overlay
 // router's group metadata and rank caches, its root values and root columns,
-// the primitives' per-call group tables, the network's per-shard drop
-// generators, and sets and counters in the algorithms. The router's
+// the primitives' per-call group tables, the network's per-destination
+// drop generators, and sets and counters in the algorithms. The router's
 // per-routing-state tables are not FlatMaps: a state holds few groups (at
 // most the congestion), so its queue and its multicast-tree children are
 // short vectors scanned linearly (see overlay/router.hpp).
@@ -16,9 +16,9 @@
 //
 // Determinism note: iteration order differs from std::unordered_map (slot
 // order, which depends on insertion history). Callers either drain in slot
-// order after a sequential fill (a pure function of the insertion history,
-// so thread-count invariant) or use the map order-insensitively; the
-// catalog byte-identity checks pin this down.
+// order after a fill in a fixed order (a pure function of the insertion
+// history) or use the map order-insensitively; the catalog byte-identity
+// checks pin this down.
 #pragma once
 
 #include <algorithm>

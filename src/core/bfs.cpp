@@ -1,7 +1,6 @@
 #include "core/bfs.hpp"
 
 #include "common/assert.hpp"
-#include "engine/engine.hpp"
 #include "obs/tracer.hpp"
 #include "primitives/aggregate_broadcast.hpp"
 
@@ -23,34 +22,25 @@ BfsResult run_bfs(const Shared& shared, Network& net, const Graph& g,
 
   std::vector<NodeId> active{source};
   std::vector<Val> payload(n, Val{0, 0});
-  const uint32_t S = engine_shards(net);
-  std::vector<std::vector<NodeId>> parts(S);
   while (true) {
     ++res.phases;
     obs::Span phase_span(net, "bfs.phase");
-    engine_for(net, active.size(),
-               [&](uint64_t i) { payload[active[i]] = Val{active[i], 0}; });
+    for (NodeId u : active) payload[u] = Val{u, 0};
     auto exch = neighborhood_exchange(shared, net, bt, active, payload,
                                       agg::min_by_first,
                                       mix64(rng_tag ^ (res.phases * 977)));
-    // Frontier scan: per-node state only; the next frontier is collected per
-    // shard and concatenated in shard order (== node order).
-    engine_ranges(net, n, [&](uint32_t s, uint64_t b, uint64_t e) {
-      for (NodeId u = static_cast<NodeId>(b); u < static_cast<NodeId>(e); ++u) {
-        if (res.dist[u] != UINT32_MAX || !exch.at_node[u].has_value()) continue;
-        res.dist[u] = res.phases;
-        res.parent[u] = static_cast<NodeId>((*exch.at_node[u])[0]);
-        parts[s].push_back(u);
-      }
-    });
+    // Frontier scan in node order: the newly reached nodes form the next
+    // frontier.
     std::vector<NodeId> next;
-    for (uint32_t s = 0; s < S; ++s) {
-      next.insert(next.end(), parts[s].begin(), parts[s].end());
-      parts[s].clear();
+    for (NodeId u = 0; u < n; ++u) {
+      if (res.dist[u] != UINT32_MAX || !exch.at_node[u].has_value()) continue;
+      res.dist[u] = res.phases;
+      res.parent[u] = static_cast<NodeId>((*exch.at_node[u])[0]);
+      next.push_back(u);
     }
     // Synchronize and decide termination: did anyone get newly reached?
     std::vector<std::optional<Val>> inputs(n);
-    engine_for(net, next.size(), [&](uint64_t i) { inputs[next[i]] = Val{1, 0}; });
+    for (NodeId u : next) inputs[u] = Val{1, 0};
     auto ab = aggregate_and_broadcast(topo, net, inputs, agg::sum);
     if (!ab.value.has_value()) break;
     active = std::move(next);

@@ -15,8 +15,7 @@ constexpr uint32_t kTagToken = 0x5000;
 // Gossip as a NodeProgram: in round r, node u sends its token to the next
 // `cap` nodes in cyclic order — every node receives exactly `cap` distinct
 // tokens per round, saturating the receive capacity, which is what makes the
-// bound tight. The per-node steps run shard-parallel under an attached
-// engine; the round-global cursor advances in done(), at the barrier.
+// bound tight. The round-global cursor advances in done(), at the barrier.
 class GossipProgram final : public NodeProgram {
  public:
   explicit GossipProgram(Network& net)
@@ -24,7 +23,7 @@ class GossipProgram final : public NodeProgram {
     batch_ = next_batch();
   }
 
-  void step(NodeId u, uint64_t, const InboxView&, MsgSink& out) override {
+  void step(NodeId u, uint64_t, const InboxView&, Network& out) override {
     for (uint64_t j = 1; j <= batch_; ++j) {
       NodeId dst = static_cast<NodeId>((u + sent_offset_ + j) % n_);
       out.send(u, dst, kTagToken, {u});

@@ -1,7 +1,6 @@
 #include "core/mis.hpp"
 
 #include "common/assert.hpp"
-#include "engine/engine.hpp"
 #include "obs/tracer.hpp"
 #include "primitives/aggregate_broadcast.hpp"
 
@@ -15,25 +14,13 @@ MisResult run_mis(const Shared& shared, Network& net, const Graph& g,
   uint64_t start_rounds = net.stats().total_rounds();
 
   MisResult res;
-  // Byte flags, not vector<bool>: parallel node steps write distinct
-  // elements, and bit-packed flags would share bytes across shard bounds.
   std::vector<uint8_t> in_mis(n, 0);
   std::vector<uint8_t> active(n, 1);
 
   NCC_ASSERT_MSG(n < (NodeId{1} << 24), "value/id packing assumes n < 2^24");
   // Per-(phase, node) PRF draws instead of one sequential stream: every node
-  // derives its coin from (seed, phase, u), which the engine contract
-  // requires — parallel node steps may not share an Rng.
+  // derives its coin from (seed, phase, u), its own local randomness.
   const uint64_t draw_seed = shared.local_rng(mix64(0x315a9 ^ rng_tag)).next();
-
-  const uint32_t S = engine_shards(net);
-  std::vector<std::vector<NodeId>> parts(S);
-  auto collect = [&](std::vector<NodeId>& dst) {
-    for (uint32_t s = 0; s < S; ++s) {
-      dst.insert(dst.end(), parts[s].begin(), parts[s].end());
-      parts[s].clear();
-    }
-  };
 
   while (true) {
     ++res.phases;
@@ -43,48 +30,37 @@ MisResult run_mis(const Shared& shared, Network& net, const Graph& g,
     // Draw r(u) for active nodes; the id suffix makes values distinct, which
     // implements the tie-break of the continuous-[0,1] analysis.
     std::vector<Val> payload(n, Val{0, 0});
-    engine_ranges(net, n, [&](uint32_t s, uint64_t b, uint64_t e) {
-      for (NodeId u = static_cast<NodeId>(b); u < static_cast<NodeId>(e); ++u) {
-        if (!active[u]) continue;
-        uint64_t r = mix64(phase_seed ^ (uint64_t{u} + 1)) >> 24;  // 40 random bits
-        payload[u] = Val{(r << 24) | u, 0};
-        parts[s].push_back(u);
-      }
-    });
     std::vector<NodeId> senders;
-    collect(senders);
+    for (NodeId u = 0; u < n; ++u) {
+      if (!active[u]) continue;
+      uint64_t r = mix64(phase_seed ^ (uint64_t{u} + 1)) >> 24;  // 40 random bits
+      payload[u] = Val{(r << 24) | u, 0};
+      senders.push_back(u);
+    }
     auto exch = neighborhood_exchange(shared, net, bt, senders, payload,
                                       agg::min_by_first,
                                       mix64(rng_tag ^ (res.phases * 131 + 1)));
     // Join the MIS iff own value beats the minimum among active neighbors
     // (or there is no active neighbor at all).
-    engine_ranges(net, senders.size(), [&](uint32_t s, uint64_t b, uint64_t e) {
-      for (uint64_t i = b; i < e; ++i) {
-        NodeId u = senders[i];
-        const auto& got = exch.at_node[u];
-        if (!got.has_value() || payload[u][0] < (*got)[0]) {
-          in_mis[u] = 1;
-          active[u] = 0;
-          parts[s].push_back(u);
-        }
-      }
-    });
     std::vector<NodeId> joined;
-    collect(joined);
+    for (NodeId u : senders) {
+      const auto& got = exch.at_node[u];
+      if (!got.has_value() || payload[u][0] < (*got)[0]) {
+        in_mis[u] = 1;
+        active[u] = 0;
+        joined.push_back(u);
+      }
+    }
     // Joiners knock out their neighbors.
     auto knock = neighborhood_exchange(shared, net, bt, joined, payload,
                                        agg::min_by_first,
                                        mix64(rng_tag ^ (res.phases * 131 + 2)));
-    engine_for(net, n, [&](uint64_t ui) {
-      NodeId u = static_cast<NodeId>(ui);
+    for (NodeId u = 0; u < n; ++u)
       if (active[u] && knock.at_node[u].has_value()) active[u] = 0;
-    });
     // Termination: any active node left?
     std::vector<std::optional<Val>> inputs(n);
-    engine_for(net, n, [&](uint64_t ui) {
-      NodeId u = static_cast<NodeId>(ui);
+    for (NodeId u = 0; u < n; ++u)
       if (active[u]) inputs[u] = Val{1, 0};
-    });
     auto ab = aggregate_and_broadcast(topo, net, inputs, agg::sum);
     if (!ab.value.has_value()) break;
   }

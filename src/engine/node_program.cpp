@@ -7,7 +7,7 @@ ProgramResult run_program(Network& net, NodeProgram& prog, uint64_t max_rounds) 
   const NodeId n = net.n();
   while (res.rounds < max_rounds) {
     const uint64_t round = res.rounds;
-    engine_send_loop(net, n, [&](uint64_t u, MsgSink& out) {
+    engine_send_loop(net, n, [&](uint64_t u, Network& out) {
       NodeId id = static_cast<NodeId>(u);
       prog.step(id, round, net.inbox(id), out);
     });

@@ -1,12 +1,11 @@
-// NodeProgram: a per-node synchronous-round protocol executed by the round
-// engine. Every round, each node reads the inbox delivered at the round
-// start and stages its sends; the engine runs the per-node steps
-// shard-parallel and closes the round at the barrier.
+// NodeProgram: a per-node synchronous-round protocol. Every round, each node
+// reads the inbox delivered at the round start and sends; the steps run in
+// node order and the round closes at the barrier.
 //
-// Contract: step(u, ...) runs concurrently with steps of other nodes and may
-// only touch node-u state (disjoint writes). Randomness must be derived from
-// (seed, round, u), not drawn from a shared stream. done() runs sequentially
-// between rounds and may inspect global state (inboxes, stats).
+// Contract: step(u, ...) models node u's local computation, so it may only
+// touch node-u state. Randomness must be derived from (seed, round, u), not
+// drawn from a shared stream. done() runs between rounds and may inspect
+// global state (inboxes, stats).
 #pragma once
 
 #include <cstdint>
@@ -23,10 +22,9 @@ class NodeProgram {
   virtual ~NodeProgram() = default;
 
   /// One round of node `u`: `inbox` views the messages delivered to u at the
-  /// start of this round (in the network's flat inbox arena); stage sends
-  /// via `out`.
+  /// start of this round (in the network's flat inbox arena); send via `out`.
   virtual void step(NodeId u, uint64_t round, const InboxView& inbox,
-                    MsgSink& out) = 0;
+                    Network& out) = 0;
 
   /// Called after each round barrier (sequentially); return true to stop.
   virtual bool done(uint64_t rounds_run) = 0;
@@ -37,8 +35,7 @@ struct ProgramResult {
 };
 
 /// Run `prog` on every node of `net` until done() returns true (or
-/// max_rounds). Uses the attached engine when present; results are identical
-/// either way.
+/// max_rounds).
 ProgramResult run_program(Network& net, NodeProgram& prog,
                           uint64_t max_rounds = UINT64_MAX);
 

@@ -305,7 +305,7 @@ const IdentRule kIdentRules[] = {
     {"this_thread", "thread-identity", Shape::Distinct,
      "thread identity must never feed deterministic bytes"},
     {"thread_local", "thread-identity", Shape::Distinct,
-     "per-thread state feeding outputs breaks threads=1 == threads=T"},
+     "per-thread state feeding outputs makes them depend on the thread"},
     {"pthread_self", "thread-identity", Shape::Distinct, "thread identity"},
     {"gettid", "thread-identity", Shape::Call, "thread identity"},
     // unordered containers

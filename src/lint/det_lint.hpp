@@ -1,8 +1,9 @@
 // det_lint — static checker for the deterministic byte-prefix contract.
 //
-// The repo's central invariant (docs/DETERMINISM.md) is that threads=1 and
-// threads=T produce bit-identical deterministic bytes: algorithm outputs,
-// NetStats, scenario JSON, and the trace prefix. Until now that contract was
+// The repo's central invariant (docs/DETERMINISM.md) is that the
+// deterministic bytes — algorithm outputs, NetStats, scenario JSON, and the
+// trace prefix — are a pure function of (spec, seed), so reruns and any
+// `ncc_run --threads` value reproduce them exactly. Until now that contract was
 // enforced only dynamically — ctest byte-compares catch a violation only if a
 // test happens to exercise it. This pass enforces it statically: every
 // translation unit under src/ is classified by a checked-in manifest

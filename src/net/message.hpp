@@ -43,7 +43,7 @@ struct Message {
   }
 };
 
-/// Flat wire header of one staged/pending/delivered message. Node ids and the
+/// Flat wire header of one pending/delivered message. Node ids and the
 /// tag are 32-bit (NodeId is uint32_t — a million-node run uses 20 of them);
 /// the payload words live out of line in the owning MsgArena's word store, so
 /// a header is 20 bytes against Message's 48 and a buffer of k messages costs
@@ -57,11 +57,11 @@ struct MsgHdr {
 };
 
 /// Struct-of-arrays message buffer: one contiguous header array plus one
-/// contiguous payload-word array. This is the engine's staged-send buffer and
-/// the network's pending/inbox representation; buffers are pooled and reused
-/// across rounds (clear() keeps capacity), so steady-state rounds allocate
-/// nothing. Capacity-growth events are counted internally and drained by the
-/// accounting layer via take_allocs() — exactly once per fill cycle.
+/// contiguous payload-word array. This is the network's pending-send
+/// representation; the buffer is reused across rounds (clear() keeps
+/// capacity), so steady-state rounds allocate nothing. Capacity-growth
+/// events are counted internally and drained by the accounting layer via
+/// take_allocs() — exactly once per fill cycle.
 class MsgArena {
  public:
   size_t size() const { return hdr_.size(); }
@@ -119,9 +119,8 @@ class MsgArena {
   const MsgHdr* hdrs() const { return hdr_.data(); }
   const uint64_t* words() const { return words_.data(); }
 
-  /// Capacity-growth events since the last take_allocs(); the accounting
-  /// layer that owns the fill cycle (engine shard memory or NetMemStats)
-  /// drains this exactly once per cycle.
+  /// Capacity-growth events since the last take_allocs(); the network drains
+  /// this into NetMemStats exactly once per round.
   uint64_t take_allocs() {
     uint64_t a = allocs_;
     allocs_ = 0;

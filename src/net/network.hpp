@@ -12,22 +12,20 @@
 // primitive and algorithm runs real messages through it, and benches report
 // `rounds()`.
 //
-// Delivery at end_round() is shard-parallel when an engine (src/engine/) is
-// attached: destinations are split into contiguous shards, each shard
-// enforces its nodes' receive capacities independently, and the drop RNG is
-// forked per (round, destination) — so inboxes and NetStats are bit-identical
-// for any thread/shard count, including the sequential fallback.
+// A round runs on the caller thread: sends append to one pending arena in
+// send order, and end_round() delivers it in one pass. The drop subset of an
+// overloaded destination is drawn from an RNG forked per (round,
+// destination), so it depends on nothing but the seed and that
+// destination's own arrivals.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <span>
 #include <vector>
 
 #include "common/flat_map.hpp"
 #include "common/fn_ref.hpp"
 #include "common/rng.hpp"
-#include "engine/shard.hpp"
 #include "net/message.hpp"
 
 namespace ncc {
@@ -58,18 +56,18 @@ struct NetStats {
   uint64_t total_rounds() const { return rounds + charged_rounds; }
 };
 
-/// Memory-accounting counters for the network's hot containers (pending run
-/// arenas + pool, the flat inbox arena, the scatter index rows, per-node
-/// offset arrays). Split by determinism class: the live-message peaks are
-/// derived from per-round message counts and are thread-count invariant; the
-/// capacity/allocation counters depend on the shard layout and buffer-reuse
-/// history, so — like wall-clock — they are observational only and must never
-/// reach determinism-compared bytes (emitters gate them behind the memory
-/// flag, see obs::RoundLedger::write_memory_json).
+/// Memory-accounting counters for the network's hot containers (the pending
+/// arena, the flat inbox arena, per-node offset arrays). Split by
+/// determinism class: the live-message peaks are derived from per-round
+/// message counts and are part of the deterministic output; the
+/// capacity/allocation counters depend on the container layout and
+/// buffer-reuse history, so — like wall-clock — they are observational only
+/// and must never reach determinism-compared bytes (emitters gate them
+/// behind the memory flag, see obs::RoundLedger::write_memory_json).
 struct NetMemStats {
-  // Thread-count invariant (message counts are part of the determinism
-  // contract; sizeof(Message) — the logical AoS message size — is a
-  // constant, kept as the unit so the series is layout-independent).
+  // Deterministic (message counts are part of the determinism contract;
+  // sizeof(Message) — the logical AoS message size — is a constant, kept as
+  // the unit so the series is layout-independent).
   uint64_t live_msgs_peak = 0;   // max messages in flight in any one round
   uint64_t live_bytes_peak = 0;  // live_msgs_peak in message bytes
   // Observational only: capacity footprint + allocation counts.
@@ -133,29 +131,28 @@ class InboxView {
 };
 
 class Engine;
+namespace obs {
+class Tracer;
+class FlowSampler;
+}  // namespace obs
 
-/// Runs fn(0..tasks-1) to completion on `engine`'s pool (any interleaving —
-/// the delivery algorithm is shard-order independent). Defined in
-/// engine/engine.cpp.
-void engine_deliver(Engine& engine, uint32_t tasks, FnRef<void(uint32_t)> fn);
+/// Times one delivery on `engine` (observational only: the same delivery
+/// runs with or without an engine). Defined in engine/engine.cpp.
+void engine_deliver(Engine& engine, FnRef<void()> deliver);
 
-/// Execution hooks installed by an attached engine. The network itself stays
-/// engine-agnostic: `engine` is an opaque back-pointer (Engine::of reads it,
-/// delivery runs through engine_deliver), `shards` is the preferred shard
-/// count.
-struct NetExecHooks {
+/// What is attached to a network, at most one of each. The attachments find
+/// themselves with a field read (Engine::of, obs::Tracer::of,
+/// obs::FlowSampler::of); none of them changes a send or delivery path.
+struct NetAttachments {
   Engine* engine = nullptr;
-  uint32_t shards = 1;
-  /// Rounds with fewer pending messages deliver single-shard (perf knob; the
-  /// delivery result is shard-count independent either way).
-  uint64_t min_messages = 1024;
+  obs::Tracer* tracer = nullptr;
+  obs::FlowSampler* flow = nullptr;
 };
 
-/// Fault-injection hooks (installed by scenario::FaultInjector). All three run
-/// on the caller thread at the top of end_round(), *before* delivery is
-/// sharded — the pending-message order is thread-count independent (engine
-/// determinism contract), so fault decisions keyed on (round, pending index)
-/// are too.
+/// Fault-injection hooks (installed by scenario::FaultInjector). All run at
+/// the top of end_round(), before delivery, over the pending messages in
+/// send order — so fault decisions keyed on (round, pending index) are a
+/// pure function of the seed.
 struct FaultHooks {
   /// Called once per end_round() with the round about to be closed, before
   /// any filtering; may throw to abort a runaway execution (round limits).
@@ -188,27 +185,8 @@ class Network {
     send(Message(src, dst, tag, words));
   }
 
-  /// Bulk staging: queue a whole buffer of messages in one call, with the
-  /// same per-message accounting and ordering as a send() loop. Used by the
-  /// router's per-shard merges so staged shard buffers are handed over
-  /// wholesale instead of message by message.
-  void send_bulk(std::span<const Message> msgs);
-
-  /// Arena handoff, the zero-copy bulk path: callers (the engine's
-  /// send_loop) fill a pooled arena off-thread and stage it wholesale as the
-  /// next sorted run of this round's pending traffic. stage_run() only scans
-  /// the 20-byte headers for send accounting — no message is copied. Runs
-  /// concatenate in staging order, so handing over per-shard arenas in shard
-  /// order reproduces the sequential send order exactly (the determinism
-  /// contract's merge step). Arenas are recycled into an internal pool at
-  /// end_round(); acquire from the pool so capacity is reused across rounds.
-  MsgArena acquire_arena();
-  void stage_run(MsgArena&& run);
-
   /// Close the current round: enforce capacities, deliver messages into the
-  /// per-node inboxes, advance the round counter. Runs shard-parallel across
-  /// destinations when exec hooks are installed; the result is identical
-  /// either way.
+  /// per-node inboxes, advance the round counter.
   void end_round();
 
   /// Inbox of `u` holding the messages delivered at the start of the current
@@ -217,10 +195,10 @@ class Network {
   InboxView inbox(NodeId u) const;
 
   /// Calls fn(u, inbox(u).size()) once for every node that received
-  /// messages in the last round, walking the delivery's touched lists — in
-  /// first-arrival order per shard, not in id order. Costs O(touched nodes);
-  /// nothing after reset_stats() until the next end_round(). Read-only: the
-  /// lists are written by the delivery shards inside end_round().
+  /// messages in the last round, walking the delivery's touched list — in
+  /// first-arrival order (ascending id when a delivery hook is attached), not
+  /// in id order. Costs O(touched nodes); nothing after reset_stats() until
+  /// the next end_round().
   void for_each_delivered(FnRef<void(NodeId, uint32_t)> fn) const;
 
   /// Charge `k` rounds without simulating them (used only for the
@@ -242,8 +220,8 @@ class Network {
   /// ad-hoc probes in tests). Each receives the message and the round
   /// in which it was delivered. Hooks are an ordered subscriber list: every
   /// subscriber sees the identical stream, sequentially in (destination,
-  /// arrival) order — engine or not — and within one message subscribers run
-  /// in subscription order. Subscribers must unsubscribe (remove) before
+  /// arrival) order, and within one message subscribers run in subscription
+  /// order. Subscribers must unsubscribe (remove) before
   /// they are destroyed.
   using DeliveryHook = std::function<void(const Message&, uint64_t round)>;
   HookId add_delivery_hook(DeliveryHook hook);
@@ -277,16 +255,15 @@ class Network {
   }
 
   /// Reset round/message statistics (topology and config are kept). Also
-  /// clears pending traffic and the per-shard delivery staging.
+  /// clears pending traffic and the delivered inboxes.
   void reset_stats();
   /// Number of reset_stats() calls so far: observers that difference the
   /// cumulative stats compare it to know when to rebase to zero.
   uint64_t stats_resets() const { return stats_resets_; }
 
-  /// Engine attachment (see src/engine/engine.hpp).
-  void install_exec_hooks(NetExecHooks hooks);
-  void clear_exec_hooks() { hooks_ = NetExecHooks{}; }
-  const NetExecHooks& exec_hooks() const { return hooks_; }
+  /// Engine / tracer / flow-sampler attachment (see NetAttachments).
+  NetAttachments& attached() { return attached_; }
+  const NetAttachments& attached() const { return attached_; }
 
  private:
   template <typename Hook>
@@ -301,15 +278,10 @@ class Network {
   NetStats stats_;
   uint64_t stats_resets_ = 0;
   NetMemStats mem_;
-  NetExecHooks hooks_;
+  NetAttachments attached_;
   FaultHooks faults_;
-  // Pending traffic as an ordered list of sorted runs: direct send()s append
-  // to an open tail arena, stage_run() hands over closed per-shard arenas in
-  // shard order — concatenating the runs in list order is the round's global
-  // send order. Arenas recycle through pool_ so capacity survives rounds.
-  std::vector<MsgArena> runs_;
-  bool tail_open_ = false;  // runs_.back() accepts direct send()s
-  std::vector<MsgArena> pool_;
+  // This round's sends, in send order; capacity survives rounds.
+  MsgArena pending_;
   std::vector<uint32_t> send_count_;  // per-node sends this round
   // Distinct senders of this round, senders_[0 .. senders_cnt_): the
   // send-load pass walks (and re-zeroes) only these.
@@ -322,39 +294,19 @@ class Network {
   std::vector<uint64_t> inbox_words_;
   std::vector<uint64_t> inbox_off_;
   std::vector<uint32_t> inbox_cnt_;
-  // Distinct destinations of the last round, per destination shard: shard
-  // s's list starts at dst_touched_[dst_plan_.begin(s)] (a node belongs to
-  // one shard, so the lists tile one n-slot array) and holds
-  // acc_[s].touched entries in first-arrival order (sorted once placement
-  // is done when a delivery hook is attached). Every per-node pass
-  // walks these instead of the shard's node range, and the next round
-  // zeroes exactly these stale inbox counts — a round costs O(messages +
-  // touched nodes), not O(n).
+  // Distinct destinations of the last round, dst_touched_[0 .. touched_cnt_),
+  // in first-arrival order (sorted once placement is done when a delivery
+  // hook is attached). Every per-node pass walks these instead of all n
+  // nodes, and the next round zeroes exactly these stale inbox counts — a
+  // round costs O(messages + touched nodes), not O(n).
   std::vector<NodeId> dst_touched_;
-  ShardPlan dst_plan_;
-  // Per-round delivery staging (members so capacity is reused):
-  // scatter_[p * S + s] = global pending indices of chunk p's messages for
-  // destination shard s, ascending (the counting-sort index pass).
-  std::vector<std::vector<uint32_t>> scatter_;
-  std::vector<uint64_t> scatter_allocs_;  // per-chunk row growths this round
-  // run_start_[r] = global send-order index of run r's first message.
-  std::vector<uint64_t> run_start_;
-  struct ShardAcc {
-    uint32_t max_recv = 0;
-    uint32_t touched = 0;     // distinct destinations in this shard
-    uint64_t dropped = 0;
-    uint64_t hdr_total = 0;   // headers delivered into this shard's inboxes
-    uint64_t word_total = 0;  // this shard's span of the inbox word store
-    uint64_t hdr_base = 0;    // shard prefix of hdr_total / word_total
-    uint64_t word_base = 0;
-  };
-  std::vector<ShardAcc> acc_;  // per destination shard
-  // Reservoir RNGs of this round's overloaded destinations, per shard
-  // (lookup/emplace only, never iterated).
-  std::vector<FlatMap<Rng>> drop_rng_;
+  uint32_t touched_cnt_ = 0;
+  // Reservoir RNGs of this round's overloaded destinations (lookup/emplace
+  // only, never iterated).
+  FlatMap<Rng> drop_rng_;
   // Per-node scratch for the count/placement passes, all zero between
   // rounds (placement re-zeroes its touched nodes). recv_seen_[u] is the
-  // full addressed (pre-drop) count, which the merged-view stats read;
+  // full addressed (pre-drop) count, which max_recv_load reads;
   // wsum_[u] is the node's inbox word budget during the count pass and is
   // reused as its arrival counter during placement; word_off_[u] is the
   // node's word cursor.

@@ -32,7 +32,7 @@ struct BenchDiffPolicy {
 struct BenchDiffIssue {
   enum class Severity { Warn, Fail };
   Severity severity = Severity::Warn;
-  std::string row;     // "engine_gossip n=512 threads=2"
+  std::string row;     // "engine_gossip n=512 threads=1"
   std::string metric;  // which metric drifted (empty for row-level issues)
   double baseline = 0.0;
   double fresh = 0.0;

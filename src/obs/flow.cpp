@@ -1,44 +1,19 @@
 #include "obs/flow.hpp"
 
-#include <mutex>
-
 #include "common/assert.hpp"
 #include "common/rng.hpp"
 
 namespace ncc::obs {
 
-namespace {
-
-std::mutex g_registry_mu;
-// det-lint: observational — process-local attach bookkeeping; the pointer keys
-// never leave the process and the map is never iterated
-std::unordered_map<const Network*, FlowSampler*>& registry() {
-  // det-lint: observational — same process-local attach bookkeeping
-  static std::unordered_map<const Network*, FlowSampler*> reg;
-  return reg;
-}
-
-}  // namespace
-
 FlowSampler::FlowSampler(Network& net, uint64_t seed, uint32_t max_flows,
                          uint32_t max_hops)
     : net_(net), seed_(seed), max_flows_(max_flows), max_hops_(max_hops) {
-  std::lock_guard<std::mutex> lk(g_registry_mu);
-  auto [it, fresh] = registry().emplace(&net_, this);
-  NCC_ASSERT_MSG(fresh, "network already has a flow sampler attached");
-  (void)it;
+  NCC_ASSERT_MSG(net_.attached().flow == nullptr,
+                 "network already has a flow sampler attached");
+  net_.attached().flow = this;
 }
 
-FlowSampler::~FlowSampler() {
-  std::lock_guard<std::mutex> lk(g_registry_mu);
-  registry().erase(&net_);
-}
-
-FlowSampler* FlowSampler::of(const Network& net) {
-  std::lock_guard<std::mutex> lk(g_registry_mu);
-  auto it = registry().find(&net);
-  return it == registry().end() ? nullptr : it->second;
-}
+FlowSampler::~FlowSampler() { net_.attached().flow = nullptr; }
 
 void FlowSampler::record_hop(uint64_t group, bool up, uint32_t level,
                              uint32_t edge, NodeId host, uint64_t round,
@@ -50,7 +25,7 @@ void FlowSampler::record_hop(uint64_t group, bool up, uint32_t level,
     if (flows_.size() < max_flows_) {
       // The first group each phase routes is always followed; the rest are
       // admitted by seeded hash, so the same groups are sampled on every
-      // rerun of the spec no matter the thread count.
+      // rerun of the spec.
       take = !phase_seen_[up ? 1 : 0] ||
              (mix64(seed_ ^ group ^ (up ? 0x7570ULL : 0x646eULL)) & 3) == 0;
     }

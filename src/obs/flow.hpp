@@ -4,18 +4,17 @@
 // A FlowSampler attaches to a Network (at most one per network, discovered
 // via FlowSampler::of like Tracer::of) and records, for a small seeded sample
 // of aggregation groups, every routing hop their packet takes through the
-// overlay: (phase, level, out-edge, host, round). The router reports hops on
-// the caller thread at deposit/arrive time — the points where the shard-
-// merged effects are applied in deterministic order — so the recorded flows
-// are a pure function of (spec, seed): bit-identical at threads=1 vs
-// threads=T, under every fault model. The Perfetto exporter renders each
-// flow as a chain of flow events (ph s/t/f sharing one id), which makes a
-// congestion peak clickable back to the routes that caused it; trace_check
-// validates that every flow id's begin/end pair matches.
+// overlay: (phase, level, out-edge, host, round). The router reports hops at
+// deposit/arrive time — its merge points, which run in a fixed order — so
+// the recorded flows are a pure function of (spec, seed), under every fault
+// model. The Perfetto exporter renders each flow as a chain of flow events
+// (ph s/t/f sharing one id), which makes a congestion peak clickable back to
+// the routes that caused it; trace_check validates that every flow id's
+// begin/end pair matches.
 //
 // Sampling is by seeded hash of the group id (admission order is the
 // deterministic deposit order, capped at max_flows), so the same groups are
-// followed on every rerun of a spec regardless of thread count.
+// followed on every rerun of a spec.
 #pragma once
 
 #include <cstdint>
@@ -58,11 +57,10 @@ class FlowSampler {
   FlowSampler(const FlowSampler&) = delete;
   FlowSampler& operator=(const FlowSampler&) = delete;
 
-  /// The sampler attached to `net`, or nullptr.
-  static FlowSampler* of(const Network& net);
+  /// The sampler attached to `net`, or nullptr (a field read).
+  static FlowSampler* of(const Network& net) { return net.attached().flow; }
 
-  /// Called by the router on the caller thread for every packet deposit /
-  /// multicast arrival. Samples by seeded hash of `group`; a no-op for
+  /// Called by the router for every packet deposit / multicast arrival. Samples by seeded hash of `group`; a no-op for
   /// unsampled groups.
   void record_hop(uint64_t group, bool up, uint32_t level, uint32_t edge,
                   NodeId host, uint64_t round, bool cache_hit = false);

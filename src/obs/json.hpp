@@ -3,8 +3,7 @@
 // JsonWriter is the single JSON emitter of the repo's machine-readable
 // outputs: a tiny ordered writer whose output is a pure function of the
 // values written — runs that produce identical metrics produce byte-identical
-// JSON, which is what the determinism acceptance checks (threads=1 vs
-// threads=8) compare. It lives in obs/ because the tracing/congestion
+// JSON, which is what the determinism acceptance checks compare. It lives in obs/ because the tracing/congestion
 // exporters sit below the scenario layer.
 #pragma once
 

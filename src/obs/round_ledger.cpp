@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/bits.hpp"
-#include "engine/engine.hpp"
 
 namespace ncc::obs {
 
@@ -93,21 +92,6 @@ std::vector<std::pair<NodeId, uint64_t>> RoundLedger::hottest(size_t k) const {
   return all;
 }
 
-uint64_t RoundLedger::total_allocs() const {
-  uint64_t allocs = net_.mem_stats().allocs;
-  if (Engine* eng = Engine::of(net_))
-    for (const EngineShardMemory& m : eng->shard_memory()) allocs += m.allocs;
-  return allocs;
-}
-
-uint64_t RoundLedger::peak_container_bytes() const {
-  uint64_t bytes = net_.mem_stats().container_bytes_peak;
-  if (Engine* eng = Engine::of(net_))
-    for (const EngineShardMemory& m : eng->shard_memory())
-      bytes += m.staged_bytes_peak;
-  return bytes;
-}
-
 void RoundLedger::write_per_round_json(JsonWriter& w) const {
   w.begin_object();
   w.kv("rounds", rounds_);
@@ -158,22 +142,6 @@ void RoundLedger::write_memory_json(JsonWriter& w) const {
   w.kv("live_bytes_peak", nm.live_bytes_peak);
   w.kv("container_bytes_peak", nm.container_bytes_peak);
   w.kv("net_allocs", nm.allocs);
-  w.kv("total_allocs", total_allocs());
-  w.kv("peak_bytes", peak_container_bytes());
-  w.key("staged");
-  w.begin_array();
-  if (Engine* eng = Engine::of(net_)) {
-    for (size_t s = 0; s < eng->shard_memory().size(); ++s) {
-      const EngineShardMemory& m = eng->shard_memory()[s];
-      w.begin_object();
-      w.kv("shard", static_cast<uint64_t>(s));
-      w.kv("msgs_peak", m.staged_msgs_peak);
-      w.kv("bytes_peak", m.staged_bytes_peak);
-      w.kv("allocs", m.allocs);
-      w.end_object();
-    }
-  }
-  w.end_array();
   w.kv("series_truncated", truncated_);
   w.end_object();
 }

@@ -18,13 +18,12 @@
 // O(log n) messages per round, and the augmented cube's aggregation tree
 // puts up to 2d-1 in-messages per round on the root's host.
 //
-// Everything above is derived from NetStats and the delivered inboxes, both
-// thread-count invariant, so the per_round and congestion sections are
-// byte-identical at threads=1 vs threads=T. The memory section is the
-// exception: container capacities and allocation counts (NetMemStats and
-// the engine's per-shard staged buffers) depend on the shard layout, so
-// callers emit it only behind the memory flag (`ncc_run --memory`), never
-// into determinism-compared bytes.
+// Everything above is derived from NetStats and the delivered inboxes, so
+// the per_round and congestion sections are a pure function of (spec,
+// seed). The memory section is the exception: container capacities and
+// allocation counts (NetMemStats) depend on the container layout and
+// buffer-reuse history, so callers emit it only behind the memory flag
+// (`ncc_run --memory`), never into determinism-compared bytes.
 #pragma once
 
 #include <cstdint>
@@ -90,12 +89,6 @@ class RoundLedger {
   const std::vector<uint64_t>& degree_histogram() const { return hist_; }
   /// Top-k nodes by cumulative delivered messages (ties: smaller id first).
   std::vector<std::pair<NodeId, uint64_t>> hottest(size_t k) const;
-
-  /// Observational: network allocs + engine staged-buffer allocs so far.
-  uint64_t total_allocs() const;
-  /// Observational: peak container bytes (network hot containers + engine
-  /// staged buffers), the number bench rows report as `peak_bytes`.
-  uint64_t peak_container_bytes() const;
 
   /// The deterministic `per_round` section (summary + the three columns).
   void write_per_round_json(JsonWriter& w) const;

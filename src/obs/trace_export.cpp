@@ -155,7 +155,7 @@ void write_cell(JsonWriter& w, const TraceCell& cell, uint64_t pid,
     }
   }
 
-  // Wall-clock shard profiles: three back-to-back duration events per shard
+  // Wall-clock engine profile: three back-to-back duration events
   // showing the stage/merge/deliver split. Excluded from deterministic
   // traces — wall time is not reproducible.
   if (!include_timing) return;

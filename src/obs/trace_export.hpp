@@ -1,5 +1,5 @@
 // Chrome trace-event export: renders recorded observability data (phase
-// spans, per-round congestion counters, engine shard wall-clock profiles) as
+// spans, per-round congestion counters, the engine's wall-clock profile) as
 // a trace-event JSON file loadable by chrome://tracing and Perfetto
 // (ui.perfetto.dev).
 //
@@ -12,16 +12,16 @@
 // with `cache = lru`), tracks 10+id each carry one sampled token flow (hop
 // slices chained by flow events "s"/"t"/"f" sharing the flow's id — one
 // track per flow keeps per-track timestamps monotonic, since different
-// flows overlap in time), and tracks 100+s carry shard s's wall-clock stage/merge/
-// deliver profile. The simulated round clock is mapped to trace time at
+// flows overlap in time), and track 100 carries the engine's wall-clock
+// stage/merge/deliver profile. The simulated round clock is mapped to trace time at
 // 1 round = 1000 microseconds, so span durations read directly as round
 // counts in the UI.
 //
 // Determinism: with include_timing=false the emitted bytes are a pure
-// function of spans + counters + live bytes + sampled flows (all
-// thread-count invariant), so the trace file is byte-identical at threads=1
-// vs threads=T — the trace_determinism check compares exactly that.
-// Wall-clock shard tracks only appear with include_timing=true.
+// function of spans + counters + live bytes + sampled flows (all a pure
+// function of (spec, seed)), so the trace file is byte-identical across
+// `ncc_run --threads` values — the trace_determinism check compares exactly
+// that. The wall-clock track only appears with include_timing=true.
 #pragma once
 
 #include <array>
@@ -47,14 +47,14 @@ struct TraceCell {
   /// Per-wave (round, cumulative cache hits, cumulative cache lookups)
   /// samples; empty unless the run used `cache = lru` (deterministic).
   std::vector<std::array<uint64_t, 3>> cache_series;
-  std::vector<EngineShardTiming> shard_timing;  // empty when no engine attached
+  std::vector<EngineShardTiming> shard_timing;  // the engine's profile, if timed
 };
 
 /// Trace-time scale: one simulated round rendered as this many microseconds.
 inline constexpr uint64_t kTraceRoundUs = 1000;
 
 /// Write the whole trace document (`{"traceEvents": [...]}`); `cells` become
-/// processes pid 1..k. Wall-clock shard tracks are emitted only when
+/// processes pid 1..k. The wall-clock track is emitted only when
 /// `include_timing` is set.
 void write_chrome_trace(JsonWriter& w, const std::vector<TraceCell>& cells,
                         bool include_timing);

@@ -1,43 +1,15 @@
 #include "obs/tracer.hpp"
 
-#include <mutex>
-// det-lint: observational — process-local attach registry; never serialized
-#include <unordered_map>
-
 #include "common/assert.hpp"
 
 namespace ncc::obs {
 
-namespace {
-
-std::mutex g_tracer_mu;
-// det-lint: observational — process-local attach bookkeeping; the pointer keys
-// never leave the process and the map is never iterated
-std::unordered_map<const Network*, Tracer*>& tracer_registry() {
-  // det-lint: observational — same process-local attach bookkeeping
-  static std::unordered_map<const Network*, Tracer*> reg;
-  return reg;
-}
-
-}  // namespace
-
 Tracer::Tracer(Network& net, size_t max_spans) : net_(net), max_spans_(max_spans) {
-  std::lock_guard<std::mutex> lk(g_tracer_mu);
-  auto [it, fresh] = tracer_registry().emplace(&net_, this);
-  NCC_ASSERT_MSG(fresh, "network already has a tracer attached");
-  (void)it;
+  NCC_ASSERT_MSG(net_.attached().tracer == nullptr, "network already has a tracer attached");
+  net_.attached().tracer = this;
 }
 
-Tracer::~Tracer() {
-  std::lock_guard<std::mutex> lk(g_tracer_mu);
-  tracer_registry().erase(&net_);
-}
-
-Tracer* Tracer::of(const Network& net) {
-  std::lock_guard<std::mutex> lk(g_tracer_mu);
-  auto it = tracer_registry().find(&net);
-  return it == tracer_registry().end() ? nullptr : it->second;
-}
+Tracer::~Tracer() { net_.attached().tracer = nullptr; }
 
 Tracer::Snapshot Tracer::snap() const {
   const NetStats& s = net_.stats();

@@ -5,12 +5,10 @@
 // round timeline. A span captures the half-open round interval [begin_round,
 // end_round) it covered plus the NetStats deltas accumulated inside it
 // (messages sent, capacity drops, fault drops, corruptions, charged rounds).
-// Everything a span records is derived from the round counter and NetStats —
-// both thread-count invariant under the engine determinism contract — so the
-// span stream of a run is bit-identical at threads=1 and threads=T, under
-// every fault model. Spans must begin/end on the caller thread between
-// rounds (never inside a shard-parallel loop), which is where all the
-// instrumented call sites live.
+// Everything a span records is derived from the round counter and NetStats,
+// so the span stream of a run is a pure function of (spec, seed), under
+// every fault model. Spans begin and end between rounds, which is where all
+// the instrumented call sites live.
 //
 // Algorithms are instrumented with the RAII `Span` guard, which is a no-op
 // when the network has no tracer attached: tracing a run costs nothing when
@@ -53,8 +51,8 @@ class Tracer {
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  /// The tracer attached to `net`, or nullptr.
-  static Tracer* of(const Network& net);
+  /// The tracer attached to `net`, or nullptr (a field read).
+  static Tracer* of(const Network& net) { return net.attached().tracer; }
 
   /// Open a span; returns a token for end(). Spans are recorded in begin
   /// order and must close in LIFO order (enforced); use the Span guard.

@@ -18,11 +18,11 @@
 //    value re-enters the pending queue exactly once when the state's
 //    termination tokens complete — aggregates stay exact.
 //
-// Determinism: the router consults the cache only at its sequential
-// deposit/arrive/token merge points (the same discipline as obs::FlowSampler),
-// so hits, evictions, and the resulting message streams are bit-identical
-// across engine thread counts. Recency is a logical tick incremented per
-// cache operation, not wall time.
+// Determinism: the router consults the cache only at its deposit/arrive/token
+// merge points, in a fixed order (the same discipline as obs::FlowSampler),
+// so hits, evictions, and the resulting message streams are a pure function
+// of the seed. Recency is a logical tick incremented per cache operation,
+// not wall time.
 #pragma once
 
 #include <cstdint>

@@ -11,7 +11,6 @@
 #include "common/flat_map.hpp"
 #include "common/rng.hpp"
 #include "overlay/cache.hpp"
-#include "engine/engine.hpp"
 #include "obs/flow.hpp"
 #include "obs/tracer.hpp"
 
@@ -184,23 +183,6 @@ struct Move {
   uint32_t edge = 0;  // token in-edge index
 };
 
-/// A multicast-tree edge recorded by route_down: up-edge `bit` of `group` at
-/// child state `cidx`.
-struct RecordOp {
-  uint64_t cidx;
-  uint64_t group;
-  uint64_t bit;
-};
-
-/// One shard's staged cross-node effects of a step, merged in shard order.
-struct StepOut {
-  std::vector<Message> sends;
-  std::vector<Move> local;
-  std::vector<RecordOp> rec;
-  std::vector<uint64_t> readd;
-  uint64_t moved = 0, tokens = 0;
-};
-
 /// A routing state's queue entry for one group. `mask` holds the edges the
 /// entry still wants: the one edge of the group's greedy route (down phase,
 /// fixed when the entry is created) or the recorded up-edges it is still
@@ -243,18 +225,12 @@ Queued* find_queued(std::vector<Queued>& queue, uint64_t group) {
 struct RouterWorkspace::Tables {
   static constexpr size_t kKeepBytes = size_t{1} << 20;
 
-  /// Size the tables for `topo` and `shards` and start a call. A workspace
-  /// whose previous call threw out of its round loop (a round-limit abort)
-  /// or ran on another overlay is wiped first.
-  void begin(const Overlay& topo, uint32_t shards) {
+  /// Size the tables for `topo` and start a call. A workspace whose previous
+  /// call threw out of its round loop (a round-limit abort) or ran on another
+  /// overlay is wiped first.
+  void begin(const Overlay& topo) {
     const uint64_t states = topo.node_count();
-    if (in_call || queues.size() != states) {
-      queues.assign(states, {});
-      outs.assign(shards, {});
-      arrivals.assign(shards, {});
-    }
-    outs.resize(shards);
-    arrivals.resize(shards);
+    if (in_call || queues.size() != states) queues.assign(states, {});
     active.reset(states);
     tokens_recv.assign(states, 0);
     token_sent.assign(states, 0);
@@ -282,10 +258,8 @@ struct RouterWorkspace::Tables {
   ActiveSet active;
   std::vector<uint64_t> tokens_recv;
   std::vector<uint64_t> token_sent;
-  std::vector<uint64_t> items;             // the active set's sorted snapshot
-  std::vector<StepOut> outs;               // per shard
-  std::vector<std::vector<Move>> arrivals;  // per shard
-  std::vector<Move> local;
+  std::vector<uint64_t> items;  // the active set's sorted snapshot
+  std::vector<Move> local;      // a round's straight-edge moves
   std::vector<std::vector<Queued>> queues;  // per routing state, one entry per group
   // Down phase.
   CongestionTracker congestion;
@@ -382,11 +356,11 @@ struct PhaseCore {
   Network& net;
   const uint32_t F;  // final routing level
   const NodeId cols;
-  // Cached once: hops are recorded only at the sequential merge points, in
-  // deterministic order, so they are thread-count invariant.
+  // Cached once: hops are recorded only at the merge points, in a fixed
+  // order.
   obs::FlowSampler* flows;
-  // Consulted only at the sequential merge points, so hits and evictions are
-  // bit-identical across engine thread counts.
+  // Consulted only at the merge points, so hits and evictions follow their
+  // fixed order.
   CombiningCache* cache;
   MulticastTrees* record;  // route_down's tree recording, if on
   const CombiningCache::Stats cache_before;
@@ -425,7 +399,7 @@ void run_rounds(Phase& ph) {
     tokens_pending += static_cast<uint64_t>(topo.down_degree(l)) * cols;
   for (NodeId c = 0; c < cols; ++c) ph.active.add(topo.index(ph.source(), c));
 
-  // Applied sequentially on the caller thread, in deterministic order.
+  // Lands a packet or token at its routing state: the merge points.
   auto land = [&](const Move& mv) {
     if (!mv.is_token) {
       ++ph.progress;
@@ -446,10 +420,12 @@ void run_rounds(Phase& ph) {
       ph.active.add(idx);
   };
 
-  std::vector<StepOut>& outs = ph.ws.outs;
-  std::vector<std::vector<Move>>& arrivals = ph.ws.arrivals;
   std::vector<Move>& local = ph.ws.local;
   std::vector<uint64_t>& items = ph.ws.items;
+  // Per-edge contention scratch: only the first `deg` entries are live per
+  // item (2 on the bit-fixing overlays), so resetting `found` beats
+  // zero-initializing the whole 62-slot array on the router's hottest path.
+  std::array<EdgeBest, kMaxDegree> best;
 
   bool first_round = true;
   while (ph.queued > 0 || tokens_pending > 0) {
@@ -474,118 +450,80 @@ void run_rounds(Phase& ph) {
     first_round = false;
     ph.progress = 0;
 
-    // The step runs shard-parallel over the active routing states: each item
-    // only mutates its own queue / token state, and every cross-node effect
-    // (sends, straight-edge moves, tree recording, counters, re-activation)
-    // is staged per shard and merged in shard order, which restores the
-    // sequential iteration order exactly.
+    // The step over the active routing states, in ascending state order:
+    // each state moves the winners of its per-edge contention and launches
+    // the tokens of edges that have cleared. Straight-edge moves stay local
+    // and land after the round.
     ph.active.take(items);
-    engine_ranges(net, items.size(), [&](uint32_t s, uint64_t ib, uint64_t ie) {
-      StepOut& out = outs[s];  // drained and cleared by the merge below
-      // Per-edge contention scratch, hoisted out of the item loop: only the
-      // first `deg` entries are live per item (2 on the bit-fixing overlays),
-      // so resetting `found` beats zero-initializing the whole 62-slot array
-      // on the router's hottest path.
-      std::array<EdgeBest, kMaxDegree> best;
-      for (uint64_t ii = ib; ii < ie; ++ii) {
-        uint64_t idx = items[ii];
-        const uint32_t level = ph.level_of(idx);
-        const NodeId col = ph.col_of(idx);
-        NCC_ASSERT(level != ph.sink());  // sink-level states never enqueue work
-        const uint32_t nlevel = Phase::next(level);
-        const uint32_t deg = topo.down_degree(Phase::out_layer(level));
-        uint64_t edge_used = 0, edge_wanted = 0;
-        for (uint32_t e = 0; e < deg; ++e) best[e].found = false;
-        ph.contend(idx, best, edge_wanted);
-        for (uint32_t e = 0; e < deg; ++e) {
-          if (!best[e].found) continue;
-          uint64_t bit = uint64_t{1} << e;
-          edge_used |= bit;
-          uint64_t g = best[e].best.group;
-          Val v = ph.take(idx, g, e);
-          ++out.moved;
-          NodeId ncol = ph.next_column(level, col, e);
-          // The child may belong to another shard, so stage the tree edge.
-          if (ph.record) out.rec.push_back({topo.index(nlevel, ncol), g, bit});
-          if (e == 0) {
-            out.local.push_back({nlevel, ncol, g, v, false});
-          } else {
-            out.sends.push_back(Message(topo.host(col), topo.host(ncol),
-                                        Phase::kPacketTag | nlevel, {g, v[0], v[1]}));
-          }
-        }
-        // A packet still wanting an edge means another packet of its group
-        // may yet follow on it; the token waits for the edge to clear.
-        const bool ready = ph.token_ready(level, idx);
-        if (ready) {
-          for (uint32_t e = 0; e < deg; ++e) {
-            uint64_t bit = uint64_t{1} << e;
-            if ((edge_used | edge_wanted | ph.token_sent[idx]) & bit) continue;
-            ph.token_sent[idx] |= bit;
-            ++out.tokens;
-            NodeId ncol = ph.next_column(level, col, e);
-            if (e == 0) {
-              out.local.push_back({nlevel, ncol, 0, {}, true, 0});
-            } else {
-              out.sends.push_back(Message(topo.host(col), topo.host(ncol),
-                                          Phase::kTokenTag | nlevel, {e}));
-            }
-          }
-        }
-        if (!ph.idle(idx) || (ready && ph.token_sent[idx] != (uint64_t{1} << deg) - 1))
-          out.readd.push_back(idx);
-      }
-    });
     local.clear();
-    for (StepOut& out : outs) {
-      net.send_bulk(out.sends);
-      local.insert(local.end(), out.local.begin(), out.local.end());
-      for (const RecordOp& op : out.rec) ph.record->add_child(op.cidx, op.group, op.bit);
-      for (uint64_t idx : out.readd) ph.active.add(idx);
-      ph.result.stats.packets_moved += out.moved;
-      ph.progress += out.moved + out.tokens;
-      ph.queued -= out.moved;
-      tokens_pending -= out.tokens;
-      out.sends.clear();
-      out.local.clear();
-      out.rec.clear();
-      out.readd.clear();
-      out.moved = out.tokens = 0;
+    for (uint64_t idx : items) {
+      const uint32_t level = ph.level_of(idx);
+      const NodeId col = ph.col_of(idx);
+      NCC_ASSERT(level != ph.sink());  // sink-level states never enqueue work
+      const uint32_t nlevel = Phase::next(level);
+      const uint32_t deg = topo.down_degree(Phase::out_layer(level));
+      uint64_t edge_used = 0, edge_wanted = 0;
+      for (uint32_t e = 0; e < deg; ++e) best[e].found = false;
+      ph.contend(idx, best, edge_wanted);
+      for (uint32_t e = 0; e < deg; ++e) {
+        if (!best[e].found) continue;
+        uint64_t bit = uint64_t{1} << e;
+        edge_used |= bit;
+        uint64_t g = best[e].best.group;
+        Val v = ph.take(idx, g, e);
+        ++ph.result.stats.packets_moved;
+        ++ph.progress;
+        --ph.queued;
+        NodeId ncol = ph.next_column(level, col, e);
+        if (ph.record) ph.record->add_child(topo.index(nlevel, ncol), g, bit);
+        if (e == 0) {
+          local.push_back({nlevel, ncol, g, v, false});
+        } else {
+          net.send(topo.host(col), topo.host(ncol), Phase::kPacketTag | nlevel,
+                   {g, v[0], v[1]});
+        }
+      }
+      // A packet still wanting an edge means another packet of its group
+      // may yet follow on it; the token waits for the edge to clear.
+      const bool ready = ph.token_ready(level, idx);
+      if (ready) {
+        for (uint32_t e = 0; e < deg; ++e) {
+          uint64_t bit = uint64_t{1} << e;
+          if ((edge_used | edge_wanted | ph.token_sent[idx]) & bit) continue;
+          ph.token_sent[idx] |= bit;
+          ++ph.progress;
+          --tokens_pending;
+          NodeId ncol = ph.next_column(level, col, e);
+          if (e == 0) {
+            local.push_back({nlevel, ncol, 0, {}, true, 0});
+          } else {
+            net.send(topo.host(col), topo.host(ncol), Phase::kTokenTag | nlevel, {e});
+          }
+        }
+      }
+      if (!ph.idle(idx) || (ready && ph.token_sent[idx] != (uint64_t{1} << deg) - 1))
+        ph.active.add(idx);
     }
 
     net.end_round();
     ++ph.result.stats.rounds;
 
-    // Straight-edge moves land before inbox arrivals.
+    // Straight-edge moves land before inbox arrivals, which land in
+    // ascending host-column order.
     for (const Move& mv : local) land(mv);
-    // Arrival scan, sharded over host columns: each shard decodes its
-    // columns' inboxes into staged arrival records; the merge applies them
-    // in shard order, which concatenates back to the sequential
-    // column-ascending scan order, so the merge points (which touch shared
-    // routing state) stay on the caller thread and bit-identical for any
-    // shard count.
-    engine_ranges(net, cols, [&](uint32_t s, uint64_t ub, uint64_t ue) {
-      std::vector<Move>& arr = arrivals[s];
-      for (uint64_t u = ub; u < ue; ++u) {
-        for (const Message& m : net.inbox(static_cast<NodeId>(u))) {
-          uint32_t level = tag_level(m.tag);
-          if (tag_kind(m.tag) == Phase::kPacketTag) {
-            arr.push_back({level, static_cast<NodeId>(u), m.word(0),
-                           Val{m.word(1), m.word(2)}, false, 0});
-          } else if (tag_kind(m.tag) == Phase::kTokenTag) {
-            // The in-edge is derived from the transport framing (src and dst
-            // are network truth), never from the payload: a byzantine mutation
-            // of the payload cannot poison the in-edge bitmask.
-            uint32_t e = topo.edge_from_delta(Phase::in_layer(level),
-                                              static_cast<NodeId>(u) ^ m.src);
-            arr.push_back({level, static_cast<NodeId>(u), 0, {}, true, e});
-          }
+    for (NodeId u = 0; u < cols; ++u) {
+      for (const Message& m : net.inbox(u)) {
+        uint32_t level = tag_level(m.tag);
+        if (tag_kind(m.tag) == Phase::kPacketTag) {
+          land({level, u, m.word(0), Val{m.word(1), m.word(2)}, false, 0});
+        } else if (tag_kind(m.tag) == Phase::kTokenTag) {
+          // The in-edge is derived from the transport framing (src and dst
+          // are network truth), never from the payload: a byzantine mutation
+          // of the payload cannot poison the in-edge bitmask.
+          uint32_t e = topo.edge_from_delta(Phase::in_layer(level), u ^ m.src);
+          land({level, u, 0, {}, true, e});
         }
       }
-    });
-    for (auto& arr : arrivals) {
-      for (const Move& mv : arr) land(mv);
-      arr.clear();
     }
   }
 
@@ -722,7 +660,7 @@ struct DownPhase : PhaseCore<false> {
   CongestionTracker& congestion;
   // Cached group metadata (dest column and rank are hash evaluations that
   // every node can compute from the shared randomness). Read only on the
-  // sequential merge points, when an arrival or a queue entry is created.
+  // merge points, when an arrival or a queue entry is created.
   FlatMap<Meta>& meta;
   // Dedup index into record->cache_roots: later hits of a group at the same
   // state OR their subtree masks into the root recorded by the first hit.
@@ -793,7 +731,7 @@ struct UpPhase : PhaseCore<true> {
 
   const MulticastTrees& trees;
   const std::function<uint64_t(uint64_t)>& rank;
-  // Read on the sequential merge points, when a queue entry is created.
+  // Read on the merge points, when a queue entry is created.
   FlatMap<uint64_t>& rank_cache;
 };
 
@@ -831,7 +769,7 @@ DownResult route_down(const Overlay& topo, Network& net, RouterWorkspace& ws,
   obs::Span span(net, "route.down");
   NCC_ASSERT(at_col.size() == topo.columns());
   RouterWorkspace::Tables& w = ws.tables();
-  w.begin(topo, engine_shards(net));
+  w.begin(topo);
   DownPhase ph(topo, net, cache, record, dest_col, rank, combine, w);
   // Initialize the tree record before the first deposits: the serving-hit
   // branch reads record->children for level-0 states too.
@@ -859,11 +797,11 @@ UpResult route_up(const Overlay& topo, Network& net, RouterWorkspace& ws,
   NCC_ASSERT(trees.levels == topo.levels());
   NCC_ASSERT(trees.children.size() == topo.node_count());
   RouterWorkspace::Tables& w = ws.tables();
-  w.begin(topo, engine_shards(net));
+  w.begin(topo);
   UpPhase ph(topo, net, cache, trees, rank, w);
 
-  // Slot order — deterministic and thread-invariant because the caller
-  // populates `payloads` sequentially (see FlatMap::for_each).
+  // Slot order — deterministic because the caller populates `payloads` in a
+  // fixed order (see FlatMap::for_each).
   payloads.for_each([&](uint64_t group, const Val& val) {
     const NodeId* rcol = trees.root_col.find(group);
     if (!rcol) {

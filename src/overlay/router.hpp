@@ -129,8 +129,8 @@ struct DownResult {
   /// Final aggregate per group, held by the final-level node of column
   /// root_col[group] (host = that column's real node). FlatMap so consumers
   /// either look groups up or drain in slot order, which is a pure function
-  /// of the insertion history — identical across thread counts because the
-  /// deposit loop that populates it runs sequentially per round.
+  /// of the insertion history — deterministic because the deposit loop that
+  /// populates it runs in a fixed order per round.
   FlatMap<Val> root_values;
   FlatMap<NodeId> root_col;
   RouteStats stats;

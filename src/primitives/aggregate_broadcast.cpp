@@ -27,7 +27,7 @@ AbResult aggregate_and_broadcast(const Overlay& topo, Network& net,
   // Round 1: nodes without an overlay column hand their input to their
   // level-0 attachment node. (Run unconditionally: A&B has a fixed round
   // schedule, which is what makes it usable as a barrier.)
-  engine_send_loop(net, n - cols, [&](uint64_t i, MsgSink& out) {
+  engine_send_loop(net, n - cols, [&](uint64_t i, Network& out) {
     NodeId u = cols + static_cast<NodeId>(i);
     if (inputs[u].has_value()) {
       const Val& v = *inputs[u];
@@ -37,11 +37,9 @@ AbResult aggregate_and_broadcast(const Overlay& topo, Network& net,
   net.end_round();
 
   // Value held at each column: own input (if the hosting node is in A)
-  // combined with the attached node's input. Per-column state only — safe to
-  // scan the inboxes shard-parallel.
+  // combined with the attached node's input.
   std::vector<std::optional<Val>> cur(cols);
-  engine_for(net, cols, [&](uint64_t ci) {
-    NodeId c = static_cast<NodeId>(ci);
+  for (NodeId c = 0; c < cols; ++c) {
     NodeId host = topo.host(c);
     if (inputs[host].has_value()) cur[c] = inputs[host];
     for (const Message& m : net.inbox(host)) {
@@ -49,7 +47,7 @@ AbResult aggregate_and_broadcast(const Overlay& topo, Network& net,
       Val v{m.word(0), m.word(1)};
       cur[c] = cur[c] ? combine(*cur[c], v) : v;
     }
-  });
+  }
 
   // Aggregation phase: agg_steps() merge steps toward column 0 along the
   // overlay's tree. At step i the value at column c moves to agg_parent(i, c);
@@ -57,7 +55,7 @@ AbResult aggregate_and_broadcast(const Overlay& topo, Network& net,
   // value locally for free.
   for (uint32_t i = 0; i < steps; ++i) {
     std::vector<std::optional<Val>> next(cols);
-    engine_send_loop(net, cols, [&](uint64_t ci, MsgSink& out) {
+    engine_send_loop(net, cols, [&](uint64_t ci, Network& out) {
       NodeId c = static_cast<NodeId>(ci);
       if (!cur[c]) return;
       NodeId nc = topo.agg_parent(i, c);
@@ -69,14 +67,13 @@ AbResult aggregate_and_broadcast(const Overlay& topo, Network& net,
       }
     });
     net.end_round();
-    engine_for(net, cols, [&](uint64_t ci) {
-      NodeId c = static_cast<NodeId>(ci);
+    for (NodeId c = 0; c < cols; ++c) {
       for (const Message& m : net.inbox(topo.host(c))) {
         if ((m.tag & 0xff00u) != kTagAggStep) continue;
         Val v{m.word(0), m.word(1)};
         next[c] = next[c] ? combine(*next[c], v) : v;
       }
-    });
+    }
     cur = std::move(next);
   }
   for (NodeId c = 1; c < cols; ++c) NCC_ASSERT(!cur[c].has_value());
@@ -88,21 +85,19 @@ AbResult aggregate_and_broadcast(const Overlay& topo, Network& net,
   // agg_parent edge, staged child-major so no per-column children lists are
   // materialized. Informedness is a pure function of the tree (never of the
   // data), kept in a per-column flag vector that is read-only inside the
-  // shard-parallel send loop and advanced by the parent relation between
-  // rounds — on the default binary tree this reproduces the seed's
+  // send loop and advanced by the parent relation between rounds — on the default binary tree this reproduces the seed's
   // closed-form informed-mask schedule message for message.
   bool has = res.value.has_value();
   Val v = has ? *res.value : Val{};
   std::vector<uint8_t> informed(cols, 0);
   informed[0] = 1;
   std::vector<uint8_t> informed_next(cols);
-  // Parent cache: one tree lookup per column per step, written
-  // inside the (per-item, parallel-safe) send loop and reused by the
-  // informed-advance pass.
+  // Parent cache: one tree lookup per column per step, written inside the
+  // send loop and reused by the informed-advance pass.
   std::vector<NodeId> parent(cols);
   for (uint32_t b = 0; b < steps; ++b) {
     uint32_t i = steps - 1 - b;  // merge step being reversed
-    engine_send_loop(net, cols, [&](uint64_t ci, MsgSink& out) {
+    engine_send_loop(net, cols, [&](uint64_t ci, Network& out) {
       NodeId c = static_cast<NodeId>(ci);
       NodeId p = topo.agg_parent(i, c);
       parent[c] = p;
@@ -110,16 +105,15 @@ AbResult aggregate_and_broadcast(const Overlay& topo, Network& net,
         out.send(topo.host(p), topo.host(c), kTagBcastStep | b, {v[0], v[1]});
     });
     net.end_round();
-    engine_for(net, cols, [&](uint64_t ci) {
-      NodeId c = static_cast<NodeId>(ci);
+    for (NodeId c = 0; c < cols; ++c) {
       NodeId p = parent[c];
       informed_next[c] = informed[c] | (p != c ? informed[p] : uint8_t{0});
-    });
+    }
     std::swap(informed, informed_next);
   }
 
   // Final round: level-0 hosts inform their attached non-emulating nodes.
-  engine_send_loop(net, n - cols, [&](uint64_t i, MsgSink& out) {
+  engine_send_loop(net, n - cols, [&](uint64_t i, Network& out) {
     NodeId u = cols + static_cast<NodeId>(i);
     if (has)
       out.send(topo.host(topo.attach_column(u)), u, kTagDetach, {v[0], v[1]});
@@ -149,7 +143,7 @@ uint64_t sync_barrier(const Overlay& topo, Network& net, BarrierWorkspace& ws) {
   uint64_t start_rounds = net.rounds();
 
   // Attach round: every non-hosting node reports its 1.
-  engine_send_loop(net, n - cols, [&](uint64_t i, MsgSink& out) {
+  engine_send_loop(net, n - cols, [&](uint64_t i, Network& out) {
     NodeId u = cols + static_cast<NodeId>(i);
     out.send(u, topo.host(topo.attach_column(u)), kTagAttach, {1, 0});
   });
@@ -183,7 +177,7 @@ uint64_t sync_barrier(const Overlay& topo, Network& net, BarrierWorkspace& ws) {
 
   // Aggregation: at step i the count at column c moves to agg_parent(i, c).
   for (uint32_t i = 0; i < steps; ++i) {
-    engine_send_loop(net, cols, [&](uint64_t ci, MsgSink& out) {
+    engine_send_loop(net, cols, [&](uint64_t ci, Network& out) {
       const NodeId c = static_cast<NodeId>(ci);
       fold(c, i == 0);
       const NodeId nc = topo.agg_parent(i, c);
@@ -227,7 +221,7 @@ uint64_t sync_barrier(const Overlay& topo, Network& net, BarrierWorkspace& ws) {
     const uint32_t i = steps - 1 - b;
     const NodeId* senders = ws.bcast_cols.data() + ws.bcast_off[b];
     engine_send_loop(net, ws.bcast_off[b + 1] - ws.bcast_off[b],
-                     [&](uint64_t k, MsgSink& out) {
+                     [&](uint64_t k, Network& out) {
                        const NodeId c = senders[k];
                        out.send(topo.host(topo.agg_parent(i, c)), topo.host(c),
                                 kTagBcastStep | b, {weight[0], 0});
@@ -236,7 +230,7 @@ uint64_t sync_barrier(const Overlay& topo, Network& net, BarrierWorkspace& ws) {
   }
 
   // Detach round.
-  engine_send_loop(net, n - cols, [&](uint64_t i, MsgSink& out) {
+  engine_send_loop(net, n - cols, [&](uint64_t i, Network& out) {
     NodeId u = cols + static_cast<NodeId>(i);
     out.send(topo.host(topo.attach_column(u)), u, kTagDetach, {weight[0], 0});
   });

@@ -47,8 +47,8 @@ class Shared {
 
   /// The run's sync_barrier and router scratch: every barrier and every
   /// route_down/route_up of the run reuses them, so their rounds allocate
-  /// nothing. Caller-thread state (neither runs inside a parallel loop),
-  /// hence mutable on the otherwise read-only context.
+  /// nothing. Per-run scratch, hence mutable on the otherwise read-only
+  /// context.
   BarrierWorkspace& barrier_workspace() const { return barrier_ws_; }
   RouterWorkspace& router_workspace() const { return router_ws_; }
 

@@ -46,11 +46,7 @@ MultiAggregationResult run_multi_aggregation_impl(
     for (NodeId u = 0; u < n; ++u)
       max_k = std::max<uint32_t>(max_k, static_cast<uint32_t>(per_source[u].size()));
     uint32_t handoff_rounds = std::max<uint32_t>(1, (max_k + batch - 1) / batch);
-    const uint32_t S = engine_shards(net);
-    std::vector<std::vector<std::pair<uint64_t, Val>>> got(S);
-    std::vector<Message> handoff;
     for (uint32_t r = 0; r < handoff_rounds; ++r) {
-      handoff.clear();
       for (NodeId u = 0; u < n; ++u) {
         const auto& list = per_source[u];
         for (uint32_t j = r * batch;
@@ -62,27 +58,18 @@ MultiAggregationResult run_multi_aggregation_impl(
           if (host == u) {
             payloads.emplace(s.group, s.payload);
           } else {
-            handoff.push_back(
-                Message(u, host, kTagToRoot, {s.group, s.payload[0], s.payload[1]}));
+            net.send(u, host, kTagToRoot, {s.group, s.payload[0], s.payload[1]});
           }
         }
       }
-      engine_send_loop(net, handoff.size(),
-                       [&](uint64_t i, MsgSink& out) { out.send(handoff[i]); });
       net.end_round();
-      // Per-shard collect + shard-order merge keeps emplace order (first
-      // write wins) identical to the sequential scan.
-      engine_ranges(net, cols, [&](uint32_t s, uint64_t b, uint64_t e) {
-        for (uint64_t ci = b; ci < e; ++ci) {
-          for (const Message& m : net.inbox(topo.host(static_cast<NodeId>(ci)))) {
-            if (m.tag != kTagToRoot) continue;
-            got[s].push_back({m.word(0), Val{m.word(1), m.word(2)}});
-          }
+      // Column-order inbox scan: the emplace order (first write wins) is
+      // fixed by the column order.
+      for (NodeId c = 0; c < cols; ++c) {
+        for (const Message& m : net.inbox(topo.host(c))) {
+          if (m.tag != kTagToRoot) continue;
+          payloads.emplace(m.word(0), Val{m.word(1), m.word(2)});
         }
-      });
-      for (uint32_t s = 0; s < S; ++s) {
-        for (const auto& [g, v] : got[s]) payloads.emplace(g, v);
-        got[s].clear();
       }
     }
   }
@@ -94,13 +81,13 @@ MultiAggregationResult run_multi_aggregation_impl(
   res.up_route = up.stats;
   sync_barrier(topo, net, shared.barrier_workspace());
 
-  // Phase 3: remap (group, member) -> (member, p) at the leaves (per-column
-  // state only — shard-parallel) and redistribute the packets randomly over
-  // the level-0 butterfly nodes, batched ceil(log n) per round per host.
+  // Phase 3: remap (group, member) -> (member, p) at the leaves and
+  // redistribute the packets randomly over the level-0 butterfly nodes,
+  // batched ceil(log n) per round per host.
   std::vector<std::vector<AggPacket>> outgoing(cols);  // per leaf column
-  engine_for(net, cols, [&](uint64_t ci) {
-    NodeId c = static_cast<NodeId>(ci);
-    FlatMap<Val> here;
+  FlatMap<Val> here;  // payload per group present at the leaf column
+  for (NodeId c = 0; c < cols; ++c) {
+    if (!here.empty()) here.clear();
     for (const AggPacket& p : up.at_col[c]) here.emplace(p.group, p.val);
     for (const auto& [group, member] : trees.leaf_members[c]) {
       const Val* pv = here.find(group);
@@ -108,18 +95,16 @@ MultiAggregationResult run_multi_aggregation_impl(
       Val v = annotate ? annotate(group, member, *pv) : *pv;
       outgoing[c].push_back({member, v});
     }
-  });
+  }
   Rng redis = shared.local_rng(mix64(0x6ed157 ^ rng_tag));
   std::vector<std::vector<AggPacket>> at_col(cols);
   uint32_t max_out = 0;
   for (NodeId c = 0; c < cols; ++c)
     max_out = std::max<uint32_t>(max_out, static_cast<uint32_t>(outgoing[c].size()));
   uint32_t redis_rounds = (max_out + batch - 1) / batch;
-  std::vector<Message> moves;
   for (uint32_t r = 0; r < redis_rounds; ++r) {
-    // Sequential draw pass (shared redistribution stream) staging the real
-    // messages; self-moves land in at_col directly.
-    moves.clear();
+    // Draws from the shared redistribution stream; self-moves land in at_col
+    // directly.
     for (NodeId c = 0; c < cols; ++c) {
       const auto& list = outgoing[c];
       for (uint32_t j = r * batch;
@@ -129,21 +114,18 @@ MultiAggregationResult run_multi_aggregation_impl(
         if (tc == c) {
           at_col[tc].push_back(list[j]);
         } else {
-          moves.push_back(Message(topo.host(c), topo.host(tc), kTagRedistribute,
-                                  {list[j].group, list[j].val[0], list[j].val[1]}));
+          net.send(topo.host(c), topo.host(tc), kTagRedistribute,
+                   {list[j].group, list[j].val[0], list[j].val[1]});
         }
       }
     }
-    engine_send_loop(net, moves.size(),
-                     [&](uint64_t i, MsgSink& out) { out.send(moves[i]); });
     net.end_round();
-    engine_for(net, cols, [&](uint64_t ci) {
-      NodeId c = static_cast<NodeId>(ci);
+    for (NodeId c = 0; c < cols; ++c) {
       for (const Message& m : net.inbox(topo.host(c))) {
         if (m.tag != kTagRedistribute) continue;
         at_col[c].push_back({m.word(0), Val{m.word(1), m.word(2)}});
       }
-    });
+    }
   }
   sync_barrier(topo, net, shared.barrier_workspace());
 
@@ -155,13 +137,12 @@ MultiAggregationResult run_multi_aggregation_impl(
   sync_barrier(topo, net, shared.barrier_workspace());
 
   // Phase 5: deliver f-aggregates from the intermediate targets to the nodes.
-  // Every node receives at most one aggregate, so a single round suffices;
-  // member ids are distinct, so the self-delivery writes are per-item.
+  // Every node receives at most one aggregate, so a single round suffices.
   std::vector<uint64_t> members;
   members.reserve(down.root_values.size());
   down.root_values.for_each([&](uint64_t g, const Val&) { members.push_back(g); });
   std::sort(members.begin(), members.end());
-  engine_send_loop(net, members.size(), [&](uint64_t i, MsgSink& out) {
+  engine_send_loop(net, members.size(), [&](uint64_t i, Network& out) {
     uint64_t g = members[i];
     NodeId member = static_cast<NodeId>(g);
     NCC_ASSERT(member < n);
@@ -174,13 +155,12 @@ MultiAggregationResult run_multi_aggregation_impl(
     }
   });
   net.end_round();
-  engine_for(net, n, [&](uint64_t ui) {
-    NodeId u = static_cast<NodeId>(ui);
+  for (NodeId u = 0; u < n; ++u) {
     for (const Message& m : net.inbox(u)) {
       if (m.tag != kTagFinal) continue;
       res.at_node[u] = Val{m.word(1), m.word(2)};
     }
-  });
+  }
   sync_barrier(topo, net, shared.barrier_workspace());
 
   res.rounds = net.rounds() - start_rounds;

@@ -36,10 +36,10 @@ struct MultiAggregationResult {
 /// of the raw payload. The Israeli–Itai matching step uses this hook to tag
 /// packets with leaf-local random priorities (Section 5.3).
 ///
-/// Thread safety: the leaf remap runs shard-parallel under an attached
-/// engine, so `annotate` must be a pure function of its arguments (derive
-/// randomness from (group, member) via mix64, as matching does) — it may
-/// not draw from a shared Rng or mutate captured state.
+/// `annotate` models leaf-local computation, so it must be a pure function of
+/// its arguments (derive randomness from (group, member) via mix64, as
+/// matching does) — it may not draw from a shared Rng or mutate captured
+/// state.
 using LeafAnnotateFn = std::function<Val(uint64_t group, NodeId member, const Val&)>;
 
 /// `cache`, if non-null, applies the en-route combining cache

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/assert.hpp"
-#include "engine/engine.hpp"
 #include "obs/tracer.hpp"
 #include "primitives/aggregate_broadcast.hpp"
 
@@ -42,18 +41,9 @@ MulticastSetupResult setup_multicast_trees(const Shared& shared, Network& net,
   Rng inject = shared.local_rng(mix64(0x3e70b5 ^ rng_tag));
   std::vector<std::vector<AggPacket>> at_col(cols);
   uint32_t inject_rounds = (max_k + batch - 1) / batch;
-  struct Handoff {
-    NodeId src;
-    NodeId host;
-    uint64_t group;
-    NodeId member;
-  };
-  std::vector<Handoff> sends;
   for (uint32_t r = 0; r < inject_rounds; ++r) {
-    // Draw the landing columns sequentially (the shared injection stream),
-    // applying local deposits inline and staging the real messages; the send
-    // loop then runs shard-parallel with the same global order.
-    sends.clear();
+    // Draw the landing columns from the shared injection stream, applying
+    // local deposits inline and sending the rest.
     for (NodeId u = 0; u < n; ++u) {
       const auto& list = per_member[u];
       for (uint32_t j = r * batch;
@@ -66,22 +56,17 @@ MulticastSetupResult setup_multicast_trees(const Shared& shared, Network& net,
         if (host == u) {
           at_col[c].push_back({mm.group, Val{mm.member, 0}});
         } else {
-          sends.push_back({u, host, mm.group, mm.member});
+          net.send(u, host, kTagInject, {mm.group, mm.member});
         }
       }
     }
-    engine_send_loop(net, sends.size(), [&](uint64_t i, MsgSink& out) {
-      const Handoff& h = sends[i];
-      out.send(h.src, h.host, kTagInject, {h.group, h.member});
-    });
     net.end_round();
-    engine_for(net, cols, [&](uint64_t ci) {
-      NodeId c = static_cast<NodeId>(ci);
+    for (NodeId c = 0; c < cols; ++c) {
       for (const Message& m : net.inbox(topo.host(c))) {
         if (m.tag != kTagInject) continue;
         at_col[c].push_back({m.word(0), Val{m.word(1), 0}});
       }
-    });
+    }
   }
   sync_barrier(topo, net, shared.barrier_workspace());
 
@@ -132,11 +117,7 @@ MulticastResult run_multicast_impl(const Shared& shared, Network& net,
     for (NodeId u = 0; u < n; ++u)
       max_k = std::max<uint32_t>(max_k, static_cast<uint32_t>(per_source[u].size()));
     uint32_t handoff_rounds = std::max<uint32_t>(1, (max_k + batch - 1) / batch);
-    const uint32_t S = engine_shards(net);
-    std::vector<std::vector<std::pair<uint64_t, Val>>> got(S);
-    std::vector<Message> handoff;
     for (uint32_t r = 0; r < handoff_rounds; ++r) {
-      handoff.clear();
       for (NodeId u = 0; u < n; ++u) {
         const auto& list = per_source[u];
         for (uint32_t j = r * batch;
@@ -148,27 +129,18 @@ MulticastResult run_multicast_impl(const Shared& shared, Network& net,
           if (host == u) {
             payloads.emplace(s.group, s.payload);
           } else {
-            handoff.push_back(
-                Message(u, host, kTagToRoot, {s.group, s.payload[0], s.payload[1]}));
+            net.send(u, host, kTagToRoot, {s.group, s.payload[0], s.payload[1]});
           }
         }
       }
-      engine_send_loop(net, handoff.size(),
-                       [&](uint64_t i, MsgSink& out) { out.send(handoff[i]); });
       net.end_round();
-      // Shard-parallel inbox scan with a per-shard collect; merging in shard
-      // order keeps the emplace order (first write wins) sequential-identical.
-      engine_ranges(net, cols, [&](uint32_t s, uint64_t b, uint64_t e) {
-        for (uint64_t ci = b; ci < e; ++ci) {
-          for (const Message& m : net.inbox(topo.host(static_cast<NodeId>(ci)))) {
-            if (m.tag != kTagToRoot) continue;
-            got[s].push_back({m.word(0), Val{m.word(1), m.word(2)}});
-          }
+      // Column-order inbox scan: the emplace order (first write wins) is
+      // fixed by the column order.
+      for (NodeId c = 0; c < cols; ++c) {
+        for (const Message& m : net.inbox(topo.host(c))) {
+          if (m.tag != kTagToRoot) continue;
+          payloads.emplace(m.word(0), Val{m.word(1), m.word(2)});
         }
-      });
-      for (uint32_t s = 0; s < S; ++s) {
-        for (const auto& [g, v] : got[s]) payloads.emplace(g, v);
-        got[s].clear();
       }
     }
   }
@@ -182,8 +154,8 @@ MulticastResult run_multicast_impl(const Shared& shared, Network& net,
 
   // Leaf delivery: l(i, u) sends p_i to u in a round chosen uniformly from
   // {1..ceil(ell_hat/log n)}. The schedule (and its random draws) is built
-  // sequentially; self-deliveries land immediately, the rest go through the
-  // shard-parallel send loop round by round.
+  // first; self-deliveries land immediately, the rest are sent round by
+  // round.
   uint32_t s = std::max<uint32_t>(1, (ell_hat + batch - 1) / batch);
   Rng deliver_rng = shared.local_rng(mix64(0x7ea4de ^ rng_tag));
   struct Delivery {
@@ -209,18 +181,15 @@ MulticastResult run_multicast_impl(const Shared& shared, Network& net,
     }
   }
   for (uint32_t r = 0; r < s; ++r) {
-    engine_send_loop(net, schedule[r].size(), [&](uint64_t i, MsgSink& out) {
-      const Delivery& dl = schedule[r][i];
-      out.send(dl.host, dl.target, kTagLeafDeliver, {dl.group, dl.val[0], dl.val[1]});
-    });
+    for (const Delivery& dl : schedule[r])
+      net.send(dl.host, dl.target, kTagLeafDeliver, {dl.group, dl.val[0], dl.val[1]});
     net.end_round();
-    engine_for(net, n, [&](uint64_t ui) {
-      NodeId u = static_cast<NodeId>(ui);
+    for (NodeId u = 0; u < n; ++u) {
       for (const Message& m : net.inbox(u)) {
         if (m.tag != kTagLeafDeliver) continue;
         res.received[u].push_back({m.word(0), Val{m.word(1), m.word(2)}});
       }
-    });
+    }
   }
   sync_barrier(topo, net, shared.barrier_workspace());
 

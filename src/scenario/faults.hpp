@@ -8,10 +8,9 @@
 // open), and byzantine payload corruption (seeded per-message mutations that
 // keep the message well-formed — node-id-plausible words are remapped within
 // [0, n), larger words get one bit flipped). Every decision is a stateless
-// hash of (seed, round, pending-index / node id), and all hooks run before
-// end_round() shards delivery — so fault injection is bit-identical for any
-// engine thread count (the threads=1 == threads=T contract extends through
-// faults).
+// hash of (seed, round, pending-index / node id), and all hooks run at the
+// top of end_round() over the pending messages in send order — so fault
+// injection is a pure function of (spec, seed).
 //
 // The injector also enforces the spec's round limit: the paper's algorithms
 // assume a reliable network, and token-based termination (the butterfly

@@ -3,7 +3,6 @@
 // det-lint: observational — wall_ms is an observational field, outside the
 // deterministic byte prefix
 #include <chrono>
-#include <memory>
 #include <optional>
 #include <sstream>
 
@@ -115,9 +114,9 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec, const RunOptions& opts) {
   // a degraded algorithm reacting to losses is a scenario result, not a bug.
   cfg.strict_send = !spec.faults.any();
   Network net(cfg);
-  uint32_t threads = opts.threads_override ? opts.threads_override : spec.threads;
-  std::unique_ptr<Engine> engine =
-      threads > 1 ? std::make_unique<Engine>(net, EngineConfig{threads}) : nullptr;
+  // The engine only times the run's send loops and deliveries (the trace's
+  // wall-clock track); the same code runs without it.
+  Engine engine(net);
   FaultInjector faults(net, spec.faults, spec.seed, spec.round_limit);
   // The observability layer attaches whenever its output is consumed: the
   // full JSON document carries deterministic "per_round"/"spans"/
@@ -161,10 +160,7 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec, const RunOptions& opts) {
   out.corrupted = st.corrupted;
   out.crashed = faults.crashed_count();
   out.failed = verdict_failed(out.expect, out);
-  if (ledger) {
-    out.peak_live_bytes = ledger->peak_live_bytes();
-    out.allocs = ledger->total_allocs();
-  }
+  if (ledger) out.peak_live_bytes = ledger->peak_live_bytes();
   if (opts.collect_trace && tracer) {
     std::ostringstream label;
     label << spec.name << " " << spec.algorithm << " "
@@ -177,7 +173,7 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec, const RunOptions& opts) {
     out.trace.live_bytes = ledger->live_bytes();
     out.trace.flows = flowsamp->flows();
     out.trace.cache_series = result.cache_series;
-    if (engine) out.trace.shard_timing = engine->shard_timing();
+    out.trace.shard_timing = engine.shard_timing();
   }
   if (!opts.build_json) return out;
 
@@ -211,9 +207,10 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec, const RunOptions& opts) {
   tracer->write_json(w);
   w.key("congestion");
   ledger->write_congestion_json(w);
-  // Sampled token flows are thread-count invariant (hops are recorded at the
-  // router's sequential deposit/arrive points), so — unlike timing/memory —
-  // the section lives inside the determinism-compared bytes.
+  // Sampled token flows are a pure function of (spec, seed) (hops are
+  // recorded at the router's deposit/arrive points, in a fixed order), so —
+  // unlike timing/memory — the section lives inside the determinism-compared
+  // bytes.
   w.key("flows");
   flowsamp->write_json(w);
   // The non-deterministic sections always trail, timing before memory, so
@@ -222,7 +219,6 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec, const RunOptions& opts) {
     w.key("timing");
     w.begin_object();
     w.kv("wall_ms", out.wall_ms);
-    w.kv("threads", threads);
     w.end_object();
   }
   if (opts.memory) {

@@ -1,16 +1,17 @@
 // One-scenario executor: materializes the spec's graph, wires up the network
-// (engine threads, fault injection, metrics), dispatches to the algorithm
-// registry, and renders the machine-readable result object.
+// (fault injection, observers), dispatches to the algorithm registry, and
+// renders the machine-readable result object. scenario/cells.hpp runs many
+// of these in parallel.
 //
 // The emitted JSON is a pure function of (spec, seed) when `timing` and
-// `memory` are off: the determinism acceptance check compares the bytes of
-// threads=1 vs threads=8 runs. With `timing` on, a trailing "timing" section
-// adds wall-clock and thread count; with `memory` on, a trailing "memory"
-// section adds container capacities and allocation counts. Both are excluded
-// from the determinism contract (wall time is non-reproducible, capacities
-// depend on the shard layout); the deterministic halves of observability —
-// spans, congestion, sampled flows, per-round live bytes — stay in the
-// compared bytes.
+// `memory` are off: the determinism checks compare its bytes across
+// `ncc_run --threads` values. With `timing` on, a trailing "timing" section
+// adds wall-clock; with `memory` on, a trailing "memory" section adds
+// container capacities and allocation counts. Both are excluded from the
+// determinism contract (wall time is non-reproducible, capacities depend on
+// buffer-reuse history); the deterministic halves of observability — spans,
+// congestion, sampled flows, per-round live bytes — stay in the compared
+// bytes.
 #pragma once
 
 #include <cstdint>
@@ -22,9 +23,7 @@
 namespace ncc::scenario {
 
 struct RunOptions {
-  /// 0 = use spec.threads.
-  uint32_t threads_override = 0;
-  /// Emit the non-deterministic "timing" section (wall_ms, threads).
+  /// Emit the non-deterministic "timing" section (wall_ms).
   bool timing = true;
   /// Emit the non-deterministic "memory" section (container capacities and
   /// allocation counts; see obs::RoundLedger). Off by default — like
@@ -35,7 +34,7 @@ struct RunOptions {
   /// would otherwise pay for a per-round series it never reads.
   bool build_json = true;
   /// Fill ScenarioOutcome::trace with the run's span stream, congestion
-  /// counter series, and engine shard timing (for the Chrome trace export).
+  /// counter series, and engine timing (for the Chrome trace export).
   /// Observability is always on when build_json is set — this flag extends
   /// it to compact (sweep-cell) runs.
   bool collect_trace = false;
@@ -61,9 +60,6 @@ struct ScenarioOutcome {
   /// Deterministic: max bytes of messages in flight in any one round (0 when
   /// observability was off for this run).
   uint64_t peak_live_bytes = 0;
-  /// Observational: allocation count on network/engine hot containers —
-  /// display-only, never in determinism-compared bytes.
-  uint64_t allocs = 0;
   std::string json;  // one JSON object describing the run
   /// Trace-export payload; populated only when RunOptions::collect_trace.
   obs::TraceCell trace;

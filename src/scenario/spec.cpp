@@ -323,7 +323,7 @@ bool apply_spec_key(ScenarioSpec& spec, const std::string& key,
   } else if (key == "capacity_factor") {
     ok = parse_u32(val, &spec.capacity_factor) && spec.capacity_factor >= 1;
   } else if (key == "threads") {
-    ok = parse_u32(val, &spec.threads);
+    ok = parse_u32(val, &spec.threads) && spec.threads >= 1 && spec.threads <= 1024;
   } else if (key == "round_limit") {
     ok = parse_u64(val, &spec.round_limit);
   } else if (key == "expect") {

@@ -4,8 +4,7 @@
 // trailing `#` comments allowed) describing everything one run of the system
 // needs: the input graph family and its parameters (backed by
 // graph/generators), the algorithm to run (looked up in scenario/registry),
-// the seed, the network capacity factor, the engine thread count, a round
-// limit, and an optional fault model (scenario/faults). Parsing is strict —
+// the seed, the network capacity factor, a round limit, and an optional fault model (scenario/faults). Parsing is strict —
 // unknown keys, malformed values, and missing/contradictory parameters are
 // rejected with line-numbered errors — and round-trips: parse(to_string(s))
 // reproduces s exactly.
@@ -51,7 +50,7 @@ struct RoundWindow {
 
 /// The fault model of one scenario; all knobs default to "no fault". Faults
 /// are injected at the network layer by scenario::FaultInjector and are
-/// deterministic in (spec, seed) — independent of the engine thread count.
+/// deterministic in (spec, seed).
 struct FaultModel {
   /// Crash-stop: at each listed round, `crash_count` random alive nodes
   /// (never node 0, which several protocols use as coordinator) permanently
@@ -128,7 +127,9 @@ struct ScenarioSpec {
   OverlayKind overlay = OverlayKind::kButterfly;
   uint64_t seed = 1;
   uint32_t capacity_factor = 8;
-  uint32_t threads = 1;      // engine threads (results are thread-count-free)
+  /// Accepted in [1, 1024] and otherwise unused: a run executes on one
+  /// thread (`ncc_run --threads` runs cells in parallel instead).
+  uint32_t threads = 1;
   uint64_t round_limit = 0;  // 0 = unlimited; runs past it abort with verdict
                              // "round_limit" (mandatory when faults are on:
                              // token-based terminations can jam under loss)

@@ -5,7 +5,6 @@
 //
 //   sweep.n = 256,1024,4096
 //   sweep.drop_rate = 0,0.01,0.05
-//   sweep.threads = 1,8
 //
 // The cross-product of the axes is expanded in declaration order (last axis
 // fastest, an odometer), each cell re-applies its axis values over the base

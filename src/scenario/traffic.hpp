@@ -10,7 +10,7 @@
 //
 // Determinism: the sampler is a pure function of (spec, seed, draw index) —
 // one Rng owned by the caller, advanced one draw per request in request
-// order — so the generated stream is independent of engine thread count.
+// order — so the generated stream is a pure function of (spec, seed).
 #pragma once
 
 #include <cstdint>

@@ -3,7 +3,7 @@
 // absorber lifecycle), and the scenario-level acceptance properties — warm
 // waves hit, uniform traffic is untouched by an idle cache, aggregates stay
 // exact with absorbers, verdicts stay honest under drop/byzantine faults,
-// and everything is bit-identical across engine thread counts.
+// and everything is bit-identical whether cells run alone or at once.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +12,7 @@
 #include "common/rng.hpp"
 #include "overlay/cache.hpp"
 #include "primitives/aggregation.hpp"
+#include "scenario/cells.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
 #include "scenario/traffic.hpp"
@@ -240,9 +241,10 @@ TEST(HotkeyScenario, MultiAggregationServesAndStaysExact) {
 }
 
 // The acceptance check: hits/evictions (and therefore the whole JSON) are
-// bit-identical at threads=1 and threads=8, fault-free and under faults.
+// bit-identical whether the cells run one at a time or four at once on the
+// cell runner, fault-free and under faults.
 TEST(HotkeyScenario, CacheIsThreadCountInvariant) {
-  const std::string specs[] = {
+  const std::string texts[] = {
       std::string(kBase) +
           "algorithm = multicast\ntraffic = zipf\nzipf_s = 1.4\nhot_keys = 8\n"
           "request_waves = 3\ncache = lru\ncache_size = 4\n",
@@ -257,16 +259,15 @@ TEST(HotkeyScenario, CacheIsThreadCountInvariant) {
           "request_waves = 3\ncache = lru\ncache_size = 2\n"
           "round_limit = 2000\ndrop_rate = 0.02\n",
   };
-  for (const std::string& text : specs) {
-    ScenarioSpec spec = parse_ok(text);
-    RunOptions t1, t8;
-    t1.timing = t8.timing = false;
-    t1.threads_override = 1;
-    t8.threads_override = 8;
-    ScenarioOutcome a = run_scenario(spec, t1);
-    ScenarioOutcome b = run_scenario(spec, t8);
-    EXPECT_EQ(a.json, b.json) << text;
-  }
+  std::vector<ScenarioSpec> specs;
+  for (const std::string& text : texts) specs.push_back(parse_ok(text));
+  RunOptions opts;
+  opts.timing = false;
+  std::vector<ScenarioOutcome> one = run_cells(specs, opts, 1);
+  std::vector<ScenarioOutcome> four = run_cells(specs, opts, 4);
+  ASSERT_EQ(one.size(), specs.size());
+  ASSERT_EQ(four.size(), specs.size());
+  for (size_t i = 0; i < specs.size(); ++i) EXPECT_EQ(one[i].json, four[i].json) << texts[i];
 }
 
 // Fault honesty: under drops or byzantine corruption a cached payload may be

@@ -5,14 +5,13 @@
 // arenas, no touched lists: per-node send/receive capacity, fault hooks in
 // their documented order (begin_round, then drop and corrupt per message in
 // send order, then recv_cap), and the reservoir drop rule with its RNG forked
-// per (round, destination). The SoA Network — sequential, with a one-thread
-// engine, and with a three-thread engine delivering sharded — runs the same
-// seeded traffic, and every inbox and every NetStats field must agree after
-// every round. Thread-count identity cannot catch a counting-sort, reservoir
-// or stale-inbox bug that every thread count shares; this can.
+// per (round, destination). The SoA Network — with and without an engine
+// timing it — runs the same seeded traffic, and every inbox and every
+// NetStats field must agree after every round. A rerun cannot catch a
+// counting, reservoir or stale-inbox bug that every run shares; this can.
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/bits.hpp"
@@ -97,7 +96,7 @@ class RefNetwork {
 };
 
 // One message of the seeded traffic, a pure function of its coordinates so
-// engine shards can generate it in parallel. Destinations are skewed: a few
+// both models can generate it independently. Destinations are skewed: a few
 // hot nodes are addressed far beyond their receive capacity.
 Message traffic_msg(NodeId n, uint64_t round, uint64_t batch, uint64_t i, uint64_t j) {
   const uint64_t h = mix64(mix64(mix64(round * 131 + batch) ^ i) ^ j);
@@ -114,8 +113,8 @@ Message traffic_msg(NodeId n, uint64_t round, uint64_t batch, uint64_t i, uint64
   return m;
 }
 
-// Faults keyed only on their arguments, so the two models (and any shard
-// layout) see the same decisions.
+// Faults keyed only on their arguments, so the two models see the same
+// decisions.
 FaultHooks seeded_faults() {
   FaultHooks f;
   f.drop = [](const Message& m, uint64_t round, uint64_t idx) {
@@ -160,10 +159,10 @@ void expect_same(const Network& net, const RefNetwork& ref, uint64_t round) {
   }
 }
 
-enum class Mode { kSequential, kEngine1, kEngine3 };
+enum class Mode { kSequential, kEngine };
 
-// Seeded rounds of mixed traffic: busy rounds of interleaved tail send()s
-// and engine runs (some overloading the hot destinations), each followed at
+// Seeded rounds of mixed traffic: busy rounds of interleaved direct send()s
+// and send loops (some overloading the hot destinations), each followed at
 // random by empty rounds that must clear every inbox the busy round filled.
 void run_differential(NodeId n, Mode mode, bool faults, uint64_t seed) {
   NetConfig cfg;
@@ -173,14 +172,8 @@ void run_differential(NodeId n, Mode mode, bool faults, uint64_t seed) {
   cfg.seed = seed;
   Network net(cfg);
   RefNetwork ref(cfg);
-  std::unique_ptr<Engine> eng;
-  if (mode != Mode::kSequential) {
-    EngineConfig ec;
-    ec.threads = mode == Mode::kEngine3 ? 3 : 1;
-    ec.loop_cutoff = 1;
-    ec.delivery_cutoff = 1;  // shard delivery even in light rounds
-    eng = std::make_unique<Engine>(net, ec);
-  }
+  std::optional<Engine> eng;
+  if (mode == Mode::kEngine) eng.emplace(net);
   if (faults) {
     net.install_fault_hooks(seeded_faults());
     ref.install_fault_hooks(seeded_faults());
@@ -200,7 +193,7 @@ void run_differential(NodeId n, Mode mode, bool faults, uint64_t seed) {
             ref.send(m);
           }
       } else {
-        engine_send_loop(net, items, [&](uint64_t i, MsgSink& out) {
+        engine_send_loop(net, items, [&](uint64_t i, Network& out) {
           for (uint64_t j = 0; j < per_item; ++j) out.send(traffic_msg(n, round, b, i, j));
         });
         for (uint64_t i = 0; i < items; ++i)
@@ -225,17 +218,13 @@ TEST(NetworkReference, SequentialMatchesReference) {
   for (uint64_t seed : {1, 2, 3}) run_differential(64, Mode::kSequential, false, seed);
 }
 
-TEST(NetworkReference, SingleShardEngineMatchesReference) {
-  for (uint64_t seed : {1, 2, 3}) run_differential(64, Mode::kEngine1, false, seed);
-}
-
-TEST(NetworkReference, ShardedDeliveryMatchesReference) {
-  for (uint64_t seed : {1, 2, 3}) run_differential(64, Mode::kEngine3, false, seed);
-  run_differential(257, Mode::kEngine3, false, 4);  // uneven destination shards
+TEST(NetworkReference, EngineAttachedMatchesReference) {
+  for (uint64_t seed : {1, 2, 3}) run_differential(64, Mode::kEngine, false, seed);
+  run_differential(257, Mode::kEngine, false, 4);  // n not a power of two
 }
 
 TEST(NetworkReference, FaultHooksMatchReference) {
-  for (Mode mode : {Mode::kSequential, Mode::kEngine1, Mode::kEngine3})
+  for (Mode mode : {Mode::kSequential, Mode::kEngine})
     for (uint64_t seed : {5, 6}) run_differential(96, mode, true, seed);
 }
 

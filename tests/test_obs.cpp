@@ -4,14 +4,14 @@
 // accounting (against a brute-force oracle, across reset_stats(), and the
 // AQ_d aggregation-tree root-host bound), Chrome trace-event
 // well-formedness via the obs JSON checker, and the determinism contract:
-// span streams and trace bytes identical at threads=1 vs threads=8 under
-// every fault model, with wall-clock strictly segregated behind the timing
-// flag.
+// span streams and trace bytes identical across reruns and concurrent cells
+// under every fault model, with wall-clock strictly segregated behind the
+// timing flag.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
-#include <memory>
+#include <optional>
 
 #include "common/bits.hpp"
 #include "engine/engine.hpp"
@@ -22,6 +22,7 @@
 #include "obs/tracer.hpp"
 #include "primitives/aggregate_broadcast.hpp"
 #include "primitives/context.hpp"
+#include "scenario/cells.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
 
@@ -293,12 +294,11 @@ TEST(RoundLedger, MatchesBruteForceOracleUnderFaults) {
   // the peak in-degree whose first arrival is the larger id; 600 rounds
   // cover the 512-round cap.
   constexpr uint64_t kRounds = 600;
-  for (uint32_t threads : {1u, 3u}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
+  for (bool engine : {false, true}) {
+    SCOPED_TRACE(engine ? "engine attached" : "no engine");
     Network net = make_net(64);  // cap 48, columns 64
-    std::unique_ptr<Engine> eng =
-        threads > 1 ? std::make_unique<Engine>(net, EngineConfig{threads, 1, 1})
-                    : nullptr;
+    std::optional<Engine> eng;
+    if (engine) eng.emplace(net);
     FaultHooks fh;
     fh.drop = [](const Message&, uint64_t round, uint64_t idx) {
       return round > 0 && mix64(round * 0x9e37 + idx) % 10 == 0;
@@ -471,7 +471,6 @@ TEST(TraceExport, ChromeTraceIsWellFormedAndMonotonic) {
 
 TEST(TraceExport, TimingTracksAreGated) {
   auto spec = base_spec("bfs", 64);
-  spec.threads = 2;  // engine attached -> shard timing exists
   scenario::RunOptions opts;
   opts.timing = false;
   opts.collect_trace = true;
@@ -484,16 +483,17 @@ TEST(TraceExport, TimingTracksAreGated) {
   EXPECT_EQ(off.str().find("shard "), std::string::npos);
 
   // Wall-clock present only when asked for (stage counters are nonzero after
-  // a real run, so at least one shard track appears).
+  // a real run, so the engine track appears).
   uint64_t loops = 0;
   for (const EngineShardTiming& tm : out.trace.shard_timing) loops += tm.loops;
   EXPECT_GT(loops, 0u);
 }
 
 TEST(TraceExport, SpanStreamIdenticalAcrossThreadsUnderAllFaultModels) {
-  // The tentpole determinism claim: the span stream and congestion series
-  // (and hence the deterministic JSON and trace bytes) are identical at
-  // threads=1 vs threads=8 under every fault model.
+  // The determinism claim: the span stream and congestion series (and hence
+  // the deterministic JSON and trace bytes) are identical whether the cells
+  // run one at a time or all at once on the cell runner, under every fault
+  // model.
   struct Case {
     const char* label;
     void (*mutate)(scenario::ScenarioSpec&);
@@ -522,25 +522,28 @@ TEST(TraceExport, SpanStreamIdenticalAcrossThreadsUnderAllFaultModels) {
          s.round_limit = 40000;
        }},
   };
+  std::vector<scenario::ScenarioSpec> specs;
   for (const Case& c : cases) {
     auto spec = base_spec("bfs", 64);
     c.mutate(spec);
     spec.expect = "any";
-    scenario::RunOptions t1, t8;
-    t1.timing = t8.timing = false;
-    t1.collect_trace = t8.collect_trace = true;
-    t1.threads_override = 1;
-    t8.threads_override = 8;
-    auto o1 = scenario::run_scenario(spec, t1);
-    auto o8 = scenario::run_scenario(spec, t8);
-    ASSERT_TRUE(o1.ran && o8.ran) << c.label;
-    EXPECT_EQ(o1.json, o8.json) << c.label;
+    specs.push_back(spec);
+  }
+  scenario::RunOptions opts;
+  opts.timing = false;
+  opts.collect_trace = true;
+  auto one = scenario::run_cells(specs, opts, 1);
+  auto all = scenario::run_cells(specs, opts, static_cast<uint32_t>(specs.size()));
+  for (size_t i = 0; i < specs.size(); ++i) {
+    const char* label = cases[i].label;
+    ASSERT_TRUE(one[i].ran && all[i].ran) << label;
+    EXPECT_EQ(one[i].json, all[i].json) << label;
 
-    ASSERT_EQ(o1.trace.spans.size(), o8.trace.spans.size()) << c.label;
-    obs::JsonWriter w1, w8;
-    obs::write_chrome_trace(w1, {o1.trace}, false);
-    obs::write_chrome_trace(w8, {o8.trace}, false);
-    EXPECT_EQ(w1.str(), w8.str()) << c.label;
+    ASSERT_EQ(one[i].trace.spans.size(), all[i].trace.spans.size()) << label;
+    obs::JsonWriter w1, wa;
+    obs::write_chrome_trace(w1, {one[i].trace}, false);
+    obs::write_chrome_trace(wa, {all[i].trace}, false);
+    EXPECT_EQ(w1.str(), wa.str()) << label;
   }
 }
 
@@ -606,35 +609,6 @@ TEST(Memory, LedgerTracksLiveBytesAndContainerFootprint) {
   EXPECT_EQ(nm.live_bytes_peak, 3 * sizeof(Message));
   EXPECT_GT(nm.allocs, 0u);  // pending_/inbox growth from empty
   EXPECT_GT(nm.container_bytes_peak, 0u);
-  EXPECT_GE(mon.total_allocs(), nm.allocs);
-  EXPECT_GE(mon.peak_container_bytes(), nm.container_bytes_peak);
-}
-
-TEST(Memory, EngineStagedBufferProfileCountsAndResets) {
-  Network net = make_net(16);
-  Engine eng(net, EngineConfig{2, /*loop_cutoff=*/1, /*delivery_cutoff=*/1});
-  eng.send_loop(16, [](uint64_t i, MsgSink& out) {
-    out.send(static_cast<NodeId>(i), static_cast<NodeId>((i + 1) % 16), 0x1,
-             {i});
-  });
-  net.end_round();
-  uint64_t staged_peak = 0, allocs = 0;
-  for (const EngineShardMemory& m : eng.shard_memory()) {
-    staged_peak += m.staged_msgs_peak;
-    allocs += m.allocs;
-    // The staged arena is SoA: capacity covers at least the headers plus one
-    // payload word per staged message.
-    EXPECT_GE(m.staged_bytes_peak,
-              m.staged_msgs_peak * (sizeof(MsgHdr) + sizeof(uint64_t)));
-  }
-  EXPECT_EQ(staged_peak, 16u);  // every staged message counted exactly once
-  EXPECT_GT(allocs, 0u);        // buffers grew from empty
-  eng.reset_timing();
-  for (const EngineShardMemory& m : eng.shard_memory()) {
-    EXPECT_EQ(m.staged_msgs_peak, 0u);
-    EXPECT_EQ(m.staged_bytes_peak, 0u);
-    EXPECT_EQ(m.allocs, 0u);
-  }
 }
 
 TEST(Memory, SectionOnlyBehindTheFlag) {
@@ -669,29 +643,29 @@ TEST(Memory, SectionOnlyBehindTheFlag) {
 }
 
 TEST(Memory, PeakLiveBytesDeterministicAcrossThreads) {
+  // The same spec as two cells running at once on the cell runner.
   auto spec = base_spec("mis", 64);
-  scenario::RunOptions t1, t8;
-  t1.timing = t8.timing = false;
-  t1.threads_override = 1;
-  t8.threads_override = 8;
-  auto o1 = scenario::run_scenario(spec, t1);
-  auto o8 = scenario::run_scenario(spec, t8);
+  scenario::RunOptions opts;
+  opts.timing = false;
+  auto outs = scenario::run_cells({spec, spec}, opts, 2);
+  const auto& o1 = outs[0];
+  const auto& o8 = outs[1];
   ASSERT_TRUE(o1.ran && o8.ran);
   EXPECT_GT(o1.peak_live_bytes, 0u);
   EXPECT_EQ(o1.peak_live_bytes, o8.peak_live_bytes);
 }
 
 TEST(Flows, SampledFlowsIdenticalAcrossThreadsAndNonEmpty) {
-  // Token journeys are recorded at the router's sequential deposit/arrive
-  // points, so the sampled flows are bit-identical at threads=1 vs threads=8.
+  // Token journeys are recorded at the router's deposit/arrive points, in a
+  // fixed order, so the sampled flows of the same spec are bit-identical
+  // even when two cells run it at once on the cell runner.
   auto spec = base_spec("aggregate", 64);
-  scenario::RunOptions t1, t8;
-  t1.timing = t8.timing = false;
-  t1.collect_trace = t8.collect_trace = true;
-  t1.threads_override = 1;
-  t8.threads_override = 8;
-  auto o1 = scenario::run_scenario(spec, t1);
-  auto o8 = scenario::run_scenario(spec, t8);
+  scenario::RunOptions opts;
+  opts.timing = false;
+  opts.collect_trace = true;
+  auto outs = scenario::run_cells({spec, spec}, opts, 2);
+  const auto& o1 = outs[0];
+  const auto& o8 = outs[1];
   ASSERT_TRUE(o1.ran && o8.ran);
   EXPECT_EQ(o1.json, o8.json);
 
@@ -781,9 +755,9 @@ TEST(Flows, SamplerCapsAdmissionAndHops) {
 
 TEST(EngineTiming, ShardProfileAccumulatesAndResets) {
   Network net = make_net(16);
-  Engine eng(net, EngineConfig{2, /*loop_cutoff=*/1, /*delivery_cutoff=*/1});
+  Engine eng(net);
   for (int r = 0; r < 4; ++r) {
-    eng.send_loop(16, [](uint64_t i, MsgSink& out) {
+    engine_send_loop(net, 16, [](uint64_t i, Network& out) {
       out.send(static_cast<NodeId>(i), static_cast<NodeId>((i + 1) % 16), 0x1,
                {i});
     });
@@ -794,8 +768,13 @@ TEST(EngineTiming, ShardProfileAccumulatesAndResets) {
     loops += tm.loops;
     deliveries += tm.deliveries;
   }
-  EXPECT_EQ(loops, 8u);  // 4 rounds x 2 shards
-  EXPECT_GT(deliveries, 0u);
+  EXPECT_EQ(loops, 4u);  // one per round
+  EXPECT_EQ(deliveries, 4u);
+  // An empty loop and an empty round are not timed.
+  engine_send_loop(net, 0, [](uint64_t, Network&) { FAIL(); });
+  net.end_round();
+  EXPECT_EQ(eng.shard_timing()[0].loops, 4u);
+  EXPECT_EQ(eng.shard_timing()[0].deliveries, 4u);
   eng.reset_timing();
   for (const EngineShardTiming& tm : eng.shard_timing()) {
     EXPECT_EQ(tm.loops, 0u);

@@ -5,7 +5,7 @@
 // overlay, the butterfly == time-unrolled-hypercube identity, the router on
 // the augmented cube, the overlay-native aggregation trees (binary tree
 // bit-identical to seed, AQ_d tree at half the depth, barrier fast-path and
-// thread-count byte identity), and the acceptance property that every
+// engine-attached byte identity), and the acceptance property that every
 // registered algorithm produces identical verified outputs on all overlays
 // over a reliable network.
 #include <gtest/gtest.h>
@@ -560,15 +560,12 @@ TEST(AggTree, BarrierFastPathMatchesGeneralPrimitive) {
 
 TEST(AggTree, AbValueIdenticalAcrossOverlaysAndThreads) {
   // Full A&B over a sparse input subset: the aggregate is overlay-independent
-  // and the new tree code honors the engine determinism contract (threads=1
-  // == threads=8, identical rounds/messages/value).
+  // and an attached engine changes nothing (identical rounds/messages/value).
   for (OverlayKind kind : all_overlay_kinds()) {
-    auto run = [&](uint32_t threads) {
+    auto run = [&](bool engine) {
       Network net(NetConfig{.n = 150, .capacity_factor = 16, .seed = 21});
-      std::unique_ptr<Engine> eng;
-      if (threads > 1)
-        eng = std::make_unique<Engine>(
-            net, EngineConfig{threads, /*loop_cutoff=*/1, /*delivery_cutoff=*/1});
+      std::optional<Engine> eng;
+      if (engine) eng.emplace(net);
       auto topo = make_overlay(kind, 150);
       std::vector<std::optional<Val>> inputs(150);
       for (NodeId u = 3; u < 150; u += 7) inputs[u] = Val{u, 1};
@@ -579,7 +576,7 @@ TEST(AggTree, AbValueIdenticalAcrossOverlaysAndThreads) {
       return std::make_tuple((*res.value)[0], (*res.value)[1], res.rounds,
                              barrier_rounds, net.stats().messages_sent);
     };
-    auto t1 = run(1), t8 = run(8);
+    auto t1 = run(false), t8 = run(true);
     EXPECT_EQ(t1, t8) << overlay_name(kind);
     uint64_t expect_sum = 0, expect_cnt = 0;
     for (NodeId u = 3; u < 150; u += 7) expect_sum += u, ++expect_cnt;

@@ -6,14 +6,15 @@
 // containers NetMemStats tracks (the ledgers' `allocs` column). Each test
 // warms its containers with a few rounds, then requires a run of further
 // rounds to make zero allocations: an empty end_round(), an end_round()
-// with traffic delivered single-shard and sharded, sync_barrier, and the
-// router's route_down/route_up rounds.
+// with traffic, sync_barrier, and the router's route_down/route_up rounds —
+// each with and without an Engine attached.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <optional>
 #include <vector>
 
 #include "engine/engine.hpp"
@@ -66,20 +67,12 @@ NetConfig cfg_for(NodeId n) {
   return cfg;
 }
 
-EngineConfig sharded(uint32_t threads) {
-  EngineConfig ec;
-  ec.threads = threads;
-  ec.loop_cutoff = 1;
-  ec.delivery_cutoff = 1;
-  return ec;
-}
-
-// One round of steady traffic: every node sends two messages through an
-// engine run (or plain loop) and a few tail send()s follow; the pattern
-// shifts each round but its volume per node does not.
+// One round of steady traffic: every node sends two messages through a send
+// loop and a few direct send()s follow; the pattern shifts each round but
+// its volume per node does not.
 void traffic_round(Network& net, uint64_t r) {
   const NodeId n = net.n();
-  engine_send_loop(net, n, [&](uint64_t i, MsgSink& out) {
+  engine_send_loop(net, n, [&](uint64_t i, Network& out) {
     const NodeId u = static_cast<NodeId>(i);
     out.send(u, static_cast<NodeId>((u + 1 + r % 7) % n), 1, {u, r});
     out.send(u, static_cast<NodeId>((u + 9 + r % 5) % n), 2, {r});
@@ -106,40 +99,34 @@ TEST(RoundAllocs, CounterSeesHeapTraffic) {
 }
 
 TEST(RoundAllocs, EmptyEndRoundAllocatesNothing) {
-  for (uint32_t threads : {0u, 1u, 3u}) {
+  for (bool engine : {false, true}) {
     Network net(cfg_for(4096));
-    std::unique_ptr<Engine> eng;
-    if (threads) eng = std::make_unique<Engine>(net, sharded(threads));
+    std::optional<Engine> eng;
+    if (engine) eng.emplace(net);
     traffic_round(net, 0);  // a busy round first: its inboxes must expire
     EXPECT_EQ(steady_allocs(2, 200, [&](uint64_t) { net.end_round(); }), 0u)
-        << "threads " << threads;
+        << "engine " << engine;
     EXPECT_EQ(net.inbox(1).size(), 0u);
   }
 }
 
-TEST(RoundAllocs, TrafficRoundSingleShardAllocatesNothing) {
-  for (uint32_t threads : {0u, 1u}) {
+TEST(RoundAllocs, TrafficRoundAllocatesNothing) {
+  for (bool engine : {false, true}) {
     Network net(cfg_for(512));
-    std::unique_ptr<Engine> eng;
-    if (threads) eng = std::make_unique<Engine>(net, sharded(threads));
+    std::optional<Engine> eng;
+    if (engine) eng.emplace(net);
     EXPECT_EQ(steady_allocs(8, 100, [&](uint64_t r) { traffic_round(net, r); }), 0u)
-        << "threads " << threads;
+        << "engine " << engine;
     EXPECT_EQ(net.stats().messages_dropped, 0u);
   }
 }
 
-TEST(RoundAllocs, TrafficRoundShardedAllocatesNothing) {
-  Network net(cfg_for(512));
-  Engine eng(net, sharded(3));
-  EXPECT_EQ(steady_allocs(8, 100, [&](uint64_t r) { traffic_round(net, r); }), 0u);
-}
-
 TEST(RoundAllocs, SyncBarrierAllocatesNothing) {
-  for (uint32_t threads : {0u, 1u, 3u}) {
+  for (bool engine : {false, true}) {
     const NodeId n = 200;  // not a power of two: attach/detach rounds carry traffic
     Network net(cfg_for(n));
-    std::unique_ptr<Engine> eng;
-    if (threads) eng = std::make_unique<Engine>(net, sharded(threads));
+    std::optional<Engine> eng;
+    if (engine) eng.emplace(net);
     Shared shared(n, 5);
     const uint64_t r0 = net.rounds();
     EXPECT_EQ(steady_allocs(2, 20,
@@ -147,7 +134,7 @@ TEST(RoundAllocs, SyncBarrierAllocatesNothing) {
                               sync_barrier(shared.topo(), net, shared.barrier_workspace());
                             }),
               0u)
-        << "threads " << threads;
+        << "engine " << engine;
     EXPECT_EQ(net.rounds() - r0, 22 * (2 * uint64_t{shared.topo().agg_steps()} + 2));
   }
 }
@@ -160,11 +147,11 @@ TEST(RoundAllocs, SyncBarrierAllocatesNothing) {
 // fill the call's own result tables (root_values/root_col, the leaf lists),
 // which are fresh per call by design.
 TEST(RoundAllocs, RouterRoundsOnWarmWorkspaceAllocateNothing) {
-  for (uint32_t threads : {0u, 3u}) {
+  for (bool engine : {false, true}) {
     const NodeId n = 64;
     Network net(cfg_for(n));
-    std::unique_ptr<Engine> eng;
-    if (threads) eng = std::make_unique<Engine>(net, sharded(threads));
+    std::optional<Engine> eng;
+    if (engine) eng.emplace(net);
     Shared shared(n, 9);
     const Overlay& topo = shared.topo();
     const uint32_t F = topo.levels() - 1;
@@ -210,10 +197,10 @@ TEST(RoundAllocs, RouterRoundsOnWarmWorkspaceAllocateNothing) {
     const std::vector<uint64_t> down_rounds = down_call();
     ASSERT_GT(down_rounds.size(), 2u * F);
     for (uint32_t r = 1; r < F; ++r)
-      EXPECT_EQ(down_rounds[r], 0u) << "route_down round " << r << " threads " << threads;
+      EXPECT_EQ(down_rounds[r], 0u) << "route_down round " << r << " engine " << engine;
     const std::vector<uint64_t> up_rounds = up_call();
     ASSERT_GT(up_rounds.size(), uint64_t{F});
     for (uint32_t r = 1; r < F; ++r)
-      EXPECT_EQ(up_rounds[r], 0u) << "route_up round " << r << " threads " << threads;
+      EXPECT_EQ(up_rounds[r], 0u) << "route_up round " << r << " engine " << engine;
   }
 }

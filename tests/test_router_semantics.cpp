@@ -8,6 +8,7 @@
 #include <functional>
 #include <memory>
 #include <map>
+#include <optional>
 #include <ostream>
 #include <set>
 #include <stdexcept>
@@ -194,12 +195,10 @@ TEST(RouterSemantics, HeartbeatDrainsTokenTailsInBothDirections) {
 
     // `ref_down_rounds` = 0 runs fault-free; otherwise the drop window sits
     // at the end of where each phase's fault-free run would end.
-    auto pass = [&](uint32_t threads, uint64_t ref_down_rounds) {
+    auto pass = [&](bool engine, uint64_t ref_down_rounds) {
       Network net(cfg);
-      EngineConfig ecfg;
-      ecfg.threads = threads;
-      ecfg.loop_cutoff = ecfg.delivery_cutoff = 1;  // shard even tiny rounds
-      Engine eng(net, ecfg);
+      std::optional<Engine> eng;
+      if (engine) eng.emplace(net);
       RouterWorkspace ws;
       uint64_t lo = 0, hi = 0;  // drop window [lo, hi) in network rounds
       auto window_at = [&](uint64_t phase_rounds) {
@@ -236,11 +235,11 @@ TEST(RouterSemantics, HeartbeatDrainsTokenTailsInBothDirections) {
       return p;
     };
 
-    const Pass ref = pass(1, 0);
+    const Pass ref = pass(false, 0);
     EXPECT_EQ(ref.down.token_resends, 0u);
     EXPECT_EQ(ref.up.token_resends, 0u);
-    const Pass t1 = pass(1, ref.down.rounds);
-    const Pass t4 = pass(4, ref.down.rounds);
+    const Pass t1 = pass(false, ref.down.rounds);
+    const Pass t4 = pass(true, ref.down.rounds);
 
     // Both phases terminated, and each needed the heartbeat to do so.
     EXPECT_GT(t1.down.token_resends, 0u);
@@ -257,7 +256,8 @@ TEST(RouterSemantics, HeartbeatDrainsTokenTailsInBothDirections) {
     auto ref_delivered = sorted(ref.delivered), t1_delivered = sorted(t1.delivered);
     EXPECT_TRUE(std::includes(ref_delivered.begin(), ref_delivered.end(),
                               t1_delivered.begin(), t1_delivered.end()));
-    // The faulted runs are engine-thread-count invariant, heartbeat included.
+    // The faulted runs are the same with an engine attached, heartbeat
+    // included.
     EXPECT_EQ(t1.sums, t4.sums);
     EXPECT_EQ(t1.delivered, t4.delivered);
     expect_same_stats(t1.down, t4.down);
@@ -289,19 +289,14 @@ NodeId seeded_dest(const Overlay& topo, uint64_t g) {
 }
 uint64_t seeded_rank(uint64_t g) { return mix64(g ^ 0x5eed); }
 
-/// A router run on its own network, optionally under a sharded engine.
+/// A router run on its own network, optionally with an engine attached.
 struct EngineFix {
   Network net;
-  std::unique_ptr<Engine> eng;
+  std::optional<Engine> eng;
   RouterWorkspace ws;
-  EngineFix(NodeId n, uint32_t threads)
+  EngineFix(NodeId n, bool engine)
       : net(NetConfig{.n = n, .capacity_factor = 8, .strict_send = true, .seed = 3}) {
-    if (threads > 1) {
-      EngineConfig ecfg;
-      ecfg.threads = threads;
-      ecfg.loop_cutoff = ecfg.delivery_cutoff = 1;  // shard even tiny rounds
-      eng = std::make_unique<Engine>(net, ecfg);
-    }
+    if (engine) eng.emplace(net);
   }
 };
 
@@ -342,9 +337,9 @@ TEST(RouterSemantics, CongestionMatchesGreedyPathOracle) {
       auto dest = [&](uint64_t g) { return seeded_dest(*topo, g); };
       const uint32_t expected = oracle_congestion(*topo, at_col, dest);
       ASSERT_GE(expected, 600u);  // the hot level-0 state alone holds 600 groups
-      for (uint32_t threads : {1u, 4u}) {
-        SCOPED_TRACE(testing::Message() << "threads=" << threads);
-        EngineFix f(n, threads);
+      for (bool engine : {false, true}) {
+        SCOPED_TRACE(testing::Message() << "engine=" << engine);
+        EngineFix f(n, engine);
         DownResult plain = route_down(*topo, f.net, f.ws, at_col, dest, seeded_rank, agg::sum);
         EXPECT_EQ(plain.stats.congestion, expected);
         MulticastTrees trees;
@@ -379,10 +374,10 @@ std::ostream& operator<<(std::ostream& os, const GoldenPass& p) {
 
 void fold(uint64_t& h, uint64_t x) { h = mix64(h ^ mix64(x)); }
 
-GoldenPass golden_pass(OverlayKind kind, uint32_t threads) {
+GoldenPass golden_pass(OverlayKind kind, bool engine) {
   constexpr NodeId kN = 256;
   const auto topo = make_overlay(kind, kN);
-  EngineFix f(kN, threads);
+  EngineFix f(kN, engine);
   auto dest = [&](uint64_t g) { return seeded_dest(*topo, g); };
   MulticastTrees trees;
   trees.leaf_members.assign(topo->columns(), {});
@@ -434,7 +429,7 @@ TEST(RouterSemantics, GoldenRecordAndSpreadPins) {
   };
   for (const auto& [kind, pin] : pins) {
     SCOPED_TRACE(overlay_name(kind));
-    EXPECT_EQ(golden_pass(kind, 1), pin);
-    EXPECT_EQ(golden_pass(kind, 4), pin);  // the parallel step swap-removes entries
+    EXPECT_EQ(golden_pass(kind, false), pin);
+    EXPECT_EQ(golden_pass(kind, true), pin);
   }
 }

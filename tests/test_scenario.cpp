@@ -1,11 +1,12 @@
 // Scenario subsystem tests: spec/sweep parse round-trips and strict rejection
 // of malformed specs and sweep axes, registry coverage, expectation gating,
 // and the determinism contract extended through fault injection — the same
-// spec + seed must produce bit-identical machine-readable output at
-// threads=1 and threads=8; crashes, partitions, and byzantine corruption all
-// included.
+// spec + seed must produce bit-identical machine-readable output on reruns
+// and whether its cell ran alone or beside others on the cell runner;
+// crashes, partitions, and byzantine corruption all included.
 #include <gtest/gtest.h>
 
+#include "scenario/cells.hpp"
 #include "scenario/faults.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
@@ -22,6 +23,23 @@ ScenarioSpec parse_ok(const std::string& text) {
   auto spec = parse_spec(text, &error);
   EXPECT_TRUE(spec.has_value()) << error;
   return spec.value_or(ScenarioSpec{});
+}
+
+/// Runs `texts` as cells on the cell runner at one thread and at four; every
+/// cell's JSON must match across the two, and each outcome is returned in
+/// cell order.
+std::vector<ScenarioOutcome> run_cells_both_ways(const std::vector<std::string>& texts) {
+  std::vector<ScenarioSpec> specs;
+  for (const std::string& t : texts) specs.push_back(parse_ok(t));
+  RunOptions opts;
+  opts.timing = false;
+  std::vector<ScenarioOutcome> one = run_cells(specs, opts, 1);
+  std::vector<ScenarioOutcome> four = run_cells(specs, opts, 4);
+  EXPECT_EQ(one.size(), texts.size());
+  EXPECT_EQ(four.size(), texts.size());
+  for (size_t i = 0; i < std::min(one.size(), four.size()); ++i)
+    EXPECT_EQ(one[i].json, four[i].json) << texts[i];
+  return one;
 }
 
 void expect_reject(const std::string& text, const std::string& why_contains) {
@@ -132,6 +150,16 @@ TEST(ScenarioSpec, ParsesPartitionAndByzantineFaults) {
                 "round_limit");
   expect_reject("graph = clique\nn = 64\nalgorithm = bfs\nexpect = maybe\n",
                 "expect");
+}
+
+TEST(ScenarioSpec, RejectsThreadsOutsideOneTo1024) {
+  // `threads` is accepted but runs nothing: a run executes on one thread.
+  // Parsing alone must reject 0 and values past the --threads bound.
+  const std::string base = "graph = clique\nn = 8\nalgorithm = bfs\n";
+  expect_reject(base + "threads = 0\n", "malformed value for `threads`");
+  expect_reject(base + "threads = 4294967295\n", "malformed value for `threads`");
+  expect_reject(base + "threads = 1025\n", "malformed value for `threads`");
+  EXPECT_EQ(parse_ok(base + "threads = 1024\n").threads, 1024u);
 }
 
 TEST(ScenarioSpec, RejectsMalformedSpecs) {
@@ -312,9 +340,10 @@ TEST(ScenarioRunner, PerturbationCausesCapacityDrops) {
 }
 
 // The determinism acceptance check: same spec + seed => byte-identical JSON
-// at threads=1 and threads=8, including under every fault model at once.
+// on a rerun and across cell-runner thread counts, including under every
+// fault model at once.
 TEST(ScenarioRunner, FaultInjectionIsThreadCountInvariant) {
-  const char* specs[] = {
+  const std::vector<std::string> specs = {
       // all five fault models at once
       "graph = gnm\nn = 96\nm = 400\nalgorithm = mis\nseed = 11\n"
       "round_limit = 300\ncrash_rounds = 8,20\ncrash_count = 3\n"
@@ -326,19 +355,12 @@ TEST(ScenarioRunner, FaultInjectionIsThreadCountInvariant) {
       // fault-free control
       "graph = clique\nn = 64\nalgorithm = bfs\nseed = 13\n",
   };
-  for (const char* text : specs) {
-    ScenarioSpec spec = parse_ok(text);
-    RunOptions t1, t8;
-    t1.timing = t8.timing = false;
-    t1.threads_override = 1;
-    t8.threads_override = 8;
-    ScenarioOutcome a = run_scenario(spec, t1);
-    ScenarioOutcome b = run_scenario(spec, t8);
-    EXPECT_EQ(a.json, b.json) << text;
-    // And re-running is reproducible outright.
-    ScenarioOutcome c = run_scenario(spec, t1);
-    EXPECT_EQ(a.json, c.json) << text;
-  }
+  std::vector<ScenarioOutcome> outs = run_cells_both_ways(specs);
+  // And re-running is reproducible outright.
+  RunOptions opts;
+  opts.timing = false;
+  for (size_t i = 0; i < outs.size(); ++i)
+    EXPECT_EQ(outs[i].json, run_scenario(parse_ok(specs[i]), opts).json) << specs[i];
 }
 
 // Dedicated byte-identity checks for the two new fault models, run over the
@@ -349,7 +371,7 @@ TEST(ScenarioRunner, FaultInjectionIsThreadCountInvariant) {
 // combining/spreading phases (where corrupted group ids force the
 // misrouted-packet handling).
 TEST(ScenarioRunner, PartitionHealIsThreadCountInvariant) {
-  const char* specs[] = {
+  const std::vector<std::string> specs = {
       "graph = gnm\nn = 96\nm = 480\nconnect = true\nalgorithm = broadcast\n"
       "seed = 21\nround_limit = 400\npartition_windows = 0-8\n"
       "partition_frac = 0.5\n",
@@ -357,17 +379,9 @@ TEST(ScenarioRunner, PartitionHealIsThreadCountInvariant) {
       "seed = 22\nround_limit = 800\npartition_windows = 2-10\n"
       "partition_frac = 0.25\n",
   };
-  for (const char* text : specs) {
-    ScenarioSpec spec = parse_ok(text);
-    RunOptions t1, t8;
-    t1.timing = t8.timing = false;
-    t1.threads_override = 1;
-    t8.threads_override = 8;
-    ScenarioOutcome a = run_scenario(spec, t1);
-    ScenarioOutcome b = run_scenario(spec, t8);
-    EXPECT_EQ(a.json, b.json) << text;
-    EXPECT_GT(a.fault_drops, 0u) << text;  // the cut actually dropped traffic
-  }
+  std::vector<ScenarioOutcome> outs = run_cells_both_ways(specs);
+  for (size_t i = 0; i < outs.size(); ++i)
+    EXPECT_GT(outs[i].fault_drops, 0u) << specs[i];  // the cut dropped traffic
 }
 
 // BFS heal recovery (ROADMAP): the partition schedule is declared, so the BFS
@@ -389,7 +403,7 @@ TEST(ScenarioRunner, BfsRecoversAfterPartitionHeal) {
 }
 
 TEST(ScenarioRunner, ByzantineCorruptionIsThreadCountInvariant) {
-  const char* specs[] = {
+  const std::vector<std::string> specs = {
       "graph = hypercube\ndim = 6\nalgorithm = broadcast\nseed = 31\n"
       "round_limit = 200\nbyzantine_rate = 0.1\n",
       "graph = powerlaw\nn = 96\nbeta = 2.5\nmax_deg = 24\n"
@@ -398,17 +412,9 @@ TEST(ScenarioRunner, ByzantineCorruptionIsThreadCountInvariant) {
       "graph = clique\nn = 48\nalgorithm = multicast\nseed = 33\n"
       "round_limit = 500\nbyzantine_rate = 0.05\n",
   };
-  for (const char* text : specs) {
-    ScenarioSpec spec = parse_ok(text);
-    RunOptions t1, t8;
-    t1.timing = t8.timing = false;
-    t1.threads_override = 1;
-    t8.threads_override = 8;
-    ScenarioOutcome a = run_scenario(spec, t1);
-    ScenarioOutcome b = run_scenario(spec, t8);
-    EXPECT_EQ(a.json, b.json) << text;
-    EXPECT_GT(a.corrupted, 0u) << text;  // corruption actually fired
-  }
+  std::vector<ScenarioOutcome> outs = run_cells_both_ways(specs);
+  for (size_t i = 0; i < outs.size(); ++i)
+    EXPECT_GT(outs[i].corrupted, 0u) << specs[i];  // corruption actually fired
 }
 
 TEST(ScenarioRunner, BroadcastReportsCorruptedTokens) {

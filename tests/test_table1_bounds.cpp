@@ -1,6 +1,6 @@
-// The paper's Table 1, checked. Every scenarios/table1/*.scn grid runs cell by
-// cell through the path ncc_run takes (parse_sweep_file -> expand_sweep_cell
-// -> run_scenario) and each cell must verify (`ok`) with its measured rounds
+// The paper's Table 1, checked. Every scenarios/table1/*.scn grid runs its
+// cells through the path ncc_run takes (parse_sweep_file -> expand_sweep_cell
+// -> run_cells, four cells at a time) and each cell must verify (`ok`) with its measured rounds
 // within a constant factor of its row's bound:
 //
 //   MST                    log^4 n                     (Section 3)
@@ -24,6 +24,7 @@
 
 #include "common/table.hpp"
 #include "graph/properties.hpp"
+#include "scenario/cells.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
 #include "scenario/sweep.hpp"
@@ -81,12 +82,12 @@ std::vector<std::string> table1_specs() {
 TEST(Table1, EveryCellVerifiesWithinItsBound) {
   RunOptions opts;
   opts.build_json = false;
-  opts.threads_override = 1;
 
   Table t({"cell", "verdict", "rounds", "bound", "formula", "ratio", "ceiling"});
   std::map<std::string, int> cells_per_algorithm;
   std::map<NodeId, double> mst_ratio;  // n -> rounds / log^4 n
 
+  std::vector<ScenarioSpec> specs;
   for (const std::string& path : table1_specs()) {
     std::string error;
     auto sweep = parse_sweep_file(path, &error);
@@ -94,21 +95,25 @@ TEST(Table1, EveryCellVerifiesWithinItsBound) {
     for (uint64_t c = 0; c < sweep->cells(); ++c) {
       auto spec = expand_sweep_cell(*sweep, c, &error);
       ASSERT_TRUE(spec) << error;
-      auto row = kRows.find(spec->algorithm);
-      ASSERT_NE(row, kRows.end()) << spec->name << ": no Table 1 row for "
-                                  << spec->algorithm;
-      ScenarioOutcome out = run_scenario(*spec, opts);
-      const double bound = bound_for(*spec);
-      const double ratio = static_cast<double>(out.rounds) / bound;
-      EXPECT_EQ(out.verdict, "ok") << spec->name;
-      EXPECT_LE(ratio, row->second.ceiling) << spec->name << ": " << out.rounds
-                                            << " rounds vs bound " << bound;
-      ++cells_per_algorithm[spec->algorithm];
-      if (spec->algorithm == "mst") mst_ratio[spec->n] = ratio;
-      t.add_row({spec->name, out.verdict, Table::num(out.rounds), Table::num(bound, 0),
-                 row->second.formula, Table::num(ratio, 1),
-                 Table::num(row->second.ceiling, 0)});
+      ASSERT_TRUE(kRows.count(spec->algorithm))
+          << spec->name << ": no Table 1 row for " << spec->algorithm;
+      specs.push_back(std::move(*spec));
     }
+  }
+  const std::vector<ScenarioOutcome> outs = run_cells(specs, opts, 4);
+  for (size_t i = 0; i < specs.size(); ++i) {
+    const ScenarioSpec& spec = specs[i];
+    const ScenarioOutcome& out = outs[i];
+    const auto& row = kRows.at(spec.algorithm);
+    const double bound = bound_for(spec);
+    const double ratio = static_cast<double>(out.rounds) / bound;
+    EXPECT_EQ(out.verdict, "ok") << spec.name;
+    EXPECT_LE(ratio, row.ceiling) << spec.name << ": " << out.rounds
+                                  << " rounds vs bound " << bound;
+    ++cells_per_algorithm[spec.algorithm];
+    if (spec.algorithm == "mst") mst_ratio[spec.n] = ratio;
+    t.add_row({spec.name, out.verdict, Table::num(out.rounds), Table::num(bound, 0),
+               row.formula, Table::num(ratio, 1), Table::num(row.ceiling, 0)});
   }
   t.print("== Table 1: measured rounds vs the paper's bounds ==");
 

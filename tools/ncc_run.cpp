@@ -13,11 +13,13 @@
 //   --dir DIR        run all *.scn files under DIR (sorted; repeatable)
 //   --sweep          group output per sweep file with axis metadata and write
 //                    it to BENCH_sweeps.json (default name in this mode)
-//   --threads T      override every cell's engine thread count
+//   --threads T      run up to T cells at once (each cell runs on one thread;
+//                    output is emitted in cell order, so it does not depend
+//                    on T)
 //   --json PATH      write results as JSON (default BENCH_scenarios.json)
 //   --no-timing      omit the wall-clock sections — output is then a pure
-//                    function of (spec, seed), byte-identical across thread
-//                    counts (the determinism contract extends through faults)
+//                    function of (spec, seed), byte-identical across --threads
+//                    values (the determinism contract extends through faults)
 //   --memory         append the observational "memory" section (container
 //                    capacities, allocation counts) to each run's JSON and a
 //                    peak live-bytes column to the per-spec summary; like
@@ -25,8 +27,8 @@
 //   --trace PATH     also write a Chrome trace-event file (chrome://tracing /
 //                    ui.perfetto.dev) with one process per run: phase spans,
 //                    per-round congestion + live-message-bytes counters,
-//                    sampled token flows, and — unless --no-timing —
-//                    per-shard wall-clock tracks
+//                    sampled token flows, and — unless --no-timing — a
+//                    wall-clock engine track
 //   --list           print the registered algorithms and exit
 //   --help           print the option reference and exit
 //
@@ -38,12 +40,14 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/table.hpp"
 #include "obs/json.hpp"
 #include "obs/trace_export.hpp"
+#include "scenario/cells.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
@@ -94,9 +98,8 @@ struct SpecSummary {
 
 /// Aggregate over a set of sweep cells (the whole grid or the cells sharing
 /// one axis value): verdict histogram plus min/max/mean rounds and messages.
-/// A pure function of the per-cell outcomes, which are themselves
-/// thread-count free — so the derived metrics keep BENCH_sweeps.json
-/// byte-identical across --threads values.
+/// A pure function of the per-cell outcomes — so the derived metrics keep
+/// BENCH_sweeps.json byte-identical across --threads values.
 struct CellAgg {
   uint64_t cells = 0, ok = 0, degraded = 0, round_limit = 0, errors = 0, failed = 0;
   uint64_t rounds_min = UINT64_MAX, rounds_max = 0, rounds_sum = 0;
@@ -216,25 +219,26 @@ void print_help() {
       "  --dir DIR     run all *.scn files under DIR (sorted; repeatable)\n"
       "  --sweep       group output per sweep file with axis metadata and\n"
       "                derived summaries (default JSON: BENCH_sweeps.json)\n"
-      "  --threads T   override every cell's engine thread count (results\n"
-      "                are bit-identical across T by the determinism contract)\n"
+      "  --threads T   run up to T cells at once, T in [1, 1024] (default 1);\n"
+      "                every cell runs on one thread and output is emitted\n"
+      "                in cell order, so it is byte-identical across T\n"
       "  --json PATH   write results as JSON (default BENCH_scenarios.json)\n"
       "  --no-timing   omit wall-clock sections; output becomes a pure\n"
       "                function of (spec, seed), byte-identical across\n"
-      "                thread counts\n"
+      "                --threads values\n"
       "  --memory      append the observational \"memory\" section to each\n"
-      "                run's JSON (network/engine container capacities and\n"
-      "                allocation counts, per-shard staged-buffer peaks) and\n"
-      "                a peak live-bytes column to the per-spec summary.\n"
-      "                Capacities depend on the shard layout, so — like\n"
-      "                timing — the section is excluded from determinism-\n"
+      "                run's JSON (network container capacities and\n"
+      "                allocation counts) and a peak live-bytes column to\n"
+      "                the per-spec summary. Capacities depend on buffer-\n"
+      "                reuse history, so — like timing — the section is\n"
+      "                excluded from determinism-\n"
       "                compared bytes; the deterministic live-message-bytes\n"
       "                peak/series are always collected and feed the trace's\n"
       "                memory counter track\n"
       "  --trace PATH  write a Chrome trace-event file (one process per\n"
       "                run): phase spans, congestion + live-message-bytes\n"
       "                counter tracks, sampled token flow events, and —\n"
-      "                unless --no-timing — per-shard wall-clock tracks\n"
+      "                unless --no-timing — a wall-clock engine track\n"
       "  --list        print the registered algorithms and exit\n"
       "  --help        print this reference and exit\n");
 }
@@ -248,6 +252,7 @@ int main(int argc, char** argv) {
   std::string trace_path;
   bool list = false;
   bool sweep_mode = false;
+  uint32_t threads = 1;
 
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -272,8 +277,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--sweep") {
       sweep_mode = true;
     } else if (arg == "--threads") {
-      if (!parse_cli_u32(argv[++i], &opts.threads_override) ||
-          opts.threads_override == 0 || opts.threads_override > 1024) {
+      if (!parse_cli_u32(argv[++i], &threads) || threads == 0 || threads > 1024) {
         std::fprintf(stderr, "ncc_run: --threads wants an integer in [1, 1024], got %s\n",
                      argv[i]);
         return 1;
@@ -336,6 +340,15 @@ int main(int argc, char** argv) {
   int parse_failures = 0;
   uint64_t total_failed = 0;
 
+  // Expand every file's cells first, then run all of them at once on the
+  // cell runner; the emission below walks the cells in file and cell order.
+  struct CellSlot {
+    std::optional<size_t> spec;  // index into specs, or unexpandable:
+    std::string error;           // why
+  };
+  std::vector<SweepSpec> sweeps;
+  std::vector<std::vector<CellSlot>> slots;  // per sweep, per cell
+  std::vector<ScenarioSpec> specs;
   for (const std::string& path : paths) {
     std::string error;
     auto sweep = parse_sweep_file(path, &error);
@@ -344,6 +357,20 @@ int main(int argc, char** argv) {
       ++parse_failures;
       continue;
     }
+    slots.emplace_back(sweep->cells());
+    for (uint64_t c = 0; c < sweep->cells(); ++c) {
+      CellSlot& slot = slots.back()[c];
+      if (auto spec = expand_sweep_cell(*sweep, c, &slot.error)) {
+        slot.spec = specs.size();
+        specs.push_back(std::move(*spec));
+      }
+    }
+    sweeps.push_back(std::move(*sweep));
+  }
+  std::vector<ScenarioOutcome> outcomes = run_cells(specs, opts, threads);
+
+  for (size_t si = 0; si < sweeps.size(); ++si) {
+    const SweepSpec* sweep = &sweeps[si];
     SpecSummary summary;
     summary.name = sweep->name;
 
@@ -372,10 +399,11 @@ int main(int argc, char** argv) {
     if (sweep_mode) cell_outs.reserve(cells);
     for (uint64_t c = 0; c < cells; ++c) {
       std::string label = sweep_cell_label(*sweep, c);
-      auto spec = expand_sweep_cell(*sweep, c, &error);
+      const CellSlot& slot = slots[si][c];
+      const ScenarioSpec* spec = slot.spec ? &specs[*slot.spec] : nullptr;
       ScenarioOutcome out;
       if (spec) {
-        out = run_scenario(*spec, opts);
+        out = std::move(outcomes[*slot.spec]);
         if (opts.collect_trace && out.ran)
           trace_cells.push_back(std::move(out.trace));
       } else {
@@ -383,7 +411,7 @@ int main(int argc, char** argv) {
         // combination gates CI instead of vanishing from the report. There is
         // no validated spec to describe, but the verdict/gate fields every
         // consumer keys on are all present (expect is unresolved: empty).
-        out.verdict = "error:" + error;
+        out.verdict = "error:" + slot.error;
         out.failed = true;
         if (!sweep_mode) {
           obs::JsonWriter w;
@@ -466,9 +494,9 @@ int main(int argc, char** argv) {
               sweep_mode ? "sweeps" : "scenarios", json_path.c_str());
 
   if (opts.collect_trace) {
-    // Wall-clock shard tracks follow the timing flag: with --no-timing the
-    // trace bytes are a pure function of (spec, seed), which is what the
-    // trace determinism check compares across thread counts.
+    // The wall-clock engine track follows the timing flag: with --no-timing
+    // the trace bytes are a pure function of (spec, seed), which is what the
+    // trace determinism check compares across --threads values.
     obs::JsonWriter tw;
     obs::write_chrome_trace(tw, trace_cells, opts.timing);
     std::FILE* tf = std::fopen(trace_path.c_str(), "w");
