@@ -22,7 +22,8 @@
 //    (RouteStats::packets_moved): the combining climbs and spreading descents
 //    the cache exists to short-circuit. This is the headline axis.
 //
-// Expected shape, verified by the rows and pinned by CI's perf gate:
+// Expected shape, verified by the rows and pinned by the bench_ledger_hotkey
+// ctest (every counter of every row exact against BENCH_hotkey.json):
 //  * uniform rows are bit-identical cache-on vs cache-off (fresh keys never
 //    hit, and admissions/lookups send no messages);
 //  * at zipf_s >= 1.2 the cached rows cut routed messages by >= 2x (and trim
@@ -31,7 +32,7 @@
 //    eating the hit rate — the knee the sweep grid charts.
 //
 // Emits BENCH_hotkey.json: one row per (traffic, cache_size) with
-// rounds/messages/routed/wall_ms plus hits/evictions columns.
+// rounds/messages/routed plus hits/evictions columns, all counters.
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -57,7 +58,6 @@ struct Row {
   uint64_t rounds = 0;
   uint64_t messages = 0;
   uint64_t routed = 0;  // overlay packet hops (RouteStats::packets_moved)
-  double wall_ms = 0.0;
   uint64_t hits = 0;
   uint64_t evictions = 0;
 };
@@ -83,7 +83,6 @@ Row run_cdn(double zipf_s, uint32_t cache_size) {
   Rng req_rng(0x40719e7);
   auto payload_of = [](uint64_t group) { return Val{0xca11 + group, 0}; };
 
-  WallTimer timer;
   uint64_t routed = 0;
   for (uint32_t w = 0; w < kWaves; ++w) {
     std::vector<MulticastMembership> members;
@@ -124,7 +123,7 @@ Row run_cdn(double zipf_s, uint32_t cache_size) {
                      "hotkey wave delivered a wrong payload");
     }
   }
-  Row r{net.stats().rounds, net.stats().messages_sent, routed, timer.ms(), 0, 0};
+  Row r{net.stats().rounds, net.stats().messages_sent, routed, 0, 0};
   if (cache) {
     r.hits = cache->stats().hits;
     r.evictions = cache->stats().evictions;
@@ -163,7 +162,7 @@ int main(int argc, char** argv) {
 
   BenchJson json;
   Table t({"traffic", "cache", "rounds", "messages", "routed", "hits",
-           "evictions", "wall ms", "routed vs off"});
+           "evictions", "routed vs off"});
   for (const Traffic& tr : traffics) {
     Row off{};
     for (uint32_t cs : cache_sizes) {
@@ -173,11 +172,9 @@ int main(int argc, char** argv) {
       t.add_row({tr.name, cache_name, Table::num(r.rounds),
                  Table::num(r.messages), Table::num(r.routed),
                  Table::num(r.hits), Table::num(r.evictions),
-                 Table::num(r.wall_ms, 1),
                  Table::num(static_cast<double>(r.routed) / off.routed, 2)});
       json.add(std::string("cdn/") + tr.name + "/" + cache_name, kNodes, r.rounds,
-               r.wall_ms, r.messages,
-               cache_extra(tr.zipf_s, cs, r));
+               r.messages, cache_extra(tr.zipf_s, cs, r));
     }
   }
   t.print("== hot-key CDN waves ==");

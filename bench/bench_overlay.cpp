@@ -17,9 +17,10 @@
 // barrier in 2*ceil((d+1)/2)+2 rounds against the binary tree's 2d+2), all
 // through the real Shared/Network stack so barriers and injection rounds are
 // included. Emits BENCH_overlay.json: one row per (workload, overlay, n)
-// with rounds/messages/wall_ms plus the peak_bytes/allocs memory columns
-// (peak container capacity and allocation count — reproducible per row, so
-// bench_compare diffs them exactly); the row name encodes the overlay.
+// with rounds/messages plus the peak_bytes/allocs memory columns (peak
+// container capacity and allocation count); the row name encodes the
+// overlay. Every column is a counter, reproducible per row, so bench_compare
+// diffs them exactly.
 #include <string>
 
 #include "bench_util.hpp"
@@ -46,7 +47,6 @@ Network make_overlay_net(NodeId n, uint64_t seed) {
 struct Row {
   uint64_t rounds = 0;
   uint64_t messages = 0;
-  double wall_ms = 0.0;
   uint32_t congestion = 0;
   uint64_t peak_bytes = 0;  // peak network container capacity
   uint64_t allocs = 0;      // capacity-growth events on the same containers
@@ -64,12 +64,10 @@ Row run_aggregation_workload(OverlayKind kind, NodeId n) {
   for (uint64_t i = 0; i < 8ull * n; ++i)
     prob.items.push_back({static_cast<NodeId>(rng.next_below(n)),
                           rng.next_below(groups), Val{1, 0}});
-  WallTimer timer;
   AggregationResult res = run_aggregation(shared, net, prob, 1);
   NCC_ASSERT_MSG(res.at_target.size() == groups, "aggregation lost groups");
-  return {net.stats().rounds, net.stats().messages_sent, timer.ms(),
-          res.route.congestion, net.mem_stats().container_bytes_peak,
-          net.mem_stats().allocs};
+  return {net.stats().rounds, net.stats().messages_sent, res.route.congestion,
+          net.mem_stats().container_bytes_peak, net.mem_stats().allocs};
 }
 
 Row run_multicast_workload(OverlayKind kind, NodeId n) {
@@ -78,7 +76,6 @@ Row run_multicast_workload(OverlayKind kind, NodeId n) {
   const uint64_t groups = n / 8;
   std::vector<MulticastMembership> members;
   for (NodeId u = 0; u < n; ++u) members.push_back({u, u % groups});
-  WallTimer timer;
   MulticastSetupResult setup = setup_multicast_trees(shared, net, members, 1);
   std::vector<MulticastSend> sends;
   for (uint64_t g = 0; g < groups; ++g)
@@ -87,9 +84,8 @@ Row run_multicast_workload(OverlayKind kind, NodeId n) {
   uint64_t delivered = 0;
   for (NodeId u = 0; u < n; ++u) delivered += !res.received[u].empty();
   NCC_ASSERT_MSG(delivered == n, "multicast missed members");
-  return {net.stats().rounds, net.stats().messages_sent, timer.ms(),
-          setup.trees.congestion, net.mem_stats().container_bytes_peak,
-          net.mem_stats().allocs};
+  return {net.stats().rounds, net.stats().messages_sent, setup.trees.congestion,
+          net.mem_stats().container_bytes_peak, net.mem_stats().allocs};
 }
 
 Row run_barrier_workload(OverlayKind kind, NodeId n) {
@@ -97,13 +93,12 @@ Row run_barrier_workload(OverlayKind kind, NodeId n) {
   Shared shared(n, 44, kind);
   const Overlay& topo = shared.topo();
   constexpr uint32_t kBarriers = 32;
-  WallTimer timer;
   uint64_t per_barrier = 0;
   for (uint32_t i = 0; i < kBarriers; ++i)
     per_barrier = sync_barrier(topo, net, shared.barrier_workspace());
   NCC_ASSERT_MSG(per_barrier == 2ull * topo.agg_steps() + 2,
                  "barrier schedule drifted off the tree depth");
-  return {net.stats().rounds, net.stats().messages_sent, timer.ms(), 0,
+  return {net.stats().rounds, net.stats().messages_sent, 0,
           net.mem_stats().container_bytes_peak, net.mem_stats().allocs};
 }
 
@@ -115,8 +110,7 @@ int main(int argc, char** argv) {
               "radix-4 butterfly (pluggable overlay layer) ==\n");
   std::printf("\n");
 
-  std::vector<NodeId> sizes = opts.quick ? std::vector<NodeId>{128}
-                                         : std::vector<NodeId>{128, 512, 2048};
+  const std::vector<NodeId> sizes{128, 512, 2048};
   struct Workload {
     const char* name;
     Row (*run)(OverlayKind, NodeId);
@@ -127,7 +121,7 @@ int main(int argc, char** argv) {
   BenchJson json;
   for (const Workload& w : workloads) {
     Table t({"n", "overlay", "levels", "rounds", "messages", "congestion",
-             "wall ms", "rounds vs butterfly", "msgs vs butterfly"});
+             "rounds vs butterfly", "msgs vs butterfly"});
     for (NodeId n : sizes) {
       Row base{};
       for (OverlayKind kind : all_overlay_kinds()) {
@@ -137,12 +131,10 @@ int main(int argc, char** argv) {
         t.add_row({Table::num(uint64_t{n}), overlay_name(kind),
                    Table::num(uint64_t{topo->levels()}), Table::num(r.rounds),
                    Table::num(r.messages), Table::num(uint64_t{r.congestion}),
-                   Table::num(r.wall_ms, 1),
                    Table::num(static_cast<double>(r.rounds) / base.rounds, 2),
                    Table::num(static_cast<double>(r.messages) / base.messages, 2)});
         json.add(std::string(w.name) + "/" + overlay_name(kind), n, r.rounds,
-                 r.wall_ms, r.messages,
-                 mem_extra(r.peak_bytes, r.allocs));
+                 r.messages, mem_extra(r.peak_bytes, r.allocs));
       }
     }
     t.print(std::string("== ") + w.name + " ==");

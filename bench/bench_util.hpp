@@ -1,17 +1,15 @@
 // Shared helpers for the perf benches (bench_engine, bench_overlay,
-// bench_hotkey): option parsing, the engine-attached pipeline, memory and
-// wall-clock columns, and the BENCH_*.json row writer.
+// bench_hotkey): option parsing, the Section 5 pipeline, the memory columns,
+// and the BENCH_*.json row writer. The ledgers hold counters only; timing
+// claims are BENCHMARK.json's (benchmark/ncc_bench).
 //
-// Common flags: --quick (shrink sweeps for CI smoke runs), --big (also run
-// the million-node rows — slow and memory-hungry, skipped by CI; bench_diff
-// skips baseline rows marked "big" that a non---big run did not regenerate),
-// --json PATH (write the run's machine-readable result rows,
-// BENCH_engine.json-style, for the perf-trajectory tooling; each run
-// overwrites the file). An unknown flag or a value flag at the end of argv
-// exits 1 with a message, as ncc_run does.
+// Common flags: --big (also run the million-node rows — slow and
+// memory-hungry, skipped by the ledger ctests; bench_diff skips baseline rows
+// marked "big" that a non---big run did not regenerate), --json PATH (write
+// the run's ledger rows; each run overwrites the file). An unknown flag or a
+// value flag at the end of argv exits 1 with a message, as ncc_run does.
 #pragma once
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -20,7 +18,6 @@
 #include "common/table.hpp"
 #include "core/broadcast_trees.hpp"
 #include "core/orientation_algo.hpp"
-#include "engine/engine.hpp"
 #include "graph/generators.hpp"
 #include "net/network.hpp"
 #include "primitives/context.hpp"
@@ -35,23 +32,14 @@ inline Network make_net(NodeId n, uint64_t seed) {
 }
 
 /// Orientation + broadcast-tree pipeline under bench_engine's BFS and MIS rows.
-/// An engine is attached for the whole pipeline lifetime, so the wall-clock
-/// profile (Engine::shard_timing) covers every round.
 struct Pipeline {
   Network net;
-  Engine engine;
   Shared shared;
   OrientationRunResult orient;
   BroadcastTrees bt;
 
-  // Not movable: the engine holds Network& and the network points back at
-  // the engine, so a moved Network would dangle both.
-  Pipeline(const Pipeline&) = delete;
-  Pipeline& operator=(const Pipeline&) = delete;
-
   Pipeline(const Graph& g, uint64_t seed)
       : net(make_net(g.n(), seed)),
-        engine(net),
         shared(g.n(), seed),
         orient(run_orientation(shared, net, g)),
         bt(build_broadcast_trees(shared, net, g, orient.orientation, seed)) {}
@@ -61,7 +49,6 @@ struct Pipeline {
 };
 
 struct BenchOpts {
-  bool quick = false;
   bool big = false;  // also run the million-node rows (slow, lots of RAM)
   std::string json;  // output path; empty = no JSON emitted
 };
@@ -77,9 +64,7 @@ inline BenchOpts parse_opts(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string k = argv[i];
     if (k == "--json" && i + 1 >= argc) usage_error("missing value for", k);
-    if (k == "--quick") {
-      o.quick = true;
-    } else if (k == "--big") {
+    if (k == "--big") {
       o.big = true;
     } else if (k == "--json") {
       o.json = argv[++i];
@@ -103,34 +88,21 @@ inline std::string mem_extra(uint64_t peak_bytes, uint64_t allocs) {
   return buf;
 }
 
-/// Wall-clock stopwatch for the speedup rows.
-struct WallTimer {
-  std::chrono::steady_clock::time_point start = std::chrono::steady_clock::now();
-  double ms() const {
-    return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                     start)
-        .count();
-  }
-};
-
-/// Machine-readable bench output: one JSON object per row with the fields
-/// future PRs track across the perf trajectory (wall-clock, rounds, n).
-/// save() writes a single JSON array, replacing the file — point each bench
-/// at its own path.
+/// Machine-readable bench output: one JSON object per row, keyed by
+/// (bench, n), holding only counters. save() writes a single JSON array,
+/// replacing the file — point each bench at its own path.
 class BenchJson {
  public:
   /// `extra` is spliced verbatim before the row's closing brace — callers
-  /// append pre-formatted fields like `, "msgs_per_sec": …` or a nested
-  /// timing object. Every row reads `"threads": 1` (a round runs on one
-  /// thread); the field keeps the rows keyed as bench_diff expects.
-  void add(const std::string& bench, uint64_t n, uint64_t rounds, double wall_ms,
-           uint64_t messages = 0, const std::string& extra = "") {
-    char buf[320];
+  /// append pre-formatted counter fields like `, "peak_bytes": …`.
+  void add(const std::string& bench, uint64_t n, uint64_t rounds, uint64_t messages,
+           const std::string& extra) {
+    char buf[256];
     std::snprintf(buf, sizeof(buf),
-                  "{\"bench\": \"%s\", \"n\": %llu, \"threads\": 1, "
-                  "\"rounds\": %llu, \"wall_ms\": %.3f, \"messages\": %llu",
+                  "{\"bench\": \"%s\", \"n\": %llu, \"rounds\": %llu, "
+                  "\"messages\": %llu",
                   bench.c_str(), static_cast<unsigned long long>(n),
-                  static_cast<unsigned long long>(rounds), wall_ms,
+                  static_cast<unsigned long long>(rounds),
                   static_cast<unsigned long long>(messages));
     rows_.push_back(std::string(buf) + extra + "}");
   }

@@ -1,8 +1,6 @@
 # ctest gate for a committed perf-regression ledger: regenerate it with its
-# bench binary in the mode that produced the committed file (full mode, the
-# binary's defaults) and require bench_compare to find no hard issue. Hard
-# issues are drift in the deterministic counters (rounds, messages,
-# peak_bytes, allocs) or a changed row set; wall-clock drift only warns.
+# bench binary (defaults, no --big) and require bench_compare to find it equal
+# to the committed file — the same rows, the same counters, the same values.
 #
 #   cmake -DBENCH=<bench binary> -DBENCH_COMPARE=<bench_compare>
 #         -DLEDGER=<committed BENCH_*.json> -DFRESH=<output path> -P bench_ledger.cmake
@@ -24,5 +22,5 @@ execute_process(
   COMMAND ${BENCH_COMPARE} ${LEDGER} ${FRESH}
   RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "bench_compare found hard issues in ${FRESH} against ${LEDGER}")
+  message(FATAL_ERROR "bench_compare: ${FRESH} differs from ${LEDGER}")
 endif()

@@ -1,6 +1,5 @@
 #include "obs/bench_diff.hpp"
 
-#include <cmath>
 #include <cstdio>
 #include <map>
 
@@ -8,34 +7,23 @@ namespace ncc::obs {
 
 namespace {
 
-// Deterministic counters: exact match required.
-constexpr const char* kHardMetrics[] = {"rounds", "messages", "peak_bytes",
-                                        "allocs"};
-// Machine-noise metrics: warn beyond the relative tolerance.
-constexpr const char* kSoftMetrics[] = {"wall_ms", "msgs_per_sec"};
+std::string num(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.15g", v);
+  return buf;
+}
 
 std::string row_key(const JsonValue& row) {
   const JsonValue* bench = row.find("bench");
   const JsonValue* n = row.find("n");
-  const JsonValue* threads = row.find("threads");
   std::string key = bench && bench->is_string() ? bench->string : "?";
   key += " n=";
-  key += n && n->is_number() ? std::to_string(static_cast<uint64_t>(n->number))
-                             : "?";
-  key += " threads=";
-  key += threads && threads->is_number()
-             ? std::to_string(static_cast<uint64_t>(threads->number))
-             : "?";
+  key += n && n->is_number() ? num(n->number) : "?";
   return key;
 }
 
-double rel_drift(double base, double fresh) {
-  if (base == 0.0) return fresh == 0.0 ? 0.0 : 1.0;
-  return std::fabs(fresh - base) / std::fabs(base);
-}
-
 // Rows marked "big": true are the million-node rows benches only produce
-// under --big (too slow / memory-hungry for CI's regeneration runs); a
+// under --big (too slow and memory-hungry for the regeneration runs); a
 // baseline big row absent from the fresh run is expected, not a shrunken
 // sweep.
 bool row_is_big(const JsonValue& row) {
@@ -45,78 +33,68 @@ bool row_is_big(const JsonValue& row) {
 
 }  // namespace
 
-BenchDiffResult diff_bench(const JsonValue& baseline, const JsonValue& fresh,
-                           const BenchDiffPolicy& policy) {
+BenchDiffResult diff_bench(const JsonValue& baseline, const JsonValue& fresh) {
   BenchDiffResult out;
-  auto issue = [&](BenchDiffIssue::Severity sev, const std::string& row,
-                   const std::string& metric, double b, double f,
-                   const std::string& note) {
-    out.issues.push_back(BenchDiffIssue{sev, row, metric, b, f, note});
+  auto fail = [&](const std::string& row, const std::string& metric,
+                  const std::string& note) {
+    out.issues.push_back({BenchDiffIssue::Severity::Fail, row, metric, note});
   };
 
   if (!baseline.is_array() || !fresh.is_array()) {
-    issue(BenchDiffIssue::Severity::Fail, "", "",
-          0, 0, "bench documents must be JSON arrays of row objects");
+    fail("", "", "bench documents must be JSON arrays of row objects");
     return out;
   }
 
   // std::map keeps report order stable (sorted by key) regardless of row
   // order in either file.
-  std::map<std::string, const JsonValue*> fresh_rows;
-  for (const JsonValue& row : fresh.array)
-    if (row.is_object()) fresh_rows[row_key(row)] = &row;
-
-  std::map<std::string, const JsonValue*> base_rows;
-  for (const JsonValue& row : baseline.array)
-    if (row.is_object()) base_rows[row_key(row)] = &row;
+  auto index = [&](const JsonValue& doc, const char* side) {
+    std::map<std::string, const JsonValue*> rows;
+    for (const JsonValue& row : doc.array) {
+      if (!row.is_object()) {
+        fail("", "", std::string(side) + " row is not a JSON object");
+      } else if (!rows.emplace(row_key(row), &row).second) {
+        fail(row_key(row), "", std::string("duplicate row in ") + side);
+      }
+    }
+    return rows;
+  };
+  const std::map<std::string, const JsonValue*> base_rows = index(baseline, "baseline");
+  const std::map<std::string, const JsonValue*> fresh_rows = index(fresh, "fresh");
 
   for (const auto& [key, brow] : base_rows) {
     auto fit = fresh_rows.find(key);
     if (fit == fresh_rows.end()) {
       if (row_is_big(*brow)) {
-        issue(BenchDiffIssue::Severity::Warn, key, "", 0, 0,
-              "baseline row marked big — skipped (fresh run did not pass "
-              "--big)");
-        continue;
+        out.issues.push_back({BenchDiffIssue::Severity::Warn, key, "",
+                              "baseline row marked big — skipped (fresh run "
+                              "did not pass --big)"});
+      } else {
+        fail(key, "", "baseline row missing from fresh run");
       }
-      issue(BenchDiffIssue::Severity::Fail, key, "", 0, 0,
-            "baseline row missing from fresh run (sweep shrank?)");
       continue;
     }
     const JsonValue& frow = *fit->second;
     ++out.rows_compared;
 
-    for (const char* m : kHardMetrics) {
-      const JsonValue* bv = brow->find(m);
-      const JsonValue* fv = frow.find(m);
-      if (!bv || !bv->is_number()) continue;  // metric not in baseline yet
+    for (const auto& [field, bv] : brow->object) {
+      if (!bv.is_number()) continue;
+      const JsonValue* fv = frow.find(field);
       if (!fv || !fv->is_number()) {
-        issue(BenchDiffIssue::Severity::Warn, key, m, bv->number, 0,
-              "metric present in baseline but missing from fresh row");
-        continue;
+        fail(key, field, "missing from fresh row (baseline " + num(bv.number) + ")");
+      } else if (fv->number != bv.number) {
+        fail(key, field, "baseline " + num(bv.number) + " -> fresh " + num(fv->number));
       }
-      if (bv->number != fv->number)
-        issue(BenchDiffIssue::Severity::Fail, key, m, bv->number, fv->number,
-              "deterministic counter drifted — behavioural change, "
-              "explain it and recommit the baseline");
     }
-
-    for (const char* m : kSoftMetrics) {
-      const JsonValue* bv = brow->find(m);
-      const JsonValue* fv = frow.find(m);
-      if (!bv || !bv->is_number() || !fv || !fv->is_number()) continue;
-      double drift = rel_drift(bv->number, fv->number);
-      if (drift > policy.soft_tolerance)
-        issue(BenchDiffIssue::Severity::Warn, key, m, bv->number, fv->number,
-              "wall-clock drift beyond tolerance (noisy metric, warn only)");
+    for (const auto& [field, fv] : frow.object) {
+      const JsonValue* bv = brow->find(field);
+      if (fv.is_number() && (!bv || !bv->is_number()))
+        fail(key, field, "missing from baseline row (fresh " + num(fv.number) + ")");
     }
   }
 
   for (const auto& [key, frow] : fresh_rows) {
     (void)frow;
-    if (!base_rows.count(key))
-      issue(BenchDiffIssue::Severity::Warn, key, "", 0, 0,
-            "fresh row has no baseline (sweep grew — recommit baseline)");
+    if (!base_rows.count(key)) fail(key, "", "fresh row has no baseline row");
   }
 
   return out;
@@ -124,27 +102,19 @@ BenchDiffResult diff_bench(const JsonValue& baseline, const JsonValue& fresh,
 
 std::string render_report(const BenchDiffResult& result) {
   std::string rep;
-  char buf[512];
   for (const BenchDiffIssue& i : result.issues) {
-    const char* sev =
-        i.severity == BenchDiffIssue::Severity::Fail ? "FAIL" : "warn";
-    if (i.metric.empty()) {
-      std::snprintf(buf, sizeof(buf), "%s [%s] %s\n", sev, i.row.c_str(),
-                    i.note.c_str());
-    } else {
-      std::snprintf(buf, sizeof(buf),
-                    "%s [%s] %s: baseline %.3f -> fresh %.3f (%s)\n", sev,
-                    i.row.c_str(), i.metric.c_str(), i.baseline, i.fresh,
-                    i.note.c_str());
-    }
-    rep += buf;
+    rep += i.severity == BenchDiffIssue::Severity::Fail ? "FAIL [" : "warn [";
+    rep += i.row + "] ";
+    if (!i.metric.empty()) rep += i.metric + ": ";
+    rep += i.note + "\n";
   }
-  std::snprintf(buf, sizeof(buf),
-                "%s: %zu rows compared, %zu issues (%s)\n",
+  char buf[160];
+  std::snprintf(buf, sizeof(buf), "%s: %zu rows compared, %zu issues (%s)\n",
                 result.failed() ? "FAIL" : "PASS", result.rows_compared,
                 result.issues.size(),
-                result.failed() ? "deterministic counters drifted"
-                                : "no hard regressions");
+                result.failed() ? "ledger differs — explain the change and "
+                                  "recommit the regenerated file"
+                                : "ledger matches");
   rep += buf;
   return rep;
 }

@@ -1,22 +1,22 @@
 // Perf-regression ledger: structured diff of two BENCH_*.json documents
-// (committed baseline vs freshly regenerated), with per-metric severity.
+// (committed baseline vs freshly regenerated).
 //
-// Counted metrics — rounds, messages, peak_bytes, allocs — are deterministic
-// for a fixed (bench, n, threads) row, so any drift is a real behavioural
-// change and compares exact (mismatch = FAIL). Wall-clock metrics — wall_ms,
-// msgs_per_sec — are machine noise, so they only warn, and only beyond a
-// relative tolerance. A baseline row missing from the fresh run is a FAIL
-// (the sweep silently shrank); a fresh row with no baseline is a WARN (the
-// sweep grew — recommit the baseline). Exception: baseline rows marked
-// "big": true (the million-node rows produced only under --big) merely WARN
-// when absent — CI's regeneration runs never pass --big.
+// A ledger holds only counters (rounds, messages, peak_bytes, allocs, and
+// whatever else a bench records, e.g. bench_hotkey's routed/hits/evictions),
+// all deterministic for a fixed workload. So there is one rule: rows keyed by
+// (bench, n) must match one to one, with the same numeric fields and the same
+// values. Any difference — a drifted value, a field missing on either side, a
+// row missing on either side, a duplicated key — is a FAIL. The one exception:
+// a baseline row marked "big": true (the million-node rows produced only
+// under --big) merely WARNs when absent, since regeneration runs never pass
+// --big. Timing claims live in BENCHMARK.json (benchmark/ncc_bench), not here.
 //
-// The comparison is a library so tests can feed it synthetic documents (e.g.
-// prove an injected message-count regression fails); tools/bench_compare is
-// the thin file-reading wrapper CI runs in the perf-gate job.
+// The comparison is a library so tests can feed it synthetic documents;
+// tools/bench_compare is the thin file-reading wrapper the bench_ledger_*
+// ctests run.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -24,19 +24,12 @@
 
 namespace ncc::obs {
 
-struct BenchDiffPolicy {
-  /// Relative drift beyond which a soft (wall-clock) metric warns.
-  double soft_tolerance = 0.20;
-};
-
 struct BenchDiffIssue {
   enum class Severity { Warn, Fail };
-  Severity severity = Severity::Warn;
-  std::string row;     // "engine_gossip n=512 threads=1"
-  std::string metric;  // which metric drifted (empty for row-level issues)
-  double baseline = 0.0;
-  double fresh = 0.0;
-  std::string note;
+  Severity severity = Severity::Fail;
+  std::string row;     // "engine_gossip n=512"
+  std::string metric;  // the field that differs (empty for row-level issues)
+  std::string note;    // what differs, with the values
 };
 
 struct BenchDiffResult {
@@ -50,12 +43,10 @@ struct BenchDiffResult {
 };
 
 /// Diff two parsed bench documents (each a JSON array of row objects keyed
-/// by bench/n/threads). Never throws; malformed rows surface as FAIL issues.
-BenchDiffResult diff_bench(const JsonValue& baseline, const JsonValue& fresh,
-                           const BenchDiffPolicy& policy = {});
+/// by bench/n). Never throws; malformed documents surface as FAIL issues.
+BenchDiffResult diff_bench(const JsonValue& baseline, const JsonValue& fresh);
 
-/// Human-readable report (one line per issue plus a PASS/FAIL verdict),
-/// suitable for stdout and for the CI artifact.
+/// Human-readable report: one line per issue plus a PASS/FAIL verdict.
 std::string render_report(const BenchDiffResult& result);
 
 }  // namespace ncc::obs

@@ -1,8 +1,8 @@
-// Perf-regression ledger tests: the bench_compare policy as a library.
-// Deterministic counters (rounds, messages, peak_bytes, allocs) must fail on
-// any drift — including the acceptance scenario, an injected >20%
-// message-count regression — while wall-clock metrics only warn, and row-set
-// changes fail (shrank) or warn (grew).
+// Perf-regression ledger tests: the bench_compare rule as a library. A
+// regenerated ledger must equal the committed one — the same rows keyed by
+// (bench, n), the same numeric fields, the same values — so any drift in any
+// counter, a field missing on either side, or a row missing on either side
+// FAILs. The one exception: a missing "big" row only warns.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -21,18 +21,27 @@ JsonValue parse(const std::string& text) {
   return v;
 }
 
-std::string row(const char* bench, int n, int threads, uint64_t rounds,
-                uint64_t messages, double wall_ms, uint64_t peak_bytes,
-                uint64_t allocs) {
+std::string row(const char* bench, int n, uint64_t rounds, uint64_t messages,
+                uint64_t peak_bytes, uint64_t allocs) {
   char buf[256];
   std::snprintf(buf, sizeof(buf),
-                "{\"bench\": \"%s\", \"n\": %d, \"threads\": %d, "
-                "\"rounds\": %llu, \"wall_ms\": %.3f, \"messages\": %llu, "
-                "\"peak_bytes\": %llu, \"allocs\": %llu}",
-                bench, n, threads, static_cast<unsigned long long>(rounds),
-                wall_ms, static_cast<unsigned long long>(messages),
+                "{\"bench\": \"%s\", \"n\": %d, \"rounds\": %llu, "
+                "\"messages\": %llu, \"peak_bytes\": %llu, \"allocs\": %llu}",
+                bench, n, static_cast<unsigned long long>(rounds),
+                static_cast<unsigned long long>(messages),
                 static_cast<unsigned long long>(peak_bytes),
                 static_cast<unsigned long long>(allocs));
+  return buf;
+}
+
+// A BENCH_hotkey.json-shaped row (the committed cdn/zipf1.2/lru8 values).
+std::string hotkey_row(uint64_t routed) {
+  char buf[320];
+  std::snprintf(buf, sizeof(buf),
+                "{\"bench\": \"cdn/zipf1.2/lru8\", \"n\": 64, \"rounds\": 528, "
+                "\"messages\": 32847, \"zipf_s\": 1.20, \"cache_size\": 8, "
+                "\"routed\": %llu, \"hits\": 10173, \"evictions\": 0, \"waves\": 6}",
+                static_cast<unsigned long long>(routed));
   return buf;
 }
 
@@ -60,20 +69,20 @@ uint64_t count_fails(const BenchDiffResult& r) {
 }  // namespace
 
 TEST(BenchDiff, IdenticalDocumentsPass) {
-  auto base = parse(doc({row("engine_bfs", 512, 1, 2297, 210034, 70.9, 1u << 20, 42),
-                         row("engine_bfs", 512, 2, 2297, 210034, 78.5, 1u << 21, 57)}));
+  auto base = parse(doc({row("engine_bfs", 512, 2297, 210034, 1u << 20, 42),
+                         row("engine_bfs", 4096, 4535, 2422805, 1u << 22, 42)}));
   BenchDiffResult r = diff_bench(base, base);
   EXPECT_FALSE(r.failed());
   EXPECT_EQ(r.rows_compared, 2u);
   EXPECT_TRUE(r.issues.empty());
+  EXPECT_NE(render_report(r).find("PASS"), std::string::npos);
 }
 
 TEST(BenchDiff, InjectedMessageRegressionFails) {
-  // The acceptance scenario: a fresh run sending >20% more messages than the
-  // committed baseline must exit non-zero. Message counts are deterministic,
-  // so ANY drift fails — 25% is well past every threshold.
-  auto base = parse(doc({row("engine_bfs", 512, 1, 2297, 200000, 70.9, 1000, 42)}));
-  auto fresh = parse(doc({row("engine_bfs", 512, 1, 2297, 250000, 70.9, 1000, 42)}));
+  // A fresh run sending 25% more messages than the committed baseline must
+  // exit non-zero. Message counts are deterministic, so ANY drift fails.
+  auto base = parse(doc({row("engine_bfs", 512, 2297, 200000, 1000, 42)}));
+  auto fresh = parse(doc({row("engine_bfs", 512, 2297, 250000, 1000, 42)}));
   BenchDiffResult r = diff_bench(base, fresh);
   EXPECT_TRUE(r.failed());
   ASSERT_EQ(count_fails(r), 1u);
@@ -82,15 +91,15 @@ TEST(BenchDiff, InjectedMessageRegressionFails) {
 }
 
 TEST(BenchDiff, HardCountersFailOnAnyDrift) {
-  auto base = parse(doc({row("b", 64, 1, 100, 5000, 1.0, 4096, 7)}));
+  auto base = parse(doc({row("b", 64, 100, 5000, 4096, 7)}));
   struct Case {
     const char* metric;
     std::string fresh_row;
   } cases[] = {
-      {"rounds", row("b", 64, 1, 101, 5000, 1.0, 4096, 7)},
-      {"messages", row("b", 64, 1, 100, 5001, 1.0, 4096, 7)},
-      {"peak_bytes", row("b", 64, 1, 100, 5000, 1.0, 8192, 7)},
-      {"allocs", row("b", 64, 1, 100, 5000, 1.0, 4096, 8)},
+      {"rounds", row("b", 64, 101, 5000, 4096, 7)},
+      {"messages", row("b", 64, 100, 5001, 4096, 7)},
+      {"peak_bytes", row("b", 64, 100, 5000, 8192, 7)},
+      {"allocs", row("b", 64, 100, 5000, 4096, 8)},
   };
   for (const Case& c : cases) {
     auto fresh = parse(doc({c.fresh_row}));
@@ -101,41 +110,49 @@ TEST(BenchDiff, HardCountersFailOnAnyDrift) {
   }
 }
 
-TEST(BenchDiff, WallClockDriftOnlyWarns) {
-  auto base = parse(doc({row("b", 64, 1, 100, 5000, 10.0, 4096, 7)}));
-  auto fresh = parse(doc({row("b", 64, 1, 100, 5000, 19.0, 4096, 7)}));
-  BenchDiffResult r = diff_bench(base, fresh);
-  EXPECT_FALSE(r.failed());  // 90% slower: warn, never fail
-  ASSERT_EQ(r.issues.size(), 1u);
-  EXPECT_EQ(r.issues[0].severity, BenchDiffIssue::Severity::Warn);
-  EXPECT_EQ(r.issues[0].metric, "wall_ms");
-
-  // Within tolerance: silent.
-  auto close_doc = parse(doc({row("b", 64, 1, 100, 5000, 11.0, 4096, 7)}));
-  EXPECT_TRUE(diff_bench(base, close_doc).issues.empty());
-}
-
-TEST(BenchDiff, RowSetChanges) {
-  auto base = parse(doc({row("b", 64, 1, 100, 5000, 1.0, 4096, 7),
-                         row("b", 64, 2, 100, 5000, 1.0, 4096, 9)}));
-  // Fresh lost the threads=2 row -> FAIL; gained a threads=4 row -> warn.
-  auto fresh = parse(doc({row("b", 64, 1, 100, 5000, 1.0, 4096, 7),
-                          row("b", 64, 4, 100, 5000, 1.0, 4096, 11)}));
+TEST(BenchDiff, RoutedDriftOnHotkeyRowFails) {
+  // The hot-key ledger's headline column is gated like every other counter:
+  // no list of metric names decides which fields count.
+  auto base = parse(doc({hotkey_row(2167)}));
+  auto fresh = parse(doc({hotkey_row(2168)}));
   BenchDiffResult r = diff_bench(base, fresh);
   EXPECT_TRUE(r.failed());
-  EXPECT_EQ(count_fails(r), 1u);
-  EXPECT_EQ(r.issues.size(), 2u);
+  ASSERT_EQ(r.issues.size(), 1u);
+  EXPECT_EQ(r.issues[0].row, "cdn/zipf1.2/lru8 n=64");
+  EXPECT_EQ(r.issues[0].metric, "routed");
+  EXPECT_NE(render_report(r).find("FAIL [cdn/zipf1.2/lru8 n=64] routed"),
+            std::string::npos);
+}
+
+TEST(BenchDiff, BaselineRowMissingFails) {
+  auto base = parse(doc({row("b", 64, 100, 5000, 4096, 7),
+                         row("b", 128, 100, 5000, 4096, 9)}));
+  auto fresh = parse(doc({row("b", 64, 100, 5000, 4096, 7)}));
+  BenchDiffResult r = diff_bench(base, fresh);
+  EXPECT_TRUE(r.failed());
+  ASSERT_EQ(r.issues.size(), 1u);
+  EXPECT_EQ(r.issues[0].row, "b n=128");
+}
+
+TEST(BenchDiff, FreshOnlyRowFails) {
+  auto base = parse(doc({row("b", 64, 100, 5000, 4096, 7)}));
+  auto fresh = parse(doc({row("b", 64, 100, 5000, 4096, 7),
+                          row("b", 256, 100, 5000, 4096, 11)}));
+  BenchDiffResult r = diff_bench(base, fresh);
+  EXPECT_TRUE(r.failed());
+  ASSERT_EQ(r.issues.size(), 1u);
+  EXPECT_EQ(r.issues[0].row, "b n=256");
 }
 
 TEST(BenchDiff, MissingBigRowOnlyWarns) {
   // Baseline carries a million-node row produced under --big; regeneration
-  // runs (CI's perf-gate) never pass --big, so its absence is expected and
-  // must not fail the gate — unlike a plain row silently vanishing.
+  // runs (the bench_ledger_* ctests) never pass --big, so its absence is
+  // expected and must not fail the gate — unlike a plain row vanishing.
   auto base =
-      parse(doc({row("b", 64, 1, 100, 5000, 1.0, 4096, 7),
-                 "{\"bench\": \"b\", \"n\": 1048576, \"threads\": 1, \"rounds\": 2, "
-                 "\"wall_ms\": 9000.0, \"messages\": 335000000, \"big\": true}"}));
-  auto fresh = parse(doc({row("b", 64, 1, 100, 5000, 1.0, 4096, 7)}));
+      parse(doc({row("b", 64, 100, 5000, 4096, 7),
+                 "{\"bench\": \"b\", \"n\": 1048576, \"rounds\": 2, "
+                 "\"messages\": 335000000, \"big\": true}"}));
+  auto fresh = parse(doc({row("b", 64, 100, 5000, 4096, 7)}));
   BenchDiffResult r = diff_bench(base, fresh);
   EXPECT_FALSE(r.failed());
   EXPECT_EQ(r.issues.size(), 1u);
@@ -146,16 +163,17 @@ TEST(BenchDiff, MissingBigRowOnlyWarns) {
   EXPECT_EQ(full.rows_compared, 2u);
 }
 
-TEST(BenchDiff, MetricMissingFromFreshWarns) {
-  // Baseline carries the new memory columns, fresh was built by an older
-  // binary: downgrade to a warning instead of failing the gate on absence.
-  auto base = parse(doc({row("b", 64, 1, 100, 5000, 1.0, 4096, 7)}));
+TEST(BenchDiff, NumericFieldMissingFromFreshFails) {
+  auto base = parse(doc({row("b", 64, 100, 5000, 4096, 7)}));
   auto fresh = parse(
-      "[{\"bench\": \"b\", \"n\": 64, \"threads\": 1, \"rounds\": 100, "
-      "\"wall_ms\": 1.0, \"messages\": 5000}]");
+      "[{\"bench\": \"b\", \"n\": 64, \"rounds\": 100, \"messages\": 5000, "
+      "\"peak_bytes\": 4096}]");
   BenchDiffResult r = diff_bench(base, fresh);
-  EXPECT_FALSE(r.failed());
-  EXPECT_EQ(r.issues.size(), 2u);  // peak_bytes + allocs missing
+  EXPECT_TRUE(r.failed());
+  ASSERT_EQ(r.issues.size(), 1u);
+  EXPECT_EQ(r.issues[0].metric, "allocs");
+  // And the other way round: a field only the fresh row carries.
+  EXPECT_TRUE(diff_bench(fresh, base).failed());
 }
 
 TEST(BenchDiff, MalformedDocumentsFail) {
@@ -165,4 +183,9 @@ TEST(BenchDiff, MalformedDocumentsFail) {
   EXPECT_TRUE(diff_bench(arr, obj).failed());
   // Two empty arrays: nothing to compare, nothing failed.
   EXPECT_FALSE(diff_bench(arr, arr).failed());
+  // A non-object row, or two rows under one (bench, n) key, cannot be diffed.
+  EXPECT_TRUE(diff_bench(parse("[1]"), arr).failed());
+  auto dup = parse(doc({row("b", 64, 100, 5000, 4096, 7),
+                        row("b", 64, 100, 5000, 4096, 7)}));
+  EXPECT_TRUE(diff_bench(dup, dup).failed());
 }

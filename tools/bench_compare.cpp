@@ -1,18 +1,17 @@
 // bench_compare: the perf-regression gate. Diffs a freshly regenerated
-// BENCH_*.json against the committed baseline and exits non-zero when a
-// deterministic counter (rounds, messages, peak_bytes, allocs) drifted or a
-// baseline row vanished. Wall-clock metrics only warn (see
-// src/obs/bench_diff.hpp for the policy).
+// BENCH_*.json against the committed baseline, prints the report and exits 1
+// when they differ: every row keyed by (bench, n) must carry the same counters
+// with the same values (see src/obs/bench_diff.hpp; a missing "big" row only
+// warns).
 //
 // Usage:
-//   bench_compare BASELINE.json FRESH.json [--report PATH] [--tolerance F]
+//   bench_compare BASELINE.json FRESH.json
 //
-// CI's perf-gate job regenerates the bench JSONs, runs this against the
-// committed baselines, and uploads the report as an artifact; an unexplained
-// regression fails the build. To accept an intentional change, recommit the
-// baseline alongside the change that explains it.
+// Exit status: 0 match (warnings allowed), 1 differ, 2 usage/read/parse
+// error. The bench_ledger_* ctests run it on each committed ledger. To accept
+// an intentional change, recommit the regenerated ledger alongside the change
+// that explains it.
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -21,71 +20,34 @@
 
 namespace {
 
-bool read_file(const std::string& path, std::string* out) {
+bool read_json(const char* path, ncc::obs::JsonValue* out) {
   std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
+  if (!in) {
+    std::fprintf(stderr, "bench_compare: cannot read %s\n", path);
+    return false;
+  }
   std::ostringstream ss;
   ss << in.rdbuf();
-  *out = ss.str();
+  std::string err;
+  if (!ncc::obs::json_parse(ss.str(), out, &err)) {
+    std::fprintf(stderr, "bench_compare: %s: %s\n", path, err.c_str());
+    return false;
+  }
   return true;
-}
-
-int usage() {
-  std::fprintf(stderr,
-               "usage: bench_compare BASELINE.json FRESH.json"
-               " [--report PATH] [--tolerance F]\n");
-  return 2;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string baseline_path, fresh_path, report_path;
-  ncc::obs::BenchDiffPolicy policy;
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    if (a == "--report" && i + 1 < argc) {
-      report_path = argv[++i];
-    } else if (a == "--tolerance" && i + 1 < argc) {
-      policy.soft_tolerance = std::atof(argv[++i]);
-    } else if (baseline_path.empty()) {
-      baseline_path = a;
-    } else if (fresh_path.empty()) {
-      fresh_path = a;
-    } else {
-      return usage();
-    }
-  }
-  if (baseline_path.empty() || fresh_path.empty()) return usage();
-
-  std::string base_text, fresh_text;
-  if (!read_file(baseline_path, &base_text)) {
-    std::fprintf(stderr, "bench_compare: cannot read %s\n", baseline_path.c_str());
+  if (argc != 3) {
+    std::fprintf(stderr, "usage: bench_compare BASELINE.json FRESH.json\n");
     return 2;
   }
-  if (!read_file(fresh_path, &fresh_text)) {
-    std::fprintf(stderr, "bench_compare: cannot read %s\n", fresh_path.c_str());
-    return 2;
-  }
-
   ncc::obs::JsonValue base, fresh;
-  std::string err;
-  if (!ncc::obs::json_parse(base_text, &base, &err)) {
-    std::fprintf(stderr, "bench_compare: %s: %s\n", baseline_path.c_str(), err.c_str());
-    return 2;
-  }
-  if (!ncc::obs::json_parse(fresh_text, &fresh, &err)) {
-    std::fprintf(stderr, "bench_compare: %s: %s\n", fresh_path.c_str(), err.c_str());
-    return 2;
-  }
+  if (!read_json(argv[1], &base) || !read_json(argv[2], &fresh)) return 2;
 
-  ncc::obs::BenchDiffResult result = ncc::obs::diff_bench(base, fresh, policy);
-  std::string report = "bench_compare: " + baseline_path + " vs " + fresh_path +
-                       "\n" + ncc::obs::render_report(result);
-  std::fputs(report.c_str(), stdout);
-  if (!report_path.empty()) {
-    std::ofstream out(report_path, std::ios::binary);
-    out << report;
-  }
+  ncc::obs::BenchDiffResult result = ncc::obs::diff_bench(base, fresh);
+  std::printf("bench_compare: %s vs %s\n%s", argv[1], argv[2],
+              ncc::obs::render_report(result).c_str());
   return result.failed() ? 1 : 0;
 }
