@@ -107,8 +107,8 @@ Row run_cdn(double zipf_s, uint32_t cache_size) {
     std::vector<MulticastSend> sends;
     for (uint64_t g : wave_groups)
       sends.push_back({g, static_cast<NodeId>(g % kNodes), payload_of(g)});
-    MulticastResult res = run_multicast_multi(shared, net, setup.trees, sends,
-                                              ell_hat, 2ull * w + 2, cache.get());
+    MulticastResult res = run_multicast(shared, net, setup.trees, sends, ell_hat,
+                                        2ull * w + 2, cache.get());
     routed += setup.route.packets_moved + res.route.packets_moved;
 
     // Verify every request by payload content — cache-served deliveries

@@ -47,7 +47,6 @@ struct AggregationResult {
   uint64_t rounds = 0;      // total NCC rounds (all phases + barriers)
   RouteStats route;         // combining-phase internals
   uint64_t global_load = 0; // L
-  uint32_t ell1 = 0;        // max memberships per node
 };
 
 /// `cache`, if non-null, enables en-route absorbers in the Combining Phase

@@ -42,6 +42,11 @@ struct MultiAggregationResult {
 /// state.
 using LeafAnnotateFn = std::function<Val(uint64_t group, NodeId member, const Val&)>;
 
+/// A node may source any number of groups: the source-to-root handoff is
+/// batched ceil(log n) per round (the extension remarked after Theorem 2.6),
+/// and the paper's single-source variant, at most one send per node, takes
+/// one handoff round.
+///
 /// `cache`, if non-null, applies the en-route combining cache
 /// (overlay/cache.hpp) to both routed phases: the Spreading Phase admits
 /// payloads and serves recorded cache roots, the final Combining Phase runs
@@ -53,13 +58,5 @@ MultiAggregationResult run_multi_aggregation(const Shared& shared, Network& net,
                                              uint64_t rng_tag = 0,
                                              const LeafAnnotateFn& annotate = nullptr,
                                              CombiningCache* cache = nullptr);
-
-/// The extension remarked after Theorem 2.6: a node may source multiple
-/// multicast groups (source->root handoffs batched ceil(log n) per round).
-MultiAggregationResult run_multi_aggregation_multi(
-    const Shared& shared, Network& net, const MulticastTrees& trees,
-    const std::vector<MulticastSend>& sends, const CombineFn& combine,
-    uint64_t rng_tag = 0, const LeafAnnotateFn& annotate = nullptr,
-    CombiningCache* cache = nullptr);
 
 }  // namespace ncc

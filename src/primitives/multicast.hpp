@@ -47,6 +47,8 @@ MulticastSetupResult setup_multicast_trees(const Shared& shared, Network& net,
                                            uint64_t rng_tag = 0,
                                            CombiningCache* cache = nullptr);
 
+/// One multicast: `source` sends `payload` to every member of `group`. A
+/// node may source any number of groups.
 struct MulticastSend {
   uint64_t group;
   NodeId source;
@@ -63,19 +65,12 @@ struct MulticastResult {
 /// Multicast each send's payload to all members recorded in `trees`.
 /// `ell_hat` is the known upper bound on the number of groups any node
 /// belongs to (paper's l-hat; controls the leaf-delivery spreading).
-/// Every node may source at most one group (the paper's simplified variant).
+/// Sources hand their payloads to the tree roots ceil(log n) per round (the
+/// extension remarked after Theorem 2.5); the paper's single-source variant
+/// is the case of at most one send per node, which takes one handoff round.
 MulticastResult run_multicast(const Shared& shared, Network& net,
                               const MulticastTrees& trees,
                               const std::vector<MulticastSend>& sends, uint32_t ell_hat,
                               uint64_t rng_tag = 0, CombiningCache* cache = nullptr);
-
-/// The extension remarked after Theorem 2.5: a node may source multiple
-/// multicast groups; the source->root handoff is batched ceil(log n) per
-/// round like the Aggregation preprocessing.
-MulticastResult run_multicast_multi(const Shared& shared, Network& net,
-                                    const MulticastTrees& trees,
-                                    const std::vector<MulticastSend>& sends,
-                                    uint32_t ell_hat, uint64_t rng_tag = 0,
-                                    CombiningCache* cache = nullptr);
 
 }  // namespace ncc

@@ -1,5 +1,6 @@
 // Tests for the paper-remarked extensions (multi-source Multicast and
-// Multi-Aggregation), the connected-components corollary, and the
+// Multi-Aggregation), the exchange runner's schedules, the
+// connected-components corollary, and the
 // orientation fallback paths (U_high broadcast / direct resolution) that the
 // default parameters never exercise.
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include "core/orientation_algo.hpp"
 #include "graph/generators.hpp"
 #include "graph/properties.hpp"
+#include "primitives/exchange.hpp"
 #include "primitives/multi_aggregation.hpp"
 #include "primitives/multicast.hpp"
 
@@ -38,7 +40,7 @@ TEST(MultiSourceMulticast, OneNodeSourcesManyGroups) {
     sends.push_back({group, 0, Val{gi, 0}});
   }
   auto setup = setup_multicast_trees(shared, net, members, 2);
-  auto mc = run_multicast_multi(shared, net, setup.trees, sends, 1, 3);
+  auto mc = run_multicast(shared, net, setup.trees, sends, 1, 3);
   for (uint64_t gi = 0; gi < 40; ++gi) {
     NodeId m = static_cast<NodeId>(1 + gi % (n - 1));
     bool got = false;
@@ -49,18 +51,70 @@ TEST(MultiSourceMulticast, OneNodeSourcesManyGroups) {
   EXPECT_EQ(net.stats().messages_dropped, 0u);
 }
 
-TEST(MultiSourceMulticastDeathTest, SingleSourceVariantRejectsDuplicates) {
+TEST(MulticastSetupDeathTest, InjectorOutOfRangeAborts) {
   GTEST_FLAG_SET(death_test_style, "threadsafe");
-  auto duplicate_sources = [] {
+  auto bad_injector = [] {
     const NodeId n = 32;
     Network net = make(n, 3);
     Shared shared(n, 3);
-    std::vector<MulticastMembership> members{{1, 10}, {2, 11}};
-    auto setup = setup_multicast_trees(shared, net, members, 1);
-    std::vector<MulticastSend> sends{{10, 0, Val{1, 0}}, {11, 0, Val{2, 0}}};
-    run_multicast(shared, net, setup.trees, sends, 1);
+    std::vector<MulticastMembership> members{{1, 10}, {2, 11, /*injector=*/n}};
+    setup_multicast_trees(shared, net, members, 1);
   };
-  EXPECT_DEATH(duplicate_sources(), "at most one multicast");
+  EXPECT_DEATH(bad_injector(), "exchange sender out of range");
+}
+
+TEST(ExchangeRunner, BatchesCeilLogNItemsPerSenderPerRound) {
+  // n = 64: ceil(log n) = 6 items per sender per round.
+  const NodeId n = 64;
+  for (auto [items, rounds] : {std::pair<uint32_t, uint32_t>{0, 0}, {6, 1}, {7, 2}, {13, 3}}) {
+    Network net = make(n, 4);
+    auto entry = [](size_t i) {
+      return ExchangeEntry{5, static_cast<NodeId>(i % 2 ? 10 + i : 5), 100 + i, Val{i, 0}};
+    };
+    ExchangeRounds schedule =
+        batched_rounds(n, items, [](size_t) { return NodeId{5}; }, 0, entry);
+    ASSERT_EQ(schedule.size(), rounds) << items;
+    std::vector<uint64_t> landed;
+    run_exchange(net, schedule, 0x77, 3, [&](NodeId to, uint64_t group, const Val& v) {
+      EXPECT_EQ(group, 100 + v[0]);
+      EXPECT_EQ(to, v[0] % 2 == 0 ? 5 : 10 + v[0]);
+      landed.push_back(group);
+    });
+    EXPECT_EQ(net.rounds(), rounds) << items;
+    EXPECT_LE(net.stats().max_send_load, 6u) << items;
+    // Per round, the self entries (even i) land in the send pass, then the
+    // arrivals in ascending receiver id (here ascending i).
+    std::vector<uint64_t> expect;
+    for (uint32_t r = 0; r < rounds; ++r)
+      for (uint32_t parity : {0u, 1u})
+        for (uint32_t i = 6 * r; i < std::min(items, 6 * r + 6); ++i)
+          if (i % 2 == parity) expect.push_back(100 + i);
+    EXPECT_EQ(landed, expect) << items;
+  }
+}
+
+TEST(ExchangeRunner, MulticastHandoffTakesOneRoundPerBatch) {
+  // One node sources k groups: ceil(k / 6) handoff rounds at n = 64, at least
+  // one even when nobody sources.
+  const NodeId n = 64;
+  for (auto [k, rounds] : {std::pair<uint32_t, uint32_t>{0, 1}, {1, 1}, {6, 1}, {7, 2}}) {
+    Network net = make(n, 8);
+    Shared shared(n, 8);
+    std::vector<MulticastMembership> members;
+    std::vector<MulticastSend> sends;
+    for (uint32_t gi = 0; gi < 7; ++gi) members.push_back({1 + gi, 700 + gi});
+    for (uint32_t gi = 0; gi < k; ++gi) sends.push_back({700 + gi, 3, Val{gi, 0}});
+    auto setup = setup_multicast_trees(shared, net, members, 8);
+    const uint64_t before = net.rounds();
+    FlatMap<Val> payloads = hand_off_to_roots(shared.topo(), net, setup.trees, sends, 0x77);
+    EXPECT_EQ(net.rounds() - before, rounds) << k;
+    EXPECT_LE(net.stats().max_send_load, 6u) << k;
+    EXPECT_EQ(payloads.size(), k);
+    for (uint32_t gi = 0; gi < k; ++gi) {
+      ASSERT_NE(payloads.find(700 + gi), nullptr) << gi;
+      EXPECT_EQ((*payloads.find(700 + gi))[0], gi);
+    }
+  }
 }
 
 TEST(MultiSourceMultiAggregation, AggregatesAcrossGroupsOfOneSource) {
@@ -86,8 +140,7 @@ TEST(MultiSourceMultiAggregation, AggregatesAcrossGroupsOfOneSource) {
     sends.push_back({group, 7, Val{payload, 0}});
   }
   auto setup = setup_multicast_trees(shared, net, members, 5);
-  auto ma = run_multi_aggregation_multi(shared, net, setup.trees, sends,
-                                        agg::min_by_first, 6);
+  auto ma = run_multi_aggregation(shared, net, setup.trees, sends, agg::min_by_first, 6);
   for (auto& [m, v] : expect) {
     ASSERT_TRUE(ma.at_node[m].has_value()) << m;
     EXPECT_EQ((*ma.at_node[m])[0], v) << m;
