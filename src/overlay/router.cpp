@@ -9,7 +9,6 @@
 
 #include "common/assert.hpp"
 #include "common/flat_map.hpp"
-#include "common/rng.hpp"
 #include "overlay/cache.hpp"
 #include "obs/flow.hpp"
 #include "obs/tracer.hpp"
@@ -61,115 +60,89 @@ struct EdgeBest {
   Prio best{};
 };
 
-/// Tracks the max number of distinct groups observed at any overlay node:
-/// one call-wide open-addressing set of (overlay node, group) pairs (linear
-/// probing, load factor below 3/4, never erased from during a call) and a
-/// distinct-group count per overlay node.
+/// Tracks the max number of distinct groups observed at any overlay node.
+/// Each overlay node the call touches owns a short list of the distinct
+/// groups seen there (at most the congestion, which Theorem 2.4 bounds),
+/// scanned linearly like a state's queue; an untouched node costs one
+/// 4-byte slot. Lists keep their capacity between calls.
 class CongestionTracker {
  public:
-  /// Start a call over `node_count` overlay nodes. The set is emptied by
-  /// starting a new epoch (a slot is live only if stamped with the current
-  /// one), so a call pays for the pairs it inserts, not for the capacity
-  /// earlier calls left behind; the counts the last call touched are zeroed.
+  /// Start a call over `node_count` overlay nodes: the lists the last call
+  /// used are emptied and their nodes unmapped.
   void reset(uint64_t node_count) {
-    NCC_ASSERT(node_count <= UINT32_MAX);
-    for (uint32_t i : touched_) count_[i] = 0;
-    touched_.clear();
-    count_.resize(node_count, 0);
-    if (++epoch_ == 0) {  // wrapped: clear the stamps for real
-      std::fill(slots_.begin(), slots_.end(), Slot{});
-      epoch_ = 1;
+    NCC_ASSERT(node_count < UINT32_MAX);
+    for (size_t i = 0; i < used_; ++i) {
+      list_of_[lists_[i].node] = 0;
+      lists_[i].groups.clear();
     }
-    size_ = 0;
+    used_ = 0;
+    list_of_.resize(node_count, 0);
     max_ = 0;
   }
   size_t capacity_bytes() const {
-    return slots_.capacity() * sizeof(Slot) + count_.capacity() * sizeof(uint32_t) +
-           touched_.capacity() * sizeof(uint32_t);
+    size_t bytes = list_of_.capacity() * sizeof(uint32_t) + lists_.capacity() * sizeof(List);
+    for (const List& l : lists_) bytes += l.groups.capacity() * sizeof(uint64_t);
+    return bytes;
   }
 
-  void visit(uint64_t node_index, uint64_t group) {
-    const uint32_t node = static_cast<uint32_t>(node_index);
-    if (!insert(node, group)) return;
-    if (count_[node]++ == 0) touched_.push_back(node);
-    max_ = std::max(max_, count_[node]);
+  void visit(uint64_t node, uint64_t group) {
+    uint32_t& slot = list_of_[node];
+    if (slot == 0) {
+      if (used_ == lists_.size()) lists_.emplace_back();
+      lists_[used_].node = static_cast<uint32_t>(node);
+      slot = static_cast<uint32_t>(++used_);
+    }
+    std::vector<uint64_t>& groups = lists_[slot - 1].groups;
+    if (std::find(groups.begin(), groups.end(), group) != groups.end()) return;
+    groups.push_back(group);
+    max_ = std::max(max_, static_cast<uint32_t>(groups.size()));
   }
   uint32_t max() const { return max_; }
 
  private:
-  struct Slot {
+  struct List {
     uint32_t node = 0;
-    uint32_t epoch = 0;  // the call that filled the slot; any other value: empty
-    uint64_t group = 0;
+    std::vector<uint64_t> groups;  // distinct groups seen at `node` this call
   };
-  static constexpr size_t kInitialSlots = 64;
-
-  size_t home(uint32_t node, uint64_t group) const {
-    return static_cast<size_t>(mix64(group + node * 0x9e3779b97f4a7c15ULL)) & (slots_.size() - 1);
-  }
-  /// Add (node, group); false if the pair was already present.
-  bool insert(uint32_t node, uint64_t group) {
-    if ((size_ + 1) * 4 > slots_.size() * 3) grow();
-    for (size_t i = home(node, group);; i = (i + 1) & (slots_.size() - 1)) {
-      Slot& s = slots_[i];
-      if (s.epoch != epoch_) {
-        s = {node, epoch_, group};
-        ++size_;
-        return true;
-      }
-      if (s.node == node && s.group == group) return false;
-    }
-  }
-  void grow() {
-    std::vector<Slot> old = std::move(slots_);
-    slots_.assign(std::max(kInitialSlots, 2 * old.size()), Slot{});
-    for (const Slot& s : old) {
-      if (s.epoch != epoch_) continue;
-      size_t i = home(s.node, s.group);
-      while (slots_[i].epoch == epoch_) i = (i + 1) & (slots_.size() - 1);
-      slots_[i] = s;
-    }
-  }
-
-  std::vector<Slot> slots_;
-  size_t size_ = 0;        // live pairs of this call
-  uint32_t epoch_ = 0;     // current call; slots start at 0, so never live
-  std::vector<uint32_t> count_;    // distinct groups per overlay node
-  std::vector<uint32_t> touched_;  // nodes whose count is non-zero
+  std::vector<uint32_t> list_of_;  // per overlay node: 1 + its list's index, 0 if none
+  std::vector<List> lists_;        // the first used_ belong to this call's nodes
+  size_t used_ = 0;
   uint32_t max_ = 0;
 };
 
-/// Deduplicated worklist of routing-state indices; only nodes with work are
-/// visited each round, which keeps a round's cost proportional to the traffic
-/// rather than to the overlay size.
+/// Worklist of routing-state indices as a two-level bitmap (a bit per state,
+/// and a bit per non-zero word of those): only states with work are visited
+/// each round, in ascending order without a sort, which keeps a round's cost
+/// proportional to the traffic rather than to the overlay size.
 class ActiveSet {
  public:
   void reset(uint64_t node_count) {
-    flag_.assign(node_count, false);
-    items_.clear();
+    bits_.assign((node_count + 63) / 64, 0);
+    words_.assign((bits_.size() + 63) / 64, 0);
   }
 
   void add(uint64_t idx) {
-    if (!flag_[idx]) {
-      flag_[idx] = true;
-      items_.push_back(idx);
+    uint64_t& w = bits_[idx >> 6];
+    if (w == 0) words_[idx >> 12] |= uint64_t{1} << ((idx >> 6) & 63);
+    w |= uint64_t{1} << (idx & 63);
+  }
+  /// Move the members into `out` in ascending order for deterministic
+  /// iteration; the set is left empty, so states re-add themselves if they
+  /// still have work.
+  void take(std::vector<uint64_t>& out) {
+    out.clear();
+    for (size_t s = 0; s < words_.size(); ++s) {
+      for (uint64_t top = std::exchange(words_[s], 0); top; top &= top - 1) {
+        const size_t w = s * 64 + std::countr_zero(top);
+        for (uint64_t m = std::exchange(bits_[w], 0); m; m &= m - 1)
+          out.push_back(w * 64 + std::countr_zero(m));
+      }
     }
   }
-  /// Sorted snapshot into `out` for deterministic iteration; clears
-  /// membership flags so nodes re-add themselves if they still have work.
-  /// The two buffers swap, so a caller reusing `out` every round keeps both
-  /// capacities warm.
-  void take(std::vector<uint64_t>& out) {
-    std::sort(items_.begin(), items_.end());
-    for (uint64_t i : items_) flag_[i] = false;
-    out.swap(items_);
-    items_.clear();
-  }
-  bool empty() const { return items_.empty(); }
 
  private:
-  std::vector<bool> flag_;
-  std::vector<uint64_t> items_;
+  std::vector<uint64_t> bits_;   // bit i of word w: state 64w + i is a member
+  std::vector<uint64_t> words_;  // bit j of word s: bits_[64s + j] is non-zero
 };
 
 /// A packet or token bound for routing state (level, col): a straight-edge
@@ -208,20 +181,21 @@ Queued* find_queued(std::vector<Queued>& queue, uint64_t group) {
 
 /// The routing tables of one call, kept between calls. Every table a call
 /// fills is empty again when it returns (queues drain, tokens are re-zeroed
-/// at the next begin(), the congestion set is emptied at the next begin()),
-/// so a workspace reused on the same overlay re-fills warm capacity. Queue
-/// vectors keep their capacity; contend() is a min-reduction over a total
+/// and congestion lists emptied at the next begin()), so a workspace reused
+/// on the same overlay re-fills warm capacity. Queue vectors and congestion
+/// lists keep their capacity; contend() is a min-reduction over a total
 /// order, so the entry order swap-removal leaves behind cannot change a
 /// result.
 ///
 /// Tables are kept only while their storage (end() counts every capacity)
 /// stays within kKeepBytes. Small overlays stay well under it: the MST
-/// benchmark's 448 routing states keep about 85 KiB. Past it — a large
-/// overlay (hotkey_cache's 53,248 states need 2.4-3.6 MiB per call), or a
-/// call whose congestion set grew under a flood of groups (bfs_gnm's 11,264
-/// states, up to 14 MiB) — a call drops them, so the next call re-grows
-/// what it needs and memory stays at one call's footprint. Keeping them at
-/// every size raised hotkey_cache's max_rss_mb from 16.9 to 19.0 MiB.
+/// benchmark's 448 routing states keep at most 94 KiB. Past it — a large
+/// overlay (hotkey_cache's 53,248 states need 2.3-3.4 MiB per call), or a
+/// call whose queues and congestion lists grew under a flood of groups
+/// (bfs_gnm's 11,264 states, up to 9.5 MiB) — a call drops them, so the
+/// next call re-grows what it needs and memory stays at one call's
+/// footprint. Keeping them at every size raised hotkey_cache's max_rss_mb
+/// from 16.9 to 19.0 MiB.
 struct RouterWorkspace::Tables {
   static constexpr size_t kKeepBytes = size_t{1} << 20;
 
@@ -258,7 +232,7 @@ struct RouterWorkspace::Tables {
   ActiveSet active;
   std::vector<uint64_t> tokens_recv;
   std::vector<uint64_t> token_sent;
-  std::vector<uint64_t> items;  // the active set's sorted snapshot
+  std::vector<uint64_t> items;  // the active set's ascending snapshot
   std::vector<Move> local;      // a round's straight-edge moves
   std::vector<std::vector<Queued>> queues;  // per routing state, one entry per group
   // Down phase.

@@ -137,8 +137,8 @@ struct DownResult {
 };
 
 /// The routing tables route_down/route_up fill during a call — per-state
-/// packet queues, the congestion set, token masks, the round loop's step
-/// buffers — kept between calls so later calls on the same overlay run
+/// packet queues, per-node congestion lists, token masks, the round loop's
+/// step buffers — kept between calls so later calls on the same overlay run
 /// their rounds without allocating. Caller-thread state: one call at a time
 /// (each run's Shared owns one).
 class RouterWorkspace {

@@ -21,7 +21,6 @@ AggregationResult run_aggregation(const Shared& shared, Network& net,
   uint64_t start_rounds = net.rounds();
 
   AggregationResult res;
-  res.global_load = problem.items.size();
 
   // --- Preprocessing: batched random injection to level-0 butterfly nodes ---
   const std::vector<AggregationItem>& items = problem.items;

@@ -46,7 +46,6 @@ struct AggregationResult {
   FlatMap<Val> at_target;
   uint64_t rounds = 0;      // total NCC rounds (all phases + barriers)
   RouteStats route;         // combining-phase internals
-  uint64_t global_load = 0; // L
 };
 
 /// `cache`, if non-null, enables en-route absorbers in the Combining Phase

@@ -353,6 +353,40 @@ TEST(RouterSemantics, CongestionMatchesGreedyPathOracle) {
   }
 }
 
+TEST(RouterSemantics, ReusedWorkspaceCongestionIsPerCall) {
+  // One workspace carries its tables across calls and overlays (all small
+  // enough to stay under the keep limit): the hot input, then a light input
+  // of other groups, then the hot input again. Each call's congestion is its
+  // own input's, so nothing a list kept from an earlier call may count.
+  constexpr NodeId kN = 64;
+  Network net(NetConfig{.n = kN, .capacity_factor = 8, .strict_send = true, .seed = 3});
+  RouterWorkspace ws;
+  for (OverlayKind kind : all_overlay_kinds()) {
+    SCOPED_TRACE(overlay_name(kind));
+    const auto topo = make_overlay(kind, kN);
+    auto dest = [&](uint64_t g) { return seeded_dest(*topo, g); };
+    const auto hot = seeded_sources(*topo, 5, kN / 2, 600);
+    auto light = seeded_sources(*topo, 6, kN / 4, 0);
+    for (auto& packets : light)
+      for (AggPacket& p : packets) p.group += uint64_t{1} << 40;  // no group of `hot`
+    const uint32_t hot_expected = oracle_congestion(*topo, hot, dest);
+    const uint32_t light_expected = oracle_congestion(*topo, light, dest);
+    ASSERT_GE(hot_expected, 600u);
+    ASSERT_LT(light_expected, 600u);
+    for (const auto& [input, expected] :
+         {std::pair{&hot, hot_expected}, {&light, light_expected}, {&hot, hot_expected}}) {
+      SCOPED_TRACE(testing::Message() << "expected=" << expected);
+      DownResult plain = route_down(*topo, net, ws, *input, dest, seeded_rank, agg::sum);
+      EXPECT_EQ(plain.stats.congestion, expected);
+      MulticastTrees trees;
+      trees.leaf_members.assign(topo->columns(), {});
+      DownResult rec = route_down(*topo, net, ws, *input, dest, seeded_rank, agg::sum, &trees);
+      EXPECT_EQ(rec.stats.congestion, expected);
+      EXPECT_EQ(trees.congestion, expected);
+    }
+  }
+}
+
 namespace {
 
 /// What a recording route_down plus route_up produced, folded to pins.
