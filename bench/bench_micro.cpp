@@ -64,8 +64,9 @@ static void BM_AggregateBroadcast(benchmark::State& state) {
   Network net(cfg);
   Overlay topo(OverlayKind::kButterfly, n);
   std::vector<std::optional<Val>> inputs(n, Val{1, 0});
+  BarrierWorkspace ws;
   for (auto _ : state) {
-    auto res = aggregate_and_broadcast(topo, net, inputs, agg::sum);
+    auto res = aggregate_and_broadcast(topo, net, ws, inputs, agg::sum);
     benchmark::DoNotOptimize(res.value);
   }
 }

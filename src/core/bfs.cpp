@@ -41,7 +41,7 @@ BfsResult run_bfs(const Shared& shared, Network& net, const Graph& g,
     // Synchronize and decide termination: did anyone get newly reached?
     std::vector<std::optional<Val>> inputs(n);
     for (NodeId u : next) inputs[u] = Val{1, 0};
-    auto ab = aggregate_and_broadcast(topo, net, inputs, agg::sum);
+    auto ab = aggregate_and_broadcast(topo, net, shared.barrier_workspace(), inputs, agg::sum);
     if (!ab.value.has_value()) break;
     active = std::move(next);
   }

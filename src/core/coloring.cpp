@@ -35,7 +35,8 @@ ColoringResult run_coloring(const Shared& shared, Network& net, const Graph& g,
       uint64_t v = std::max<uint64_t>(orient.same_level[u].size(), ori.outdegree(u));
       inputs[u] = Val{v, 0};
     }
-    auto ab = aggregate_and_broadcast(topo, net, inputs, agg::max_by_first);
+    auto ab = aggregate_and_broadcast(topo, net, shared.barrier_workspace(), inputs,
+                                      agg::max_by_first);
     res.a_hat = ab.value ? static_cast<uint32_t>((*ab.value)[0]) : 0;
   }
   uint32_t palette = std::max<uint32_t>(
@@ -147,7 +148,7 @@ ColoringResult run_coloring(const Shared& shared, Network& net, const Graph& g,
       std::vector<std::optional<Val>> inputs(n);
       for (NodeId u : level_nodes)
         if (res.color[u] == UINT32_MAX) inputs[u] = Val{1, 0};
-      auto ab = aggregate_and_broadcast(topo, net, inputs, agg::sum);
+      auto ab = aggregate_and_broadcast(topo, net, shared.barrier_workspace(), inputs, agg::sum);
       level_done = !ab.value.has_value();
     }
     if (lvl == 1) break;

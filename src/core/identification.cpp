@@ -68,7 +68,8 @@ IdentificationResult run_identification(const Shared& shared, Network& net,
       std::vector<std::optional<Val>> degrees(n);
       for (size_t li = 0; li < input.learning.size(); ++li)
         degrees[input.learning[li]] = Val{input.candidates[li].size(), 0};
-      auto ab = aggregate_and_broadcast(shared.topo(), net, degrees, agg::max_by_first);
+      auto ab = aggregate_and_broadcast(shared.topo(), net, shared.barrier_workspace(),
+                                        degrees, agg::max_by_first);
       uint64_t rederived =
           std::min<uint64_t>(ab.value ? (*ab.value)[0] : 1, cand_max);
       q = static_cast<uint32_t>(

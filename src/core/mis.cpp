@@ -61,7 +61,7 @@ MisResult run_mis(const Shared& shared, Network& net, const Graph& g,
     std::vector<std::optional<Val>> inputs(n);
     for (NodeId u = 0; u < n; ++u)
       if (active[u]) inputs[u] = Val{1, 0};
-    auto ab = aggregate_and_broadcast(topo, net, inputs, agg::sum);
+    auto ab = aggregate_and_broadcast(topo, net, shared.barrier_workspace(), inputs, agg::sum);
     if (!ab.value.has_value()) break;
   }
 

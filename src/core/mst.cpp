@@ -343,7 +343,7 @@ MstResult run_mst(const Shared& shared, Network& net, const Graph& g,
     std::vector<std::optional<Val>> inputs(n);
     for (auto& [l, s] : search)
       if (s.exists) inputs[l] = Val{1, 0};
-    auto ab = aggregate_and_broadcast(topo, net, inputs, agg::sum);
+    auto ab = aggregate_and_broadcast(topo, net, shared.barrier_workspace(), inputs, agg::sum);
     if (!ab.value.has_value()) break;
   }
 

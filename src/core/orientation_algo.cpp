@@ -128,7 +128,7 @@ OrientationRunResult run_orientation(const Shared& shared, Network& net, const G
       std::vector<std::optional<Val>> inputs(n);
       for (NodeId u = 0; u < n; ++u)
         if (status[u] != St::Inactive) inputs[u] = Val{d_i[u], 1};
-      auto ab = aggregate_and_broadcast(topo, net, inputs, agg::sum);
+      auto ab = aggregate_and_broadcast(topo, net, shared.barrier_workspace(), inputs, agg::sum);
       if (!ab.value.has_value()) {
         --phase;
         break;  // everyone inactive: done
@@ -159,7 +159,8 @@ OrientationRunResult run_orientation(const Shared& shared, Network& net, const G
     {
       std::vector<std::optional<Val>> inputs(n);
       for (NodeId u : active) inputs[u] = Val{d_i[u], 0};
-      auto ab = aggregate_and_broadcast(topo, net, inputs, agg::max_by_first);
+      auto ab = aggregate_and_broadcast(topo, net, shared.barrier_workspace(), inputs,
+                                        agg::max_by_first);
       if (ab.value.has_value()) d_star_i = static_cast<uint32_t>((*ab.value)[0]);
       // Clamp: a degree bound is < n on any honest run; a byzantine mutation
       // must not be allowed to schedule an astronomically long contact phase

@@ -16,7 +16,6 @@
 namespace ncc {
 
 namespace agg {
-Val sum(const Val& a, const Val& b) { return {a[0] + b[0], a[1] + b[1]}; }
 Val min_by_first(const Val& a, const Val& b) {
   if (a[0] != b[0]) return a[0] < b[0] ? a : b;
   return a[1] <= b[1] ? a : b;  // deterministic tie-break on second word
@@ -725,13 +724,6 @@ void MulticastTrees::add_child(uint64_t idx, uint64_t group, uint64_t bits) {
   } else {
     children[idx].emplace_back(group, bits);
   }
-}
-
-uint32_t MulticastTrees::max_leaf_load() const {
-  uint32_t best = 0;
-  for (const auto& v : leaf_members)
-    best = std::max<uint32_t>(best, static_cast<uint32_t>(v.size()));
-  return best;
 }
 
 DownResult route_down(const Overlay& topo, Network& net, RouterWorkspace& ws,

@@ -41,7 +41,7 @@ using CombineFn = std::function<Val(const Val&, const Val&)>;
 
 /// Standard distributive aggregate functions (Section 2.1).
 namespace agg {
-Val sum(const Val& a, const Val& b);
+inline Val sum(const Val& a, const Val& b) { return {a[0] + b[0], a[1] + b[1]}; }
 Val min_by_first(const Val& a, const Val& b);
 Val max_by_first(const Val& a, const Val& b);
 /// XOR first word, sum second — the Identification Algorithm's sketch.
@@ -93,9 +93,6 @@ struct MulticastTrees {
   const uint64_t* child_mask(uint64_t idx, uint64_t group) const;
   /// OR `bits` into the mask of `group` at routing state `idx`.
   void add_child(uint64_t idx, uint64_t group, uint64_t bits);
-
-  /// Max number of leaf deliveries any single level-0 column performs.
-  uint32_t max_leaf_load() const;
 };
 
 struct RouteStats {

@@ -10,6 +10,9 @@
 // 2*agg_steps() + 2 rounds regardless of the inputs, which is what makes
 // A&B usable as the synchronization barrier the other primitives use between
 // phases (the paper's token variant; the round cost is identical).
+//
+// Both functions below run the same A&B schedule (one runner); the barrier
+// is the general primitive with the input {1, 0} at every node, summed.
 #pragma once
 
 #include <optional>
@@ -27,36 +30,36 @@ struct AbResult {
   uint64_t rounds = 0;
 };
 
-/// `inputs[u]` is node u's input value (nullopt = u not in A). On return every
-/// node knows the aggregate (the simulator returns it once; per-node copies
-/// would all be equal by construction).
-AbResult aggregate_and_broadcast(const Overlay& topo, Network& net,
-                                 const std::vector<std::optional<Val>>& inputs,
-                                 const CombineFn& combine);
-
-/// Barrier: an Aggregate-and-Broadcast with a constant input from every node,
-/// used purely for its synchronization effect (Appendix B.1). Runs a fast
-/// path — column-sized count/presence scratch instead of the n-sized
-/// optional<Val> input vector and CombineFn plumbing — that produces the
-/// same rounds and send/drop schedule as the general primitive under every
-/// fault model (payload words a byzantine hook corrupted in flight are the
-/// only possible divergence, and barrier receivers discard them unread).
-///
-/// `ws` is the barrier's scratch, sized on first use and reused by every
-/// later barrier that passes it (each run's Shared owns one), so the
-/// barrier's rounds allocate nothing.
+/// A&B scratch, sized on first use and reused by every later call that
+/// passes it (each run's Shared owns one), so the rounds of A&B and of the
+/// barrier allocate nothing.
 struct BarrierWorkspace {
-  std::vector<uint64_t> weight;  // subtree count held at each column
-  std::vector<uint8_t> present;  // the column holds a value (see sync_barrier)
-  std::vector<NodeId> parent;    // each column's tree parent at the last merge step
-  // The broadcast schedule, a pure function of the aggregation tree: the
-  // columns informed at broadcast step b, ascending, are
-  // bcast_cols[bcast_off[b] .. bcast_off[b + 1]). Built once per overlay.
+  std::vector<Val> value;        // value held at each column
+  std::vector<uint8_t> present;  // the column holds a value
+  // The schedule, a pure function of the aggregation tree, built once per
+  // overlay. Merge step i visits merge_cols[merge_off[i] .. merge_off[i + 1]),
+  // ascending: the columns a value can occupy by then; parent[k] is the tree
+  // parent of merge_cols[k] at that step. The columns informed at broadcast
+  // step b, ascending, are bcast_cols[bcast_off[b] .. bcast_off[b + 1]).
+  std::vector<NodeId> merge_cols;
+  std::vector<NodeId> parent;
+  std::vector<uint32_t> merge_off;
   std::vector<NodeId> bcast_cols;
   std::vector<uint32_t> bcast_off;
   OverlayKind kind = OverlayKind::kButterfly;  // the overlay the schedule is for
   NodeId n = 0;                                // (n = 0: none built yet)
 };
+
+/// `inputs[u]` is node u's input value (nullopt = u not in A). On return every
+/// node knows the aggregate (the simulator returns it once; per-node copies
+/// would all be equal by construction).
+AbResult aggregate_and_broadcast(const Overlay& topo, Network& net, BarrierWorkspace& ws,
+                                 const std::vector<std::optional<Val>>& inputs,
+                                 const CombineFn& combine);
+
+/// Barrier: an Aggregate-and-Broadcast with a constant input from every node,
+/// used purely for its synchronization effect (Appendix B.1). Returns the
+/// rounds it took.
 uint64_t sync_barrier(const Overlay& topo, Network& net, BarrierWorkspace& ws);
 
 }  // namespace ncc

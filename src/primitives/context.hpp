@@ -45,10 +45,10 @@ class Shared {
   /// which satisfies the K >= 8C requirement of Theorem B.2 at any load).
   uint64_t rank(uint64_t group) const { return h_rank_(group); }
 
-  /// The run's sync_barrier and router scratch: every barrier and every
-  /// route_down/route_up of the run reuses them, so their rounds allocate
-  /// nothing. Per-run scratch, hence mutable on the otherwise read-only
-  /// context.
+  /// The run's A&B and router scratch: every aggregate_and_broadcast and
+  /// sync_barrier of the run shares the first, every route_down/route_up the
+  /// second, so their rounds allocate nothing. Per-run scratch, hence
+  /// mutable on the otherwise read-only context.
   BarrierWorkspace& barrier_workspace() const { return barrier_ws_; }
   RouterWorkspace& router_workspace() const { return router_ws_; }
 

@@ -1,6 +1,8 @@
 // Tests for the Aggregate-and-Broadcast primitive (Theorem 2.2).
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "overlay/overlay.hpp"
 #include "primitives/aggregate_broadcast.hpp"
 
@@ -23,7 +25,8 @@ TEST(AggregateBroadcast, MaxOverSubset) {
   inputs[3] = Val{17, 3};
   inputs[21] = Val{99, 21};
   inputs[39] = Val{4, 39};
-  auto res = aggregate_and_broadcast(topo, net, inputs, agg::max_by_first);
+  BarrierWorkspace ws;
+  auto res = aggregate_and_broadcast(topo, net, ws, inputs, agg::max_by_first);
   ASSERT_TRUE(res.value);
   EXPECT_EQ((*res.value)[0], 99u);
   EXPECT_EQ((*res.value)[1], 21u);  // second word carries the argmax
@@ -34,7 +37,8 @@ TEST(AggregateBroadcast, SingleInput) {
   Overlay topo(OverlayKind::kButterfly, 17);
   std::vector<std::optional<Val>> inputs(17);
   inputs[16] = Val{5, 0};  // a non-emulating node (16 = 2^4)
-  auto res = aggregate_and_broadcast(topo, net, inputs, agg::sum);
+  BarrierWorkspace ws;
+  auto res = aggregate_and_broadcast(topo, net, ws, inputs, agg::sum);
   ASSERT_TRUE(res.value);
   EXPECT_EQ((*res.value)[0], 5u);
 }
@@ -45,7 +49,8 @@ TEST(AggregateBroadcast, MinNodeId) {
   Overlay topo(OverlayKind::kButterfly, n);
   std::vector<std::optional<Val>> inputs(n);
   for (NodeId u = 30; u < 70; ++u) inputs[u] = Val{u, 0};
-  auto res = aggregate_and_broadcast(topo, net, inputs, agg::min_by_first);
+  BarrierWorkspace ws;
+  auto res = aggregate_and_broadcast(topo, net, ws, inputs, agg::min_by_first);
   ASSERT_TRUE(res.value);
   EXPECT_EQ((*res.value)[0], 30u);
 }
@@ -55,7 +60,8 @@ TEST(AggregateBroadcast, RoundsAreLogarithmic) {
     Network net = make(n);
     Overlay topo(OverlayKind::kButterfly, n);
     std::vector<std::optional<Val>> inputs(n, Val{1, 0});
-    auto res = aggregate_and_broadcast(topo, net, inputs, agg::sum);
+    BarrierWorkspace ws;
+    auto res = aggregate_and_broadcast(topo, net, ws, inputs, agg::sum);
     // Exactly 2d + 2 rounds by construction (attach + d down + d up + detach).
     EXPECT_EQ(res.rounds, 2ull * topo.dims() + 2);
     EXPECT_EQ(net.stats().messages_dropped, 0u);
@@ -85,7 +91,8 @@ TEST(AggregateBroadcast, XorAggregate) {
     expect0 ^= a;
     expect1 ^= b;
   }
-  auto res = aggregate_and_broadcast(topo, net, inputs, agg::xor_xor);
+  BarrierWorkspace ws;
+  auto res = aggregate_and_broadcast(topo, net, ws, inputs, agg::xor_xor);
   ASSERT_TRUE(res.value);
   EXPECT_EQ((*res.value)[0], expect0);
   EXPECT_EQ((*res.value)[1], expect1);
@@ -96,8 +103,55 @@ TEST(AggregateBroadcast, CapacityNeverExceeded) {
   Network net = make(n);  // strict_send on: would abort on violation
   Overlay topo(OverlayKind::kButterfly, n);
   std::vector<std::optional<Val>> inputs(n, Val{1, 0});
-  aggregate_and_broadcast(topo, net, inputs, agg::sum);
+  BarrierWorkspace ws;
+  aggregate_and_broadcast(topo, net, ws, inputs, agg::sum);
   EXPECT_LE(net.stats().max_send_load, net.cap());
   EXPECT_LE(net.stats().max_recv_load, net.cap());
   EXPECT_EQ(net.stats().messages_dropped, 0u);
+}
+
+TEST(AggregateBroadcast, OneWorkspaceAcrossOverlaysAndSizes) {
+  // One workspace carried across overlays, sizes and both entry points must
+  // give every call exactly what a fresh workspace gives it: the cached
+  // merge and broadcast schedules and the column scratch follow the overlay
+  // of each call.
+  struct Call {
+    OverlayKind kind;
+    NodeId n;
+    bool barrier;
+  };
+  const Call calls[] = {{OverlayKind::kButterfly, 200, false},
+                        {OverlayKind::kAugmentedCube, 200, false},
+                        {OverlayKind::kRadix4Butterfly, 100, false},
+                        {OverlayKind::kHypercube, 150, true},
+                        {OverlayKind::kButterfly, 200, false}};
+  auto run = [](const Call& call, BarrierWorkspace& ws) {
+    Network net(NetConfig{.n = call.n, .capacity_factor = 16, .seed = 4});
+    auto topo = make_overlay(call.kind, call.n);
+    std::optional<Val> value;
+    uint64_t rounds;
+    if (call.barrier) {
+      rounds = sync_barrier(*topo, net, ws);
+    } else {
+      std::vector<std::optional<Val>> inputs(call.n);
+      for (NodeId u = 5; u < call.n; u += 11) inputs[u] = Val{u, 1};
+      AbResult res = aggregate_and_broadcast(*topo, net, ws, inputs, agg::sum);
+      value = res.value;
+      rounds = res.rounds;
+    }
+    return std::make_tuple(value, rounds, net.stats().messages_sent);
+  };
+  BarrierWorkspace shared;
+  for (const Call& call : calls) {
+    BarrierWorkspace fresh;
+    const auto expect = run(call, fresh);
+    EXPECT_EQ(run(call, shared), expect)
+        << overlay_name(call.kind) << " n=" << call.n << " barrier=" << call.barrier;
+    if (!call.barrier) {
+      uint64_t sum = 0;
+      for (NodeId u = 5; u < call.n; u += 11) sum += u;
+      ASSERT_TRUE(std::get<0>(expect).has_value());
+      EXPECT_EQ((*std::get<0>(expect))[0], sum);
+    }
+  }
 }

@@ -4,7 +4,7 @@
 // level-dependent radix-4 butterfly, greedy-route convergence on every
 // overlay, the butterfly == time-unrolled-hypercube identity, the router on
 // the augmented cube, the overlay-native aggregation trees (binary tree
-// bit-identical to seed, AQ_d tree at half the depth, barrier fast-path and
+// bit-identical to seed, AQ_d tree at half the depth, barrier == all-ones A&B and
 // engine-attached byte identity), and the acceptance property that every
 // registered algorithm produces identical verified outputs on all overlays
 // over a reliable network.
@@ -521,7 +521,7 @@ TEST(AggTree, BarrierRoundsMatchTreeDepthPerOverlay) {
 }
 
 TEST(AggTree, BarrierFastPathMatchesGeneralPrimitive) {
-  // The barrier fast path must replay the all-ones A&B schedule exactly:
+  // The barrier is the all-ones A&B and must replay its schedule exactly:
   // same rounds, same message stream, same NetStats — on every overlay, and
   // with fault injection active (drop/corrupt decisions key on the per-round
   // send index, so any divergence in a send decision shows up in the
@@ -539,13 +539,13 @@ TEST(AggTree, BarrierFastPathMatchesGeneralPrimitive) {
           inject.emplace(net, model, /*seed=*/33, /*round_limit=*/0);
         }
         auto topo = make_overlay(kind, 200);
+        BarrierWorkspace ws;
         uint64_t rounds;
         if (fast) {
-          BarrierWorkspace ws;
           rounds = sync_barrier(*topo, net, ws);
         } else {
           std::vector<std::optional<Val>> ones(200, Val{1, 0});
-          rounds = aggregate_and_broadcast(*topo, net, ones, agg::sum).rounds;
+          rounds = aggregate_and_broadcast(*topo, net, ws, ones, agg::sum).rounds;
         }
         const NetStats& st = net.stats();
         return std::make_tuple(rounds, st.messages_sent, st.fault_drops,
@@ -569,8 +569,8 @@ TEST(AggTree, AbValueIdenticalAcrossOverlaysAndThreads) {
       auto topo = make_overlay(kind, 150);
       std::vector<std::optional<Val>> inputs(150);
       for (NodeId u = 3; u < 150; u += 7) inputs[u] = Val{u, 1};
-      auto res = aggregate_and_broadcast(*topo, net, inputs, agg::sum);
       BarrierWorkspace ws;
+      auto res = aggregate_and_broadcast(*topo, net, ws, inputs, agg::sum);
       uint64_t barrier_rounds = sync_barrier(*topo, net, ws);
       EXPECT_TRUE(res.value.has_value());
       return std::make_tuple((*res.value)[0], (*res.value)[1], res.rounds,

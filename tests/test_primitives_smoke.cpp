@@ -32,7 +32,8 @@ TEST(AggregateBroadcast, SumOfAllInputs) {
     inputs[u] = Val{u + 1ull, 0};
     expect += u + 1ull;
   }
-  auto res = aggregate_and_broadcast(topo, net, inputs, agg::sum);
+  BarrierWorkspace ws;
+  auto res = aggregate_and_broadcast(topo, net, ws, inputs, agg::sum);
   ASSERT_TRUE(res.value.has_value());
   EXPECT_EQ((*res.value)[0], expect);
   EXPECT_EQ(net.stats().messages_dropped, 0u);
@@ -42,8 +43,12 @@ TEST(AggregateBroadcast, EmptyInputYieldsNothing) {
   Network net = make_net(16);
   Overlay topo(OverlayKind::kButterfly, 16);
   std::vector<std::optional<Val>> inputs(16);
-  auto res = aggregate_and_broadcast(topo, net, inputs, agg::sum);
+  BarrierWorkspace ws;
+  auto res = aggregate_and_broadcast(topo, net, ws, inputs, agg::sum);
   EXPECT_FALSE(res.value.has_value());
+  // The schedule still runs every round; with no value none of them sends.
+  EXPECT_EQ(res.rounds, 2ull * topo.agg_steps() + 2);
+  EXPECT_EQ(net.stats().messages_sent, 0u);
 }
 
 TEST(Aggregation, GroupSumsReachTargets) {

@@ -6,8 +6,9 @@
 // containers NetMemStats tracks (the ledgers' `allocs` column). Each test
 // warms its containers with a few rounds, then requires a run of further
 // rounds to make zero allocations: an empty end_round(), an end_round()
-// with traffic, sync_barrier, and the router's route_down/route_up rounds —
-// each with and without an Engine attached.
+// with traffic, sync_barrier, a general Aggregate-and-Broadcast, and the
+// router's route_down/route_up rounds — each with and without an Engine
+// attached.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -136,6 +137,35 @@ TEST(RoundAllocs, SyncBarrierAllocatesNothing) {
               0u)
         << "engine " << engine;
     EXPECT_EQ(net.rounds() - r0, 22 * (2 * uint64_t{shared.topo().agg_steps()} + 2));
+  }
+}
+
+// A general A&B on a warm workspace: same schedule as the barrier, with
+// sparse inputs and a CombineFn; the inputs are built before the measured
+// calls.
+TEST(RoundAllocs, AggregateBroadcastAllocatesNothing) {
+  for (bool engine : {false, true}) {
+    const NodeId n = 200;
+    Network net(cfg_for(n));
+    std::optional<Engine> eng;
+    if (engine) eng.emplace(net);
+    Shared shared(n, 5);
+    std::vector<std::optional<Val>> inputs(n);
+    for (NodeId u = 3; u < n; u += 7) inputs[u] = Val{u, 1};
+    std::optional<Val> value;
+    EXPECT_EQ(steady_allocs(2, 20,
+                            [&](uint64_t) {
+                              value = aggregate_and_broadcast(shared.topo(), net,
+                                                              shared.barrier_workspace(),
+                                                              inputs, agg::sum)
+                                          .value;
+                            }),
+              0u)
+        << "engine " << engine;
+    ASSERT_TRUE(value.has_value());
+    uint64_t expect = 0;
+    for (NodeId u = 3; u < n; u += 7) expect += u;
+    EXPECT_EQ((*value)[0], expect);
   }
 }
 
