@@ -267,15 +267,19 @@ MstResult run_mst(const Shared& shared, Network& net, const Graph& g,
       NodeId a = codec.key_a(k), b = codec.key_b(k);
       if (u != a && u != b) continue;
       NodeId v = (u == a) ? b : a;
-      // Sanity: u really has this incident edge with this weight.
-      NCC_ASSERT_MSG(g.has_edge(u, v) && g.weight(u, v) == codec.key_w(k),
-                     "FindMin produced a non-existent edge (sketch failure)");
+      // Sanity: u really has this incident edge with this weight. A key that
+      // byzantine corruption rewrote in flight can name a non-edge, or a v
+      // that is not a node: then u is not u* this phase.
+      const bool real = v < n && g.has_edge(u, v) && g.weight(u, v) == codec.key_w(k);
+      if (!real && net.corruption_possible()) continue;
+      NCC_ASSERT_MSG(real, "FindMin produced a non-existent edge (sketch failure)");
       ustar_of[u] = v;
       joins.push_back({u, v});
     }
     auto trees2 = setup_multicast_trees(shared, net, joins,
                                         mix64(rng_tag ^ (res.phases * 31 + 5)));
-    // Tree roots notify the sources that their group is live.
+    // Tree roots notify the sources that their group is live, in one round
+    // (every node knows that length, so no barrier follows it).
     std::vector<uint64_t> live_groups;
     trees2.trees.root_col.for_each(
         [&](uint64_t grp, const NodeId&) { live_groups.push_back(grp); });
@@ -293,7 +297,6 @@ MstResult run_mst(const Shared& shared, Network& net, const Graph& g,
     for (NodeId v = 0; v < n; ++v)
       for (const Message& m : net.inbox(v))
         if (m.tag == kTagSourceNotify) is_source[v] = true;
-    sync_barrier(topo, net, shared.barrier_workspace());
     // Sources multicast (own component's coin, own leader id).
     std::vector<MulticastSend> info_sends;
     for (NodeId v = 0; v < n; ++v)
@@ -301,7 +304,8 @@ MstResult run_mst(const Shared& shared, Network& net, const Graph& g,
     auto info = run_multicast(shared, net, trees2.trees, info_sends, 1,
                               mix64(rng_tag ^ (res.phases * 31 + 6)));
     // Tails-component endpoints adjacent to Heads components report the new
-    // leader to their own leader and record the MST edge.
+    // leader to their own leader and record the MST edge, in one round (no
+    // barrier follows it, as above).
     std::vector<NodeId> new_leader_of(n, UINT32_MAX);  // per leader: merge target
     for (NodeId u = 0; u < n; ++u) {
       if (ustar_of[u] == UINT32_MAX || coin[u] != 0) continue;  // Tails only
@@ -325,7 +329,6 @@ MstResult run_mst(const Shared& shared, Network& net, const Graph& g,
       for (const Message& m : net.inbox(l))
         if (m.tag == kTagLeaderReport) new_leader_of[l] = static_cast<NodeId>(m.word(0));
     }
-    sync_barrier(topo, net, shared.barrier_workspace());
     // Leaders announce the merge to their components.
     std::vector<MulticastSend> merge_sends;
     for (NodeId l = 0; l < n; ++l)

@@ -219,8 +219,13 @@ OrientationRunResult run_orientation(const Shared& shared, Network& net, const G
     }
 
     // Step 2a: low-degree unsuccessful nodes -> narrowed second
-    // identification (s = c log n, q = 4ec log^2 n), with retries.
-    for (uint32_t attempt = 0; attempt <= params.max_retries && !u_low.empty(); ++attempt) {
+    // identification (s = c log n, q = 4ec log^2 n), with retries. On a
+    // network that corrupts payloads a failed decode is most likely a
+    // corrupted sketch, not a hash collision, and a retry's larger q only
+    // draws more corruption (each retry costs q / log n rounds, doubling), so
+    // there the unsuccessful nodes go straight to the direct resolution.
+    const uint32_t retries = net.corruption_possible() ? 0 : params.max_retries + 1;
+    for (uint32_t attempt = 0; attempt < retries && !u_low.empty(); ++attempt) {
       // Inactive nodes learn which of their potentially-learning neighbors
       // are unsuccessful low-degree nodes, via multicast trees over groups
       // A_{id(w)} = inactive in-neighbors of w.
@@ -325,6 +330,8 @@ OrientationRunResult run_orientation(const Shared& shared, Network& net, const G
         std::sort(red[v].begin(), red[v].end());
         red[v].erase(std::unique(red[v].begin(), red[v].end()), red[v].end());
       }
+      // rounds_T is a maximum of |R_w| over all nodes, which no node knows,
+      // so the contact phase ends at a barrier.
       sync_barrier(topo, net, shared.barrier_workspace());
     }
 
@@ -421,6 +428,8 @@ OrientationRunResult run_orientation(const Shared& shared, Network& net, const G
         }
       }
       // Flush: the final send round's responses need one more delivery round.
+      // The stage lasts horizon + 1 rounds and every node holds d*_i from the
+      // A&B, so no barrier follows it.
       net.end_round();
       for (NodeId t = 0; t < n; ++t) {
         for (const Message& m : net.inbox(t)) {
@@ -432,7 +441,6 @@ OrientationRunResult run_orientation(const Shared& shared, Network& net, const G
           }
         }
       }
-      sync_barrier(topo, net, shared.barrier_workspace());
     }
 
     // ---------------- Conclude the phase locally ------------------------

@@ -8,8 +8,9 @@
 // butterfly, while the augmented cube's suffix-complement tree aggregates in
 // ceil((d+1)/2) steps — about half the rounds. The schedule is fixed at
 // 2*agg_steps() + 2 rounds regardless of the inputs, which is what makes
-// A&B usable as the synchronization barrier the other primitives use between
-// phases (the paper's token variant; the round cost is identical).
+// A&B usable as the synchronization barrier the other primitives use after
+// phases of unknown length (the paper's token variant; the round cost is
+// identical).
 //
 // Both functions below run the same A&B schedule (one runner); the barrier
 // is the general primitive with the input {1, 0} at every node, summed.
@@ -60,6 +61,15 @@ AbResult aggregate_and_broadcast(const Overlay& topo, Network& net, BarrierWorks
 /// Barrier: an Aggregate-and-Broadcast with a constant input from every node,
 /// used purely for its synchronization effect (Appendix B.1). Returns the
 /// rounds it took.
+///
+/// The rule for callers: a barrier follows a phase only when no node knows
+/// the phase's last round, because its length is a global maximum (the
+/// batched injection's ceil(max_k / log n) rounds, orientation's contact
+/// rounds) or a w.h.p. bound ended by tokens (route_down, route_up). A phase
+/// whose length every node knows, such as the random deliveries over
+/// ceil(l_hat / log n) rounds, a single round, or a span derived from an
+/// A&B result, ends on that round with no barrier: in the synchronous model
+/// every node starts the next phase in the same round anyway.
 uint64_t sync_barrier(const Overlay& topo, Network& net, BarrierWorkspace& ws);
 
 }  // namespace ncc

@@ -35,17 +35,18 @@ AggregationResult run_aggregation(const Shared& shared, Network& net,
   auto rank = [&](uint64_t g) { return shared.rank(g); };
   DownResult down = route_down(topo, net, shared.router_workspace(), std::move(at_col),
                                dest, rank, problem.combine, nullptr, cache);
-  res.route = down.stats;
   sync_barrier(topo, net, shared.barrier_workspace());
 
   // --- Postprocessing: deliver aggregates to targets in random rounds ---
-  // Every group draws its round, a target's own groups included.
+  // Every group draws its round, a target's own groups included. The phase
+  // lasts max(1, ceil(ell2_hat / log n)) rounds, a length every node knows,
+  // so no barrier follows it.
   Rng deliver_rng = shared.local_rng(mix64(0xde117e ^ rng_tag));
-  ExchangeRounds deliveries =
-      random_rounds(n, problem.ell2_hat, deliver_rng, root_deliveries(topo, down, problem.target));
+  ExchangeRounds deliveries = random_rounds(n, problem.ell2_hat, deliver_rng,
+                                            root_deliveries(topo, net, down, problem.target));
+  res.route = down.stats;
   run_exchange(net, deliveries, kTagDeliver, 3,
                [&](NodeId, uint64_t group, const Val& v) { res.at_target.emplace(group, v); });
-  sync_barrier(topo, net, shared.barrier_workspace());
 
   res.rounds = net.rounds() - start_rounds;
   return res;

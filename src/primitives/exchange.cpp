@@ -86,13 +86,17 @@ std::vector<std::vector<AggPacket>> inject_at_random_columns(
   return at_col;
 }
 
-std::vector<ExchangeEntry> root_deliveries(const Overlay& topo, const DownResult& down,
-                                           FnRef<NodeId(uint64_t)> target) {
+std::vector<ExchangeEntry> root_deliveries(const Overlay& topo, const Network& net,
+                                           DownResult& down, FnRef<NodeId(uint64_t)> target) {
   std::vector<ExchangeEntry> entries;
   entries.reserve(down.root_values.size());
   down.root_values.for_each([&](uint64_t g, const Val& v) {
     const NodeId to = target(g);
-    NCC_ASSERT(to < topo.n());
+    if (to >= topo.n()) {
+      NCC_ASSERT_MSG(net.corruption_possible(), "root value for a group that names no node");
+      ++down.stats.misrouted;
+      return;
+    }
     entries.push_back({topo.host(down.root_col.at(g)), to, g, v});
   });
   std::sort(entries.begin(), entries.end(),

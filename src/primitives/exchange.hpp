@@ -67,13 +67,20 @@ std::vector<std::vector<AggPacket>> inject_at_random_columns(
 
 /// One entry per group of `down` in ascending group order (a deterministic
 /// order for the callers' draws): the host of the group's root column sends
-/// the group's aggregate to target(group), asserted < n.
-std::vector<ExchangeEntry> root_deliveries(const Overlay& topo, const DownResult& down,
-                                           FnRef<NodeId(uint64_t)> target);
+/// the group's aggregate to target(group). A target that is not a node can
+/// only come from a group id that byzantine corruption rewrote in flight: if
+/// `net` can corrupt, that group is counted in down.stats.misrouted and
+/// dropped; on a reliable network target(group) < n is asserted.
+std::vector<ExchangeEntry> root_deliveries(const Overlay& topo, const Network& net,
+                                           DownResult& down, FnRef<NodeId(uint64_t)> target);
 
 /// The source-to-root handoff, sent with `tag`: at least one round, sends of
 /// groups without a recorded root skipped. Returns group -> payload at the
-/// roots.
+/// roots. The callers start route_up right after it, without a barrier: in
+/// the paper's multicast every source holds at most one payload, so the
+/// handoff is the one round every node expects. A caller whose sources hold
+/// more than ceil(log n) payloads each must give every node that count (or
+/// a bound on it) for the same to hold.
 FlatMap<Val> hand_off_to_roots(const Overlay& topo, Network& net, const MulticastTrees& trees,
                                const std::vector<MulticastSend>& sends, uint32_t tag);
 

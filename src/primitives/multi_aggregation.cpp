@@ -53,16 +53,16 @@ MultiAggregationResult run_multi_aggregation(const Shared& shared, Network& net,
   auto dest = [&](uint64_t g) { return shared.dest_col(g); };
   DownResult down = route_down(topo, net, shared.router_workspace(), std::move(at_col),
                                dest, rank, combine, nullptr, cache);
-  res.down_route = down.stats;
   sync_barrier(topo, net, shared.barrier_workspace());
 
   // Phase 5: deliver f-aggregates from the intermediate targets to the nodes.
-  // Every node receives at most one aggregate, so a single round suffices.
-  ExchangeRounds final_round{
-      root_deliveries(topo, down, [](uint64_t member) { return static_cast<NodeId>(member); })};
+  // Every node receives at most one aggregate, so a single round suffices;
+  // every node knows that, so no barrier follows it.
+  ExchangeRounds final_round{root_deliveries(
+      topo, net, down, [](uint64_t member) { return static_cast<NodeId>(member); })};
+  res.down_route = down.stats;
   run_exchange(net, final_round, kTagFinal, 3,
                [&](NodeId u, uint64_t, const Val& v) { res.at_node[u] = v; });
-  sync_barrier(topo, net, shared.barrier_workspace());
 
   res.rounds = net.rounds() - start_rounds;
   return res;

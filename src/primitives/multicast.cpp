@@ -70,6 +70,9 @@ MulticastResult run_multicast(const Shared& shared, Network& net, const Multicas
 
   // Leaf delivery: l(i, u) sends p_i to u in a round chosen uniformly from
   // {1..ceil(ell_hat/log n)}. Self-deliveries land at once and draw no round.
+  // Every node knows that length, so no barrier follows the phase. The
+  // members come from the trees' own records, never from a message, so each
+  // is a node.
   std::vector<ExchangeEntry> deliveries;
   for_each_leaf_payload(trees, up.at_col, [&](NodeId c, uint64_t g, NodeId member, const Val& v) {
     if (topo.host(c) == member) {
@@ -83,7 +86,6 @@ MulticastResult run_multicast(const Shared& shared, Network& net, const Multicas
                [&](NodeId u, uint64_t group, const Val& v) {
                  res.received[u].push_back({group, v});
                });
-  sync_barrier(topo, net, shared.barrier_workspace());
 
   res.rounds = net.rounds() - start_rounds;
   return res;

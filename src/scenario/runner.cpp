@@ -159,6 +159,10 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec, const RunOptions& opts) {
   out.fault_drops = st.fault_drops;
   out.corrupted = st.corrupted;
   out.crashed = faults.crashed_count();
+  out.cap = net.cap();
+  out.max_send_load = st.max_send_load;
+  out.max_recv_load = st.max_recv_load;
+  out.dropped = st.messages_dropped;
   out.failed = verdict_failed(out.expect, out);
   if (ledger) out.peak_live_bytes = ledger->peak_live_bytes();
   if (opts.collect_trace && tracer) {

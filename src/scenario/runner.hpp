@@ -56,6 +56,13 @@ struct ScenarioOutcome {
   uint64_t fault_drops = 0;
   uint64_t corrupted = 0;  // payloads mutated by byzantine fault injection
   uint32_t crashed = 0;
+  /// The NCC model's per-node, per-round message budget and the largest
+  /// send and (pre-drop) receive loads any node saw; receive overflow is
+  /// dropped and counted in `dropped`.
+  uint32_t cap = 0;
+  uint32_t max_send_load = 0;
+  uint32_t max_recv_load = 0;
+  uint64_t dropped = 0;
   double wall_ms = 0.0;
   /// Deterministic: max bytes of messages in flight in any one round (0 when
   /// observability was off for this run).

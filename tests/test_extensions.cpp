@@ -63,6 +63,48 @@ TEST(MulticastSetupDeathTest, InjectorOutOfRangeAborts) {
   EXPECT_DEATH(bad_injector(), "exchange sender out of range");
 }
 
+namespace {
+// Two root values at column 9: group (5 << 8) names node 5, group (200 << 8)
+// names node 200, which does not exist at n = 64.
+DownResult two_roots() {
+  DownResult down;
+  for (uint64_t g : {uint64_t{5} << 8, uint64_t{200} << 8}) {
+    down.root_values.emplace(g, Val{g, 1});
+    down.root_col.emplace(g, 9);
+  }
+  return down;
+}
+const auto group_target = [](uint64_t g) { return static_cast<NodeId>(g >> 8); };
+}  // namespace
+
+TEST(ExchangeRunner, RootDeliveriesDropAndCountGroupsThatNameNoNode) {
+  // Under byzantine corruption a rewritten group id can reach a root; its
+  // target is then not a node: counted as misrouted and dropped.
+  const Overlay topo(OverlayKind::kButterfly, 64);
+  Network net = make(64, 4);
+  FaultHooks hooks;
+  hooks.corrupt = [](Message&, uint64_t, uint64_t) { return false; };
+  net.install_fault_hooks(std::move(hooks));
+  DownResult down = two_roots();
+  std::vector<ExchangeEntry> entries = root_deliveries(topo, net, down, group_target);
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].group, uint64_t{5} << 8);
+  EXPECT_EQ(entries[0].from, topo.host(9));
+  EXPECT_EQ(entries[0].to, 5u);
+  EXPECT_EQ(down.stats.misrouted, 1u);
+}
+
+TEST(RootDeliveriesDeathTest, GroupThatNamesNoNodeAbortsOnReliableNetwork) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  auto reliable = [] {
+    const Overlay topo(OverlayKind::kButterfly, 64);
+    Network net = make(64, 4);
+    DownResult down = two_roots();
+    root_deliveries(topo, net, down, group_target);
+  };
+  EXPECT_DEATH(reliable(), "root value for a group that names no node");
+}
+
 TEST(ExchangeRunner, BatchesCeilLogNItemsPerSenderPerRound) {
   // n = 64: ceil(log n) = 6 items per sender per round.
   const NodeId n = 64;

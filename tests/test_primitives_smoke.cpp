@@ -3,6 +3,9 @@
 // Multi-Aggregation on small networks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/bits.hpp"
 #include "primitives/aggregate_broadcast.hpp"
 #include "overlay/overlay.hpp"
 #include "primitives/aggregation.hpp"
@@ -125,4 +128,69 @@ TEST(MultiAggregation, MinOverGroupPayloads) {
     EXPECT_EQ((*ma.at_node[u])[0], expect) << "node " << u;
   }
   EXPECT_EQ(net.stats().messages_dropped, 0u);
+}
+
+// Barrier counts. Each primitive's rounds are the rounds of its phases plus
+// k barriers of 2 * agg_steps + 2 rounds: a barrier follows only the phases
+// whose length no node knows (route_down, route_up, the batched injection),
+// never one of known length (the random deliveries, the final round). The
+// inputs give every sender at most log n items, so each handoff and
+// injection takes one round.
+namespace {
+uint64_t barrier_rounds(const Shared& shared) { return 2ull * shared.topo().agg_steps() + 2; }
+}  // namespace
+
+TEST(BarrierCount, AggregationHasTwo) {
+  const NodeId n = 64;
+  Network net = make_net(n);
+  Shared shared(n, 42);
+  AggregationProblem prob;
+  prob.combine = agg::sum;
+  prob.target = [](uint64_t g) { return static_cast<NodeId>(g % 64); };
+  prob.ell2_hat = 13;  // ceil(13 / log n) = 3 delivery rounds
+  for (NodeId u = 0; u < n; ++u) prob.items.push_back({u, u % 3, Val{1, 0}});
+  auto res = run_aggregation(shared, net, prob);
+  // injection + route_down + delivery + 2 barriers
+  EXPECT_EQ(res.rounds, 1 + res.route.rounds + 3 + 2 * barrier_rounds(shared));
+  EXPECT_EQ(net.rounds(), res.rounds);
+}
+
+TEST(BarrierCount, MulticastSetupHasTwoAndMulticastOne) {
+  const NodeId n = 64;
+  Network net = make_net(n);
+  Shared shared(n, 99);
+  std::vector<MulticastMembership> members;
+  for (NodeId u = 10; u < 40; ++u) members.push_back({u, 1 + u % 2});
+  auto setup = setup_multicast_trees(shared, net, members);
+  // injection + route_down + 2 barriers
+  EXPECT_EQ(setup.rounds, 1 + setup.route.rounds + 2 * barrier_rounds(shared));
+
+  std::vector<MulticastSend> sends = {{1, 3, Val{111, 0}}, {2, 41, Val{222, 0}}};
+  const uint64_t before = net.rounds();
+  auto mc = run_multicast(shared, net, setup.trees, sends, /*ell_hat=*/7);
+  // handoff + route_up + leaf delivery (ceil(7 / log n) = 2) + 1 barrier
+  EXPECT_EQ(mc.rounds, 1 + mc.route.rounds + 2 + barrier_rounds(shared));
+  EXPECT_EQ(net.rounds() - before, mc.rounds);
+}
+
+TEST(BarrierCount, MultiAggregationHasThree) {
+  const NodeId n = 64;
+  Network net = make_net(n);
+  Shared shared(n, 5);
+  std::vector<MulticastMembership> members;
+  for (NodeId u = 4; u < n; ++u) members.push_back({u, 100 + (u % 4)});
+  auto setup = setup_multicast_trees(shared, net, members);
+  std::vector<MulticastSend> sends;
+  for (NodeId s = 0; s < 4; ++s) sends.push_back({100 + s, s, Val{s, 0}});
+  // Every group has a source, so every leaf record redistributes one packet
+  // from its column's host: ceil(max records per column / log n) rounds.
+  size_t most = 0;
+  for (const auto& leaves : setup.trees.leaf_members) most = std::max(most, leaves.size());
+  const uint64_t redistribute = (most + cap_log(n) - 1) / cap_log(n);
+  const uint64_t before = net.rounds();
+  auto ma = run_multi_aggregation(shared, net, setup.trees, sends, agg::min_by_first);
+  // handoff + route_up + redistribution + route_down + final round + 3 barriers
+  EXPECT_EQ(ma.rounds, 1 + ma.up_route.rounds + redistribute + ma.down_route.rounds + 1 +
+                           3 * barrier_rounds(shared));
+  EXPECT_EQ(net.rounds() - before, ma.rounds);
 }

@@ -6,6 +6,9 @@
 // crashes, partitions, and byzantine corruption all included.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+
 #include "scenario/cells.hpp"
 #include "scenario/faults.hpp"
 #include "scenario/registry.hpp"
@@ -681,4 +684,40 @@ TEST(ScenarioFaults, DropDecisionsAreSeedDeterministic) {
   EXPECT_GT(a, 50u);   // ~160 of 320 at rate 0.5
   EXPECT_LT(a, 270u);
   EXPECT_NE(a, c);  // different seed, different subset (overwhelmingly likely)
+}
+
+// Model conformance on the catalog: no node ever sends more than the NCC
+// model's cap messages in a round, and none is addressed more than cap unless
+// the overflow was dropped and counted. Phases run back to back, so an
+// overlap of two phases' traffic in one round would show here.
+TEST(ScenarioCatalog, EveryCellStaysWithinTheNodeCapacity) {
+  std::vector<std::string> paths;
+  for (const char* dir : {"/scenarios", "/scenarios/sweeps"})
+    for (const auto& e : std::filesystem::directory_iterator(std::string(NCC_SOURCE_DIR) + dir))
+      if (e.path().extension() == ".scn") paths.push_back(e.path().string());
+  std::sort(paths.begin(), paths.end());
+  std::vector<ScenarioSpec> specs;
+  for (const std::string& path : paths) {
+    std::string error;
+    auto sweep = parse_sweep_file(path, &error);
+    ASSERT_TRUE(sweep) << error;
+    for (uint64_t c = 0; c < sweep->cells(); ++c) {
+      auto spec = expand_sweep_cell(*sweep, c, &error);
+      ASSERT_TRUE(spec) << error;
+      specs.push_back(std::move(*spec));
+    }
+  }
+  RunOptions opts;
+  opts.timing = false;
+  opts.build_json = false;
+  const std::vector<ScenarioOutcome> outs = run_cells(specs, opts, 4);
+  ASSERT_EQ(outs.size(), specs.size());
+  for (size_t i = 0; i < specs.size(); ++i) {
+    const ScenarioOutcome& out = outs[i];
+    ASSERT_TRUE(out.ran) << specs[i].name << ": " << out.verdict;
+    EXPECT_LE(out.max_send_load, out.cap) << specs[i].name;
+    if (out.dropped == 0) {
+      EXPECT_LE(out.max_recv_load, out.cap) << specs[i].name;
+    }
+  }
 }
