@@ -102,6 +102,7 @@ IdentificationResult run_identification(const Shared& shared, Network& net,
   IdentificationResult res;
   res.red.resize(input.learning.size());
   res.success.assign(input.learning.size(), false);
+  res.damaged.assign(input.learning.size(), false);
   for (size_t li = 0; li < input.learning.size(); ++li) {
     NodeId u = input.learning[li];
     const auto& cand = input.candidates[li];
@@ -141,18 +142,19 @@ IdentificationResult run_identification(const Shared& shared, Network& net,
     }
 
     // Peel trials holding exactly one red arc.
-    bool corrupt = false;
+    bool damaged = false;
     bool progress = true;
-    while (progress && !corrupt) {
+    while (progress && !damaged) {
       progress = false;
       for (auto& [t, st] : trials) {
         if (st.x_cnt != st.blue_cnt + 1) continue;
         uint64_t arc = st.x_xor ^ st.blue_xor;
         auto ait = arc_to_trials.find(arc);
         if (ait == arc_to_trials.end() || !remaining.count(arc)) {
-          // A hash collision pattern produced garbage (probability bounded by
-          // Lemma 4.2); abort decoding and report failure.
-          corrupt = true;
+          // The trial's playing arcs are candidates, so on an undamaged
+          // aggregate its one non-playing arc is a remaining candidate; this
+          // one is not: abort decoding and report a damaged sketch.
+          damaged = true;
           break;
         }
         remaining.erase(arc);
@@ -167,16 +169,13 @@ IdentificationResult run_identification(const Shared& shared, Network& net,
       }
     }
 
-    if (!corrupt) {
-      bool all_blue = true;
-      for (const auto& [t, st] : trials) {
-        if (st.x_cnt != st.blue_cnt) {
-          all_blue = false;
-          break;
-        }
-      }
-      res.success[li] = all_blue;
+    bool all_blue = !damaged;
+    for (const auto& [t, st] : trials) {
+      if (st.x_cnt != st.blue_cnt) all_blue = false;
+      if (st.blue_cnt > st.x_cnt) damaged = true;  // more playing arcs than candidates
     }
+    res.success[li] = all_blue;
+    res.damaged[li] = damaged;
     std::sort(res.red[li].begin(), res.red[li].end());
   }
 

@@ -48,6 +48,12 @@ struct IdentificationResult {
   /// Parallel to input.learning: true iff u decoded *all* of its red edges,
   /// i.e., every remaining candidate is certainly playing.
   std::vector<bool> success;
+  /// Parallel to input.learning: true iff u's sketch shows a state that no
+  /// hash collision can produce (a peeled arc that is not a remaining
+  /// candidate, or a trial with more playing arcs than candidates), so the
+  /// aggregate was damaged in flight. Retrying with fresh hash functions
+  /// cures a collision, not a damaged aggregate.
+  std::vector<bool> damaged;
   uint64_t rounds = 0;
 };
 

@@ -92,6 +92,7 @@ OrientationRunResult run_orientation(const Shared& shared, Network& net, const G
   // (fixed when v becomes inactive: its waiting red neighbors).
   std::vector<std::vector<NodeId>> pot(n);
 
+  uint64_t cnt_bound = n;  // the last phase's non-inactive count (see below)
   uint32_t phase = 0;
   while (true) {
     ++phase;
@@ -135,6 +136,14 @@ OrientationRunResult run_orientation(const Shared& shared, Network& net, const G
       }
       sum_d = (*ab.value)[0];
       cnt = (*ab.value)[1];
+      // Cross-check cnt against what every node holds: the non-inactive set
+      // only shrinks, so an honest count is at most n and at most the count
+      // of the phase before (a no-op on a reliable network). A byzantine
+      // word can inflate it (a partial count is remapped within [0, n)),
+      // which lowers the average, leaves few nodes active and costs whole
+      // extra phases of about d*-scaled identification rounds each.
+      cnt = std::min(cnt, cnt_bound);
+      cnt_bound = cnt;
     }
     // Classification: active iff d_i(u) <= 2 * average (integer arithmetic).
     std::vector<NodeId> active;
@@ -211,21 +220,23 @@ OrientationRunResult run_orientation(const Shared& shared, Network& net, const G
       red[u] = ident.red[li];
       if (!ident.success[li]) {
         ++res.unsuccessful_first;
-        if (g.degree(u) - d_i[u] > n / logn)
+        if (g.degree(u) - d_i[u] > n / logn) {
           u_high.push_back(u);
-        else
+        } else if (ident.damaged[li]) {
+          // A retry redraws the hash functions, which cures a collision but
+          // not an aggregate damaged in flight (each retry also doubles q):
+          // such a node goes straight to the direct resolution.
+          u_high.push_back(u);
+          ++res.direct_fallbacks;
+        } else {
           u_low.push_back(u);
+        }
       }
     }
 
     // Step 2a: low-degree unsuccessful nodes -> narrowed second
-    // identification (s = c log n, q = 4ec log^2 n), with retries. On a
-    // network that corrupts payloads a failed decode is most likely a
-    // corrupted sketch, not a hash collision, and a retry's larger q only
-    // draws more corruption (each retry costs q / log n rounds, doubling), so
-    // there the unsuccessful nodes go straight to the direct resolution.
-    const uint32_t retries = net.corruption_possible() ? 0 : params.max_retries + 1;
-    for (uint32_t attempt = 0; attempt < retries && !u_low.empty(); ++attempt) {
+    // identification (s = c log n, q = 4ec log^2 n), with retries.
+    for (uint32_t attempt = 0; attempt <= params.max_retries && !u_low.empty(); ++attempt) {
       // Inactive nodes learn which of their potentially-learning neighbors
       // are unsuccessful low-degree nodes, via multicast trees over groups
       // A_{id(w)} = inactive in-neighbors of w.
@@ -278,7 +289,13 @@ OrientationRunResult run_orientation(const Shared& shared, Network& net, const G
         NodeId u = in2.learning[li];
         auto& r = red[u];
         r.insert(r.end(), id2.red[li].begin(), id2.red[li].end());
-        if (!id2.success[li]) still.push_back(u);
+        if (id2.success[li]) continue;
+        if (id2.damaged[li]) {
+          u_high.push_back(u);  // as after the first identification
+          ++res.direct_fallbacks;
+        } else {
+          still.push_back(u);
+        }
       }
       u_low = std::move(still);
     }

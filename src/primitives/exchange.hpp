@@ -76,11 +76,13 @@ std::vector<ExchangeEntry> root_deliveries(const Overlay& topo, const Network& n
 
 /// The source-to-root handoff, sent with `tag`: at least one round, sends of
 /// groups without a recorded root skipped. Returns group -> payload at the
-/// roots. The callers start route_up right after it, without a barrier: in
-/// the paper's multicast every source holds at most one payload, so the
-/// handoff is the one round every node expects. A caller whose sources hold
-/// more than ceil(log n) payloads each must give every node that count (or
-/// a bound on it) for the same to hold.
+/// roots. It lasts ceil(k / log n) rounds, k the most payloads any source
+/// holds, and the callers start route_up right after it, without a barrier.
+/// That takes k (or a bound on it) to be an input every node knows, as the
+/// paper's l_hat is: in its multicast every source holds one payload, so the
+/// handoff is a single round. bench_hotkey's uniform rows source 32 payloads
+/// per node (a 6-round handoff at n = 64); its harness fixes that count, as
+/// it fixes the ell_hat it passes, before the wave starts.
 FlatMap<Val> hand_off_to_roots(const Overlay& topo, Network& net, const MulticastTrees& trees,
                                const std::vector<MulticastSend>& sends, uint32_t tag);
 

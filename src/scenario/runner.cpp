@@ -79,6 +79,10 @@ bool verdict_failed(const std::string& expect, const ScenarioOutcome& out) {
 
 }  // namespace
 
+bool within_node_capacity(const NetStats& st, uint32_t cap) {
+  return st.max_send_load <= cap && (st.max_recv_load <= cap || st.messages_dropped > 0);
+}
+
 ScenarioOutcome run_scenario(const ScenarioSpec& spec, const RunOptions& opts) {
   ScenarioOutcome out;
   std::string error;
@@ -159,11 +163,7 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec, const RunOptions& opts) {
   out.fault_drops = st.fault_drops;
   out.corrupted = st.corrupted;
   out.crashed = faults.crashed_count();
-  out.cap = net.cap();
-  out.max_send_load = st.max_send_load;
-  out.max_recv_load = st.max_recv_load;
-  out.dropped = st.messages_dropped;
-  out.failed = verdict_failed(out.expect, out);
+  out.failed = verdict_failed(out.expect, out) || !within_node_capacity(st, net.cap());
   if (ledger) out.peak_live_bytes = ledger->peak_live_bytes();
   if (opts.collect_trace && tracer) {
     std::ostringstream label;

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <string>
 
+#include "net/network.hpp"
 #include "obs/trace_export.hpp"
 #include "scenario/spec.hpp"
 
@@ -47,7 +48,8 @@ struct ScenarioOutcome {
   /// spec's `expect` class (error:* verdicts always fail). This is what makes
   /// ncc_run exit non-zero — a degraded verdict under declared fault
   /// injection is an expected result, the same verdict on a fault-free spec
-  /// is a regression.
+  /// is a regression. A run that broke the node capacity
+  /// (within_node_capacity) fails whatever its verdict.
   bool failed = false;
   std::string verdict;   // ok | degraded:<why> | round_limit | error:<why>
   std::string expect;    // resolved expectation class the verdict was held to
@@ -56,13 +58,6 @@ struct ScenarioOutcome {
   uint64_t fault_drops = 0;
   uint64_t corrupted = 0;  // payloads mutated by byzantine fault injection
   uint32_t crashed = 0;
-  /// The NCC model's per-node, per-round message budget and the largest
-  /// send and (pre-drop) receive loads any node saw; receive overflow is
-  /// dropped and counted in `dropped`.
-  uint32_t cap = 0;
-  uint32_t max_send_load = 0;
-  uint32_t max_recv_load = 0;
-  uint64_t dropped = 0;
   double wall_ms = 0.0;
   /// Deterministic: max bytes of messages in flight in any one round (0 when
   /// observability was off for this run).
@@ -73,5 +68,11 @@ struct ScenarioOutcome {
 };
 
 ScenarioOutcome run_scenario(const ScenarioSpec& spec, const RunOptions& opts = {});
+
+/// The NCC model's capacity over a whole run: no node sent more than `cap`
+/// messages in a round (a fault-free network aborts on that already, a
+/// faulted one only counts it), and none was addressed more than `cap`
+/// unless the overflow was dropped and counted.
+bool within_node_capacity(const NetStats& st, uint32_t cap);
 
 }  // namespace ncc::scenario

@@ -182,3 +182,35 @@ TEST(Identification, PoisonedScheduleRecoversOnCorruptibleNetwork) {
   // of fault-free schedules).
   EXPECT_EQ(reliable, trusted);
 }
+
+TEST(Identification, DamagedAggregateIsFlagged) {
+  // A trial reporting more playing arcs than it has candidates cannot come
+  // from a hash collision, only from an aggregate damaged in flight: the
+  // decode fails and flags it, so the caller resolves the node directly
+  // instead of retrying with fresh hash functions. An intact decode never
+  // raises the flag.
+  auto run = [](bool damage) {
+    Fixture s(64, 3);
+    if (damage) {
+      FaultHooks hooks;
+      hooks.corrupt = [](Message& m, uint64_t, uint64_t) {
+        if (m.tag != 0x0a00) return false;  // aggregation's delivery to the target
+        m.words[2] += 1000;                 // the trial's playing-arc count
+        return true;
+      };
+      s.net.install_fault_hooks(std::move(hooks));
+    }
+    IdentificationInput in;
+    in.learning = {10};
+    in.candidates = {{1, 2, 3, 4, 5, 6, 7, 8}};
+    in.playing = {2, 4, 6};
+    in.potential = {{10}, {10}, {10}};
+    return run_identification(s.shared, s.net, in, {4, 512}, 3);
+  };
+  const IdentificationResult intact = run(false);
+  EXPECT_TRUE(intact.success[0]);
+  EXPECT_FALSE(intact.damaged[0]);
+  const IdentificationResult damaged = run(true);
+  EXPECT_FALSE(damaged.success[0]);
+  EXPECT_TRUE(damaged.damaged[0]);
+}

@@ -6,9 +6,6 @@
 // crashes, partitions, and byzantine corruption all included.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <filesystem>
-
 #include "scenario/cells.hpp"
 #include "scenario/faults.hpp"
 #include "scenario/registry.hpp"
@@ -686,38 +683,35 @@ TEST(ScenarioFaults, DropDecisionsAreSeedDeterministic) {
   EXPECT_NE(a, c);  // different seed, different subset (overwhelmingly likely)
 }
 
-// Model conformance on the catalog: no node ever sends more than the NCC
-// model's cap messages in a round, and none is addressed more than cap unless
-// the overflow was dropped and counted. Phases run back to back, so an
-// overlap of two phases' traffic in one round would show here.
-TEST(ScenarioCatalog, EveryCellStaysWithinTheNodeCapacity) {
-  std::vector<std::string> paths;
-  for (const char* dir : {"/scenarios", "/scenarios/sweeps"})
-    for (const auto& e : std::filesystem::directory_iterator(std::string(NCC_SOURCE_DIR) + dir))
-      if (e.path().extension() == ".scn") paths.push_back(e.path().string());
-  std::sort(paths.begin(), paths.end());
-  std::vector<ScenarioSpec> specs;
-  for (const std::string& path : paths) {
-    std::string error;
-    auto sweep = parse_sweep_file(path, &error);
-    ASSERT_TRUE(sweep) << error;
-    for (uint64_t c = 0; c < sweep->cells(); ++c) {
-      auto spec = expand_sweep_cell(*sweep, c, &error);
-      ASSERT_TRUE(spec) << error;
-      specs.push_back(std::move(*spec));
-    }
-  }
+// Orientation sends a node whose identification sketch was damaged in flight
+// straight to the direct resolution: retrying it (q doubling each time) cannot
+// repair an aggregate that faults keep damaging. At this seed of the
+// gnm_overlay_faults grid, the retries took the bfs cell to 3,380 rounds;
+// without them it ends in about 2,000.
+TEST(ScenarioFaults, DamagedSketchesSkipTheRetries) {
+  ScenarioSpec spec = parse_ok(
+      "graph = gnm\nn = 96\nm = 480\nconnect = true\nseed = 32\ncapacity_factor = 16\n"
+      "algorithm = bfs\noverlay = butterfly\ndrop_rate = 0.02\nbyzantine_rate = 0.02\n"
+      "round_limit = 2600\nexpect = ok,degraded\n");
   RunOptions opts;
-  opts.timing = false;
   opts.build_json = false;
-  const std::vector<ScenarioOutcome> outs = run_cells(specs, opts, 4);
-  ASSERT_EQ(outs.size(), specs.size());
-  for (size_t i = 0; i < specs.size(); ++i) {
-    const ScenarioOutcome& out = outs[i];
-    ASSERT_TRUE(out.ran) << specs[i].name << ": " << out.verdict;
-    EXPECT_LE(out.max_send_load, out.cap) << specs[i].name;
-    if (out.dropped == 0) {
-      EXPECT_LE(out.max_recv_load, out.cap) << specs[i].name;
-    }
-  }
+  ScenarioOutcome out = run_scenario(spec, opts);
+  EXPECT_FALSE(out.failed) << out.verdict;
+  EXPECT_LT(out.rounds, 2200u);
+}
+
+// The node-capacity half of the regression gate: a send over the cap always
+// fails a run; a receive load over it only when the overflow went uncounted.
+TEST(ScenarioRunner, NodeCapacityCheck) {
+  NetStats st;
+  st.max_send_load = 8;
+  st.max_recv_load = 8;
+  EXPECT_TRUE(within_node_capacity(st, 8));
+  st.max_send_load = 9;
+  EXPECT_FALSE(within_node_capacity(st, 8));
+  st.max_send_load = 8;
+  st.max_recv_load = 9;
+  EXPECT_FALSE(within_node_capacity(st, 8));
+  st.messages_dropped = 1;
+  EXPECT_TRUE(within_node_capacity(st, 8));
 }
