@@ -1,15 +1,16 @@
 // Round-engine bench: round, message and memory counters of fixed workloads
 // at two input sizes.
 //
-//   ./bench_engine [--big] [--json PATH]
+//   ./bench_engine [--json PATH]
 //
 // Workloads: gossip (clique-saturating all-to-all — stresses end_round
 // delivery), and the Section 5 BFS/MIS pipelines on a gnm graph (stress the
 // overlay router's step loop). Sizes n in {512, 4096}. Emits
 // BENCH_engine.json rows {bench, n, rounds, messages, peak_bytes, allocs}:
-// all counters, reproducible for a fixed (workload, n), so bench_compare
-// diffs them exactly. The memory columns are container capacities and
-// growth counts (observational, never part of the determinism contract).
+// all counters, reproducible for a fixed (workload, n), so the
+// bench_ledger_engine ctest byte-compares them with the committed ledger.
+// The memory columns are container capacities and growth counts
+// (observational, never part of the determinism contract).
 // Wall-clock, including the engine's stage/deliver split, is measured by
 // benchmark/ncc_bench (BENCHMARK.json's engine.stage_ms / engine.deliver_ms).
 #include "bench_util.hpp"
@@ -36,9 +37,9 @@ RunOut counters(const Network& net, uint64_t rounds) {
           net.mem_stats().allocs};
 }
 
-RunOut run_gossip_bench(NodeId n, uint64_t max_rounds = UINT64_MAX) {
+RunOut run_gossip_bench(NodeId n) {
   Network net = make_net(n, 42);
-  auto res = run_gossip(net, max_rounds);
+  auto res = run_gossip(net);
   return counters(net, res.rounds);
 }
 
@@ -62,10 +63,8 @@ int main(int argc, char** argv) {
 
   BenchJson json;
   Table t({"workload", "n", "rounds", "messages", "peak MB", "allocs"});
-  auto add_row = [&](const char* name, NodeId n, const RunOut& r,
-                     const std::string& extra_tail) {
-    json.add(name, n, r.rounds, r.messages,
-             mem_extra(r.peak_bytes, r.allocs) + extra_tail);
+  auto add_row = [&](const char* name, NodeId n, const RunOut& r) {
+    json.add(name, n, r.rounds, r.messages, mem_extra(r.peak_bytes, r.allocs));
     t.add_row({name, Table::num(uint64_t{n}), Table::num(r.rounds),
                Table::num(r.messages),
                Table::num(static_cast<double>(r.peak_bytes) / (1024.0 * 1024.0), 1),
@@ -77,24 +76,9 @@ int main(int argc, char** argv) {
     Graph g = gnm_graph(n, 8ull * n, rng);
     std::printf("== engine rows at n=%u (gnm m=%llu) ==\n", n,
                 static_cast<unsigned long long>(g.m()));
-    add_row("engine_gossip", n, run_gossip_bench(n), "");
-    add_row("engine_bfs", n, run_bfs_bench(g), "");
-    add_row("engine_mis", n, run_mis_bench(g), "");
-  }
-
-  if (o.big) {
-    // Million-node slice: full gossip at n = 2^20 would take n*(n-1) ≈ 1.1e12
-    // messages (~6.5k capacity-saturating rounds) — infeasible by construction
-    // at any throughput, so the row runs a bounded two-round slice (~335M
-    // messages) that exercises the same hot path at full memory scale
-    // (recorded `complete: false` by run_gossip). Rows carry "big": true so
-    // the ledger check (which never passes --big) skips them instead of
-    // failing on the missing row (see obs/bench_diff).
-    const NodeId bign = 1u << 20;
-    const uint64_t big_rounds = 2;
-    std::printf("== million-node slice: gossip at n=%u, %llu rounds ==\n", bign,
-                static_cast<unsigned long long>(big_rounds));
-    add_row("engine_gossip", bign, run_gossip_bench(bign, big_rounds), ", \"big\": true");
+    add_row("engine_gossip", n, run_gossip_bench(n));
+    add_row("engine_bfs", n, run_bfs_bench(g));
+    add_row("engine_mis", n, run_mis_bench(g));
   }
 
   t.print();

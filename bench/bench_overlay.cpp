@@ -19,8 +19,8 @@
 // included. Emits BENCH_overlay.json: one row per (workload, overlay, n)
 // with rounds/messages plus the peak_bytes/allocs memory columns (peak
 // container capacity and allocation count); the row name encodes the
-// overlay. Every column is a counter, reproducible per row, so bench_compare
-// diffs them exactly.
+// overlay. Every column is a counter, reproducible per row, so the
+// bench_ledger_overlay ctest byte-compares them with the committed ledger.
 #include <string>
 
 #include "bench_util.hpp"

@@ -3,11 +3,9 @@
 // and the BENCH_*.json row writer. The ledgers hold counters only; timing
 // claims are BENCHMARK.json's (benchmark/ncc_bench).
 //
-// Common flags: --big (also run the million-node rows — slow and
-// memory-hungry, skipped by the ledger ctests; bench_diff skips baseline rows
-// marked "big" that a non---big run did not regenerate), --json PATH (write
-// the run's ledger rows; each run overwrites the file). An unknown flag or a
-// value flag at the end of argv exits 1 with a message, as ncc_run does.
+// The one flag: --json PATH (write the run's ledger rows; each run overwrites
+// the file). An unknown flag or a value flag at the end of argv exits 1 with
+// a message, as ncc_run does.
 #pragma once
 
 #include <cstdio>
@@ -49,7 +47,6 @@ struct Pipeline {
 };
 
 struct BenchOpts {
-  bool big = false;  // also run the million-node rows (slow, lots of RAM)
   std::string json;  // output path; empty = no JSON emitted
 };
 
@@ -64,9 +61,7 @@ inline BenchOpts parse_opts(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string k = argv[i];
     if (k == "--json" && i + 1 >= argc) usage_error("missing value for", k);
-    if (k == "--big") {
-      o.big = true;
-    } else if (k == "--json") {
+    if (k == "--json") {
       o.json = argv[++i];
     } else {
       usage_error("unknown option", k);
@@ -79,7 +74,7 @@ inline BenchOpts parse_opts(int argc, char** argv) {
 /// network's peak container bytes and capacity-growth events
 /// (NetMemStats::container_bytes_peak / allocs). Observational (capacities
 /// depend on buffer-reuse history) but deterministic for a fixed workload,
-/// so bench_compare diffs them exactly.
+/// so the bench_ledger_* ctests byte-compare them.
 inline std::string mem_extra(uint64_t peak_bytes, uint64_t allocs) {
   char buf[96];
   std::snprintf(buf, sizeof(buf), ", \"peak_bytes\": %llu, \"allocs\": %llu",

@@ -14,6 +14,11 @@ const JsonValue* JsonValue::find(const std::string& key) const {
 
 namespace {
 
+// The repo's traces, records and goldens nest fewer than 10 levels; the cap
+// keeps a hostile input from exhausting the stack through parse_value's
+// recursion (and JsonValue's recursive destructor).
+constexpr int kMaxDepth = 256;
+
 class Parser {
  public:
   Parser(std::string_view text, std::string* error)
@@ -58,9 +63,14 @@ class Parser {
     char c = text_[pos_];
     switch (c) {
       case '{':
-        return parse_object(out);
-      case '[':
-        return parse_array(out);
+      case '[': {
+        if (depth_ == kMaxDepth)
+          return fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+        ++depth_;
+        bool ok = c == '{' ? parse_object(out) : parse_array(out);
+        --depth_;
+        return ok;
+      }
       case '"':
         out->kind = JsonValue::Kind::String;
         return parse_string(&out->string);
@@ -201,6 +211,7 @@ class Parser {
   std::string_view text_;
   std::string* error_;
   size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

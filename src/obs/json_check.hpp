@@ -38,9 +38,10 @@ struct JsonValue {
   const JsonValue* find(const std::string& key) const;
 };
 
-/// Parse `text` as one JSON document (trailing garbage is an error). On
-/// failure returns false and, when `error` is non-null, describes the first
-/// problem with its byte offset.
+/// Parse `text` as one JSON document (trailing garbage is an error; so is
+/// nesting deeper than 256 arrays/objects). On failure returns false and,
+/// when `error` is non-null, describes the first problem with its byte
+/// offset.
 bool json_parse(std::string_view text, JsonValue* out, std::string* error);
 
 }  // namespace ncc::obs

@@ -1,6 +1,7 @@
 #include "primitives/multi_aggregation.hpp"
 
 #include "common/assert.hpp"
+#include "obs/tracer.hpp"
 #include "primitives/aggregate_broadcast.hpp"
 #include "primitives/exchange.hpp"
 
@@ -20,6 +21,7 @@ MultiAggregationResult run_multi_aggregation(const Shared& shared, Network& net,
                                              CombiningCache* cache) {
   const Overlay& topo = shared.topo();
   const NodeId n = topo.n();
+  obs::Span span(net, "multi_aggregation");
   uint64_t start_rounds = net.rounds();
 
   MultiAggregationResult res;

@@ -255,7 +255,8 @@ bool apply_spec_key(ScenarioSpec& spec, const std::string& key,
   } else if (key == "k") {
     ok = parse_u32(val, &spec.k) && spec.k >= 1;
   } else if (key == "beta") {
-    ok = parse_double(val, &spec.beta) && spec.beta > 0.0;
+    // Chung-Lu weights i^{-1/(beta-1)} need beta > 1 (power_law_graph).
+    ok = parse_double(val, &spec.beta) && spec.beta > 1.0;
   } else if (key == "max_deg") {
     ok = parse_u32(val, &spec.max_deg) && spec.max_deg >= 1;
   } else if (key == "rows") {

@@ -94,7 +94,7 @@ struct ScenarioSpec {
   double p = 0.0;         // gnp
   uint32_t a = 1;         // forest_union: number of forests
   uint32_t k = 2;         // barabasi_albert attachment, tree fanout unused
-  double beta = 2.5;      // powerlaw exponent
+  double beta = 2.5;      // powerlaw exponent (> 1)
   uint32_t max_deg = 64;  // powerlaw degree cap
   NodeId rows = 0, cols = 0;  // grid
   uint32_t dim = 0;           // hypercube

@@ -22,6 +22,8 @@
 #include "obs/tracer.hpp"
 #include "primitives/aggregate_broadcast.hpp"
 #include "primitives/context.hpp"
+#include "primitives/multi_aggregation.hpp"
+#include "primitives/multicast.hpp"
 #include "scenario/cells.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
@@ -137,6 +139,34 @@ TEST(Tracer, TopLevelSpanDeltasSumToNetStats) {
   uint64_t sum = 0;
   for (const obs::SpanRecord& s : tracer.spans()) sum += s.messages;
   EXPECT_EQ(sum, net.stats().messages_sent);
+}
+
+TEST(Tracer, MultiAggregationSpanEnclosesItsRoutes) {
+  const NodeId n = 64;
+  Network net = make_net(n);
+  Shared shared(n, 5);
+  std::vector<MulticastMembership> members;
+  for (NodeId u = 4; u < n; ++u) members.push_back({u, 100 + (u % 4)});
+  auto setup = setup_multicast_trees(shared, net, members);
+  std::vector<MulticastSend> sends;
+  for (NodeId s = 0; s < 4; ++s) sends.push_back({100 + s, s, Val{s, 0}});
+  obs::Tracer tracer(net);
+  auto res = run_multi_aggregation(shared, net, setup.trees, sends, agg::min_by_first);
+
+  // One top-level span over exactly the call's rounds; its one route.up and
+  // one route.down (and its barriers) are nested inside it.
+  const std::vector<obs::SpanRecord>& spans = tracer.spans();
+  ASSERT_FALSE(spans.empty());
+  EXPECT_EQ(spans[0].name, "multi_aggregation");
+  EXPECT_EQ(spans[0].end_round - spans[0].begin_round, res.rounds);
+  std::map<std::string, int> children;
+  for (size_t i = 1; i < spans.size(); ++i) {
+    EXPECT_GE(spans[i].depth, 1u) << spans[i].name;
+    if (spans[i].parent == 0) ++children[spans[i].name];
+  }
+  EXPECT_EQ(children["route.up"], 1);
+  EXPECT_EQ(children["route.down"], 1);
+  EXPECT_EQ(children["multi_aggregation"], 0);
 }
 
 TEST(NetworkHooks, SubscribersCoexistAndSeeTheSameStream) {
@@ -585,6 +615,15 @@ TEST(JsonCheck, ParsesGoodAndRejectsBadDocuments) {
         "{\"a\":1} trailing", "[01x]"}) {
     EXPECT_FALSE(obs::json_parse(bad, &v, &err)) << "accepted: " << bad;
   }
+
+  // Nesting is capped (256 levels): a 64-deep document parses, a
+  // 100,000-deep one is a parse error at the first level past the cap
+  // rather than a stack overflow.
+  std::string deep64 = std::string(64, '[') + std::string(64, ']');
+  EXPECT_TRUE(obs::json_parse(deep64, &v, &err)) << err;
+  std::string deep = std::string(100000, '[') + std::string(100000, ']');
+  EXPECT_FALSE(obs::json_parse(deep, &v, &err));
+  EXPECT_NE(err.find("nesting deeper than 256 levels at byte 256"), std::string::npos) << err;
 }
 
 TEST(Memory, LedgerTracksLiveBytesAndContainerFootprint) {

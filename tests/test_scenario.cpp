@@ -1,11 +1,18 @@
 // Scenario subsystem tests: spec/sweep parse round-trips and strict rejection
-// of malformed specs and sweep axes, registry coverage, expectation gating,
+// of malformed specs and sweep axes (plus a seeded mutation test of both
+// parsers over the catalog), registry coverage, expectation gating,
 // and the determinism contract extended through fault injection — the same
 // spec + seed must produce bit-identical machine-readable output on reruns
 // and whether its cell ran alone or beside others on the cell runner;
 // crashes, partitions, and byzantine corruption all included.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+
+#include "common/rng.hpp"
 #include "scenario/cells.hpp"
 #include "scenario/faults.hpp"
 #include "scenario/registry.hpp"
@@ -174,6 +181,11 @@ TEST(ScenarioSpec, RejectsMalformedSpecs) {
   expect_reject("graph = clique\nn = 64\nalgorithm = bfs\ndrop_rate = 1.5\n",
                 "malformed");
   expect_reject("graph = clique\nn = 1\nalgorithm = bfs\n", "n must be");
+  // power_law_graph needs beta > 1.
+  for (const char* beta : {"1", "0.5"})
+    expect_reject("graph = powerlaw\nn = 64\nbeta = " + std::string(beta) +
+                      "\nmax_deg = 8\nalgorithm = mis\n",
+                  "malformed value for `beta`");
   expect_reject("graph = gnm\nn = 64\nalgorithm = bfs\n", "requires `m`");
   expect_reject("graph = grid\nrows = 4\nalgorithm = bfs\n", "rows");
   expect_reject("graph = grid\nrows = 4\ncols = 4\nn = 99\nalgorithm = bfs\n",
@@ -714,4 +726,92 @@ TEST(ScenarioRunner, NodeCapacityCheck) {
   EXPECT_FALSE(within_node_capacity(st, 8));
   st.messages_dropped = 1;
   EXPECT_TRUE(within_node_capacity(st, 8));
+}
+
+namespace {
+
+/// Parse or reject with a message; a spec that parses re-parses from its
+/// canonical text to the same text.
+void expect_spec_or_error(const std::optional<ScenarioSpec>& spec, const std::string& error,
+                          const std::string& input) {
+  EXPECT_TRUE(spec || !error.empty()) << "rejected without a message:\n" << input;
+  if (!spec) return;
+  std::string again_error;
+  auto again = parse_spec(spec->to_string(), &again_error);
+  ASSERT_TRUE(again) << again_error << "\nfrom:\n" << input;
+  EXPECT_EQ(again->to_string(), spec->to_string()) << input;
+}
+
+/// One random edit: delete, insert or replace a byte, drop or duplicate a
+/// line, or set a `key = value` line's value to an extreme one.
+std::string mutate(std::string text, Rng& rng) {
+  static const char* const kExtreme[] = {"0", "-1", "4294967296", "1e308", "nan", "inf", ""};
+  std::vector<size_t> starts{0}, values;  // line starts; lines holding a value
+  for (size_t i = 0; i < text.size(); ++i) {
+    if (text[i] == '=' && text[starts.back()] != '#' &&
+        (values.empty() || values.back() != starts.back()))
+      values.push_back(starts.back());
+    if (text[i] == '\n' && i + 1 < text.size()) starts.push_back(i + 1);
+  }
+  const size_t bol = starts[rng.next_below(starts.size())];
+  const size_t eol = std::min(text.find('\n', bol), text.size());  // newline excluded
+  const size_t at = rng.next_below(text.size() + 1);
+  const char byte = static_cast<char>(rng.next_below(256));
+  switch (rng.next_below(6)) {
+    case 0: return text.erase(at, 1);
+    case 1: return text.insert(at, 1, byte);
+    case 2: return at < text.size() ? text.replace(at, 1, 1, byte) : text;
+    case 3: return text.erase(bol, eol + 1 - bol);
+    case 4: return text.insert(bol, text.substr(bol, eol + 1 - bol));
+    default: {
+      if (values.empty()) return text;
+      const size_t line = values[rng.next_below(values.size())];
+      const size_t eq = text.find('=', line);
+      const size_t end = std::min(text.find('\n', line), text.size());
+      return text.replace(eq + 1, end - eq - 1,
+                          std::string(" ") + kExtreme[rng.next_below(std::size(kExtreme))]);
+    }
+  }
+}
+
+}  // namespace
+
+// Seeded mutation test of the spec and sweep parsers: 200 mutants (one to
+// three random edits each) of every catalog file must parse or be rejected
+// with a message, never crash, and so must the first 16 cells of a sweep
+// that parses. No graph is built.
+TEST(SpecFuzz, MutatedCatalogParsesOrRejects) {
+  std::vector<std::filesystem::path> files;
+  for (const char* dir : {"scenarios", "scenarios/sweeps", "scenarios/table1"})
+    for (const auto& entry :
+         std::filesystem::directory_iterator(std::filesystem::path(NCC_SOURCE_DIR) / dir))
+      if (entry.path().extension() == ".scn") files.push_back(entry.path());
+  std::sort(files.begin(), files.end());
+  ASSERT_GE(files.size(), 20u);
+
+  Rng rng(0x5eedf022);
+  size_t parsed = 0;
+  for (const std::filesystem::path& file : files) {
+    std::ifstream in(file);
+    const std::string text{std::istreambuf_iterator<char>(in), {}};
+    for (int m = 0; m < 200; ++m) {
+      std::string mutant = text;
+      for (uint64_t edits = 1 + rng.next_below(3); edits > 0; --edits)
+        mutant = mutate(std::move(mutant), rng);
+      std::string error;
+      auto spec = parse_spec(mutant, &error);
+      parsed += spec.has_value();
+      expect_spec_or_error(spec, error, mutant);
+      error.clear();
+      auto sweep = parse_sweep(mutant, &error);
+      EXPECT_TRUE(sweep || !error.empty()) << "rejected without a message:\n" << mutant;
+      for (uint64_t c = 0; sweep && c < std::min<uint64_t>(sweep->cells(), 16); ++c) {
+        error.clear();
+        expect_spec_or_error(expand_sweep_cell(*sweep, c, &error), error, mutant);
+      }
+      if (HasFatalFailure()) return;
+    }
+  }
+  // The mutants exercise the accepting paths too, not only the rejections.
+  EXPECT_GT(parsed, files.size() * 20);
 }

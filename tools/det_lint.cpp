@@ -8,7 +8,7 @@
 // deterministic findings report. The `det_lint` ctest and CI's lint job run
 // it over src/.
 //
-// Exit codes follow the trace_check/bench_compare convention:
+// Exit codes:
 //   0  clean — no findings
 //   1  findings (report printed to stdout, and to --report when given)
 //   2  usage or I/O error
