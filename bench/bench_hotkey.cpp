@@ -103,7 +103,7 @@ Row run_cdn(double zipf_s, uint32_t cache_size) {
       ell_hat = std::max(ell_hat, per_member[u]);
 
     MulticastSetupResult setup =
-        setup_multicast_trees(shared, net, members, 2ull * w + 1, cache.get());
+        setup_multicast_trees(shared, net, members, /*ell1_hat=*/0, 2ull * w + 1, cache.get());
     std::vector<MulticastSend> sends;
     for (uint64_t g : wave_groups)
       sends.push_back({g, static_cast<NodeId>(g % kNodes), payload_of(g)});

@@ -76,7 +76,7 @@ Row run_multicast_workload(OverlayKind kind, NodeId n) {
   const uint64_t groups = n / 8;
   std::vector<MulticastMembership> members;
   for (NodeId u = 0; u < n; ++u) members.push_back({u, u % groups});
-  MulticastSetupResult setup = setup_multicast_trees(shared, net, members, 1);
+  MulticastSetupResult setup = setup_multicast_trees(shared, net, members, /*ell1_hat=*/0, 1);
   std::vector<MulticastSend> sends;
   for (uint64_t g = 0; g < groups; ++g)
     sends.push_back({g, static_cast<NodeId>(g), Val{0xbeef + g, 0}});

@@ -1,7 +1,6 @@
 #include "common/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/assert.hpp"
 
@@ -25,8 +24,6 @@ double Accumulator::variance() const {
   if (count_ < 2) return 0.0;
   return m2_ / static_cast<double>(count_ - 1);
 }
-
-double Accumulator::stddev() const { return std::sqrt(variance()); }
 
 double percentile(std::vector<double> values, double p) {
   NCC_ASSERT(!values.empty());

@@ -17,7 +17,6 @@ class Accumulator {
   double max() const { return count_ ? max_ : 0.0; }
   double mean() const { return count_ ? mean_ : 0.0; }
   double variance() const;
-  double stddev() const;
   double sum() const { return sum_; }
 
  private:

@@ -22,7 +22,6 @@ std::string Table::num(double v, int precision) {
 }
 
 std::string Table::num(uint64_t v) { return std::to_string(v); }
-std::string Table::num(int64_t v) { return std::to_string(v); }
 
 std::string Table::to_string() const {
   std::vector<size_t> widths(headers_.size());

@@ -17,7 +17,6 @@ class Table {
   /// Convenience: formats doubles with the given precision.
   static std::string num(double v, int precision = 2);
   static std::string num(uint64_t v);
-  static std::string num(int64_t v);
 
   /// Render with aligned columns and a header separator.
   std::string to_string() const;

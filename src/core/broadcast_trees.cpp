@@ -23,7 +23,7 @@ BroadcastTrees build_broadcast_trees(const Shared& shared, Network& net, const G
       memberships.push_back({v, u, /*injector=*/u});
     }
   }
-  auto setup = setup_multicast_trees(shared, net, memberships, rng_tag);
+  auto setup = setup_multicast_trees(shared, net, memberships, /*ell1_hat=*/0, rng_tag);
   return BroadcastTrees{std::move(setup.trees), setup.rounds, setup.trees.congestion};
 }
 

@@ -50,7 +50,8 @@ ColoringResult run_coloring(const Shared& shared, Network& net, const Graph& g,
   for (NodeId v = 0; v < n; ++v)
     for (NodeId w : ori.out_neighbors(v))
       memberships.push_back({v, w, MulticastMembership::kSelf});
-  auto setup = setup_multicast_trees(shared, net, memberships, mix64(rng_tag ^ 0xc01));
+  auto setup = setup_multicast_trees(shared, net, memberships, /*ell1_hat=*/0,
+                                     mix64(rng_tag ^ 0xc01));
 
   // Per-node palettes as removal bitmaps.
   std::vector<std::vector<bool>> removed(n, std::vector<bool>(palette, false));

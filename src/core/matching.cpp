@@ -64,9 +64,11 @@ MatchingResult run_matching(const Shared& shared, Network& net, const Graph& g,
     }
 
     // Step 2: chosen nodes accept their minimum-id chooser via Aggregation.
+    // Each chooser sends one item (l1_hat = 1).
     AggregationProblem prob;
     prob.combine = agg::min_by_first;
     prob.target = [](uint64_t grp) { return static_cast<NodeId>(grp); };
+    prob.ell1_hat = 1;
     prob.ell2_hat = 1;
     for (NodeId u = 0; u < n; ++u)
       if (choice[u] != kUnmatched) prob.items.push_back({u, choice[u], Val{u, 0}});

@@ -105,10 +105,11 @@ MstResult run_mst(const Shared& shared, Network& net, const Graph& g,
 
     // Rebuild component multicast trees: members = C \ {leader}, group id =
     // leader id (disjoint groups => congestion O(log n), Theorem 2.4).
+    // Every node injects at most its own membership: l1_hat = 1.
     std::vector<MulticastMembership> memberships;
     for (NodeId u = 0; u < n; ++u)
       if (res.leader[u] != u) memberships.push_back({u, res.leader[u]});
-    auto trees = setup_multicast_trees(shared, net, memberships,
+    auto trees = setup_multicast_trees(shared, net, memberships, /*ell1_hat=*/1,
                                        mix64(rng_tag ^ (res.phases * 31 + 1)));
 
     // Leaders flip coins and multicast them (Heads = 1).
@@ -178,7 +179,8 @@ MstResult run_mst(const Shared& shared, Network& net, const Graph& g,
 
       // Sketch aggregation to the leaders: per subrange j, trial t, bit
       // position j*Ts + t; the first iteration probes existence over the
-      // whole range with the full trial budget.
+      // whole range with the full trial budget. Every node holds at most its
+      // own sketch item: l1_hat = 1.
       const bool existence = (iter == 0);
       const uint32_t groups = existence ? 1 : A;
       const uint32_t bits = existence ? max_bits : Ts;
@@ -186,6 +188,7 @@ MstResult run_mst(const Shared& shared, Network& net, const Graph& g,
       AggregationProblem prob;
       prob.combine = agg::xor_xor;
       prob.target = [](uint64_t grp) { return static_cast<NodeId>(grp); };
+      prob.ell1_hat = 1;
       prob.ell2_hat = 1;
       for (NodeId u = 0; u < n; ++u) {
         auto [plo, phi] = node_probe[u];
@@ -276,7 +279,8 @@ MstResult run_mst(const Shared& shared, Network& net, const Graph& g,
       ustar_of[u] = v;
       joins.push_back({u, v});
     }
-    auto trees2 = setup_multicast_trees(shared, net, joins,
+    // Each u* joins one group: l1_hat = 1.
+    auto trees2 = setup_multicast_trees(shared, net, joins, /*ell1_hat=*/1,
                                         mix64(rng_tag ^ (res.phases * 31 + 5)));
     // Tree roots notify the sources that their group is live, in one round
     // (every node knows that length, so no barrier follows it).

@@ -245,7 +245,7 @@ OrientationRunResult run_orientation(const Shared& shared, Network& net, const G
         if (status[v] != St::Inactive) continue;
         for (NodeId w : pot[v]) memberships.push_back({v, w, MulticastMembership::kSelf});
       }
-      auto setup = setup_multicast_trees(shared, net, memberships,
+      auto setup = setup_multicast_trees(shared, net, memberships, /*ell1_hat=*/0,
                                          phase * 131 + 17 + attempt);
       std::vector<MulticastSend> sends;
       sends.reserve(u_low.size());

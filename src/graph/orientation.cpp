@@ -38,28 +38,22 @@ bool Orientation::directed_from(NodeId u, NodeId v) const {
 void Orientation::rebuild_lists() const {
   if (!lists_dirty_) return;
   out_.assign(g_->n(), {});
-  in_.assign(g_->n(), {});
+  in_deg_.assign(g_->n(), 0);
   const auto& edges = g_->edges();
   for (uint64_t i = 0; i < edges.size(); ++i) {
     if (dir_[i] == 0) continue;
     NodeId from = dir_[i] == 1 ? edges[i].u : edges[i].v;
     NodeId to = dir_[i] == 1 ? edges[i].v : edges[i].u;
     out_[from].push_back(to);
-    in_[to].push_back(from);
+    ++in_deg_[to];
   }
   for (auto& v : out_) std::sort(v.begin(), v.end());
-  for (auto& v : in_) std::sort(v.begin(), v.end());
   lists_dirty_ = false;
 }
 
 std::span<const NodeId> Orientation::out_neighbors(NodeId u) const {
   rebuild_lists();
   return out_[u];
-}
-
-std::span<const NodeId> Orientation::in_neighbors(NodeId u) const {
-  rebuild_lists();
-  return in_[u];
 }
 
 uint32_t Orientation::outdegree(NodeId u) const {
@@ -69,7 +63,7 @@ uint32_t Orientation::outdegree(NodeId u) const {
 
 uint32_t Orientation::indegree(NodeId u) const {
   rebuild_lists();
-  return static_cast<uint32_t>(in_[u].size());
+  return in_deg_[u];
 }
 
 uint32_t Orientation::max_outdegree() const {

@@ -25,7 +25,6 @@ class Orientation {
   bool directed_from(NodeId u, NodeId v) const;
 
   std::span<const NodeId> out_neighbors(NodeId u) const;
-  std::span<const NodeId> in_neighbors(NodeId u) const;
   uint32_t outdegree(NodeId u) const;
   uint32_t indegree(NodeId u) const;
   uint32_t max_outdegree() const;
@@ -43,9 +42,10 @@ class Orientation {
   // Per canonical edge (index in g_->edges()): 0 = unoriented, 1 = u->v, 2 = v->u.
   std::vector<uint8_t> dir_;
   uint64_t unoriented_;
-  // Materialized neighbor lists, rebuilt lazily.
+  // Materialized out-neighbor lists and indegrees, rebuilt lazily.
   mutable bool lists_dirty_ = true;
-  mutable std::vector<std::vector<NodeId>> out_, in_;
+  mutable std::vector<std::vector<NodeId>> out_;
+  mutable std::vector<uint32_t> in_deg_;
   void rebuild_lists() const;
 };
 

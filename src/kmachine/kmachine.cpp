@@ -28,10 +28,7 @@ uint64_t KMachineTracker::link_id(uint32_t a, uint32_t b) const {
 void KMachineTracker::on_deliver(const Message& m, uint64_t round) {
   if (round != current_round_) {
     // Close the previous round.
-    if (current_round_ != UINT64_MAX) {
-      folded_rounds_ += current_max_;
-      ++rounds_seen_;
-    }
+    if (current_round_ != UINT64_MAX) folded_rounds_ += current_max_;
     current_round_ = round;
     current_loads_.clear();
     current_max_ = 0;
@@ -51,16 +48,11 @@ uint64_t KMachineTracker::kmachine_rounds() const {
   return folded_rounds_ + current_max_;
 }
 
-uint64_t KMachineTracker::observed_rounds() const {
-  return rounds_seen_ + (current_round_ != UINT64_MAX ? 1 : 0);
-}
-
 void KMachineTracker::reset() {
   current_round_ = UINT64_MAX;
   current_loads_.clear();
   current_max_ = 0;
   folded_rounds_ = 0;
-  rounds_seen_ = 0;
   remote_messages_ = 0;
   local_messages_ = 0;
 }

@@ -45,9 +45,6 @@ class KMachineTracker {
   uint64_t remote_messages() const { return remote_messages_; }
   uint64_t local_messages() const { return local_messages_; }
 
-  /// NCC rounds observed.
-  uint64_t observed_rounds() const;
-
   void reset();
 
  private:
@@ -63,7 +60,6 @@ class KMachineTracker {
   FlatMap<uint32_t> current_loads_;  // incremental fold, never iterated
   uint32_t current_max_ = 0;
   uint64_t folded_rounds_ = 0;   // sum of per-round maxima for closed rounds
-  uint64_t rounds_seen_ = 0;
   uint64_t remote_messages_ = 0;
   uint64_t local_messages_ = 0;
 };

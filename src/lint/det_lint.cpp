@@ -453,15 +453,6 @@ void scan_rules(const std::string& file, const Lexed& lx,
 
 }  // namespace
 
-const char* to_string(FileClass c) {
-  switch (c) {
-    case FileClass::Deterministic: return "deterministic";
-    case FileClass::Mixed: return "mixed";
-    case FileClass::Observational: return "observational";
-  }
-  return "?";
-}
-
 bool Manifest::classify(const std::string& rel_path, FileClass* out) const {
   size_t best = 0;
   bool found = false;

@@ -53,8 +53,6 @@ enum class FileClass {
   Observational,  // rules off; suppression comments still syntax-checked
 };
 
-const char* to_string(FileClass c);
-
 /// One `<class> <path-prefix>` line of the manifest. Longest matching prefix
 /// wins, so a directory rule can be refined per file.
 struct ManifestEntry {

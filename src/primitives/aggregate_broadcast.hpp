@@ -64,12 +64,15 @@ AbResult aggregate_and_broadcast(const Overlay& topo, Network& net, BarrierWorks
 ///
 /// The rule for callers: a barrier follows a phase only when no node knows
 /// the phase's last round, because its length is a global maximum (the
-/// batched injection's ceil(max_k / log n) rounds, orientation's contact
-/// rounds) or a w.h.p. bound ended by tokens (route_down, route_up). A phase
-/// whose length every node knows, such as the random deliveries over
-/// ceil(l_hat / log n) rounds, a single round, or a span derived from an
-/// A&B result, ends on that round with no barrier: in the synchronous model
-/// every node starts the next phase in the same round anyway.
+/// batched injection's ceil(max_k / log n) rounds when no bound l1_hat is
+/// given, orientation's contact rounds) or a w.h.p. bound ended by tokens
+/// (route_down, route_up). A phase whose length every node knows, such as an
+/// injection given a bound l1_hat on the items per node (max(1,
+/// ceil(l1_hat / log n)) rounds; inject_at_random_columns decides), the
+/// random deliveries over ceil(l_hat / log n) rounds, a single round, or a
+/// span derived from an A&B result, ends on that round with no barrier: in
+/// the synchronous model every node starts the next phase in the same round
+/// anyway.
 uint64_t sync_barrier(const Overlay& topo, Network& net, BarrierWorkspace& ws);
 
 }  // namespace ncc

@@ -23,12 +23,12 @@ AggregationResult run_aggregation(const Shared& shared, Network& net,
   AggregationResult res;
 
   // --- Preprocessing: batched random injection to level-0 butterfly nodes ---
+  // (closed by a barrier only when no bound ell1_hat is known).
   const std::vector<AggregationItem>& items = problem.items;
   std::vector<std::vector<AggPacket>> at_col = inject_at_random_columns(
-      topo, net, shared.local_rng(mix64(0x1a9e17 ^ rng_tag)), kTagInject, 3, items.size(),
-      [&](size_t i) { return items[i].member; },
+      shared, net, shared.local_rng(mix64(0x1a9e17 ^ rng_tag)), kTagInject, 3, items.size(),
+      problem.ell1_hat, [&](size_t i) { return items[i].member; },
       [&](size_t i, NodeId) { return AggPacket{items[i].group, items[i].value}; });
-  sync_barrier(topo, net, shared.barrier_workspace());
 
   // --- Combining: random-rank routing with combining down the butterfly ---
   auto dest = [&](uint64_t g) { return shared.dest_col(g); };

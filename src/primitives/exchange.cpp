@@ -5,6 +5,7 @@
 #include "common/assert.hpp"
 #include "common/bits.hpp"
 #include "engine/engine.hpp"
+#include "primitives/aggregate_broadcast.hpp"
 
 namespace ncc {
 
@@ -33,7 +34,8 @@ void run_exchange(Network& net, const ExchangeRounds& rounds, uint32_t tag, uint
 }
 
 ExchangeRounds batched_rounds(NodeId n, size_t count, FnRef<NodeId(size_t)> sender,
-                              uint32_t min_rounds, FnRef<ExchangeEntry(size_t)> entry) {
+                              uint32_t min_rounds, uint32_t k_hat,
+                              FnRef<ExchangeEntry(size_t)> entry) {
   // One stable counting sort (the paper's enumeration p_1..p_k per node):
   // sender u's items, in input order, are order[off[u] .. off[u+1]).
   std::vector<uint32_t> off(n + 1, 0);
@@ -47,12 +49,14 @@ ExchangeRounds batched_rounds(NodeId n, size_t count, FnRef<NodeId(size_t)> send
     max_k = std::max(max_k, off[u + 1]);
     off[u + 1] += off[u];
   }
+  NCC_ASSERT_MSG(k_hat == 0 || max_k <= k_hat, "a sender holds more items than its bound k_hat");
   std::vector<uint32_t> order(count);
   std::vector<uint32_t> fill(off.begin(), off.end() - 1);
   for (size_t i = 0; i < count; ++i) order[fill[sender(i)]++] = static_cast<uint32_t>(i);
 
   const uint32_t batch = cap_log(n);
-  ExchangeRounds rounds(std::max(min_rounds, (max_k + batch - 1) / batch));
+  const uint32_t k = k_hat == 0 ? max_k : k_hat;
+  ExchangeRounds rounds(std::max(min_rounds, (k + batch - 1) / batch));
   for (uint32_t r = 0; r < rounds.size(); ++r) {
     for (NodeId u = 0; u < n; ++u) {
       const uint32_t end = std::min(off[u] + (r + 1) * batch, off[u + 1]);
@@ -70,10 +74,12 @@ ExchangeRounds random_rounds(NodeId n, uint32_t ell_hat, Rng rng,
 }
 
 std::vector<std::vector<AggPacket>> inject_at_random_columns(
-    const Overlay& topo, Network& net, Rng rng, uint32_t tag, uint8_t words, size_t count,
-    FnRef<NodeId(size_t)> sender, FnRef<AggPacket(size_t, NodeId)> packet) {
+    const Shared& shared, Network& net, Rng rng, uint32_t tag, uint8_t words, size_t count,
+    uint32_t ell1_hat, FnRef<NodeId(size_t)> sender, FnRef<AggPacket(size_t, NodeId)> packet) {
+  const Overlay& topo = shared.topo();
   const NodeId cols = topo.columns();
-  ExchangeRounds rounds = batched_rounds(topo.n(), count, sender, 0, [&](size_t i) {
+  // ell1_hat >= 1 makes ceil(ell1_hat / log n) at least one round.
+  ExchangeRounds rounds = batched_rounds(topo.n(), count, sender, 0, ell1_hat, [&](size_t i) {
     const NodeId c = static_cast<NodeId>(rng.next_below(cols));
     const AggPacket p = packet(i, c);
     return ExchangeEntry{sender(i), topo.host(c), p.group, p.val};
@@ -83,6 +89,7 @@ std::vector<std::vector<AggPacket>> inject_at_random_columns(
   std::vector<std::vector<AggPacket>> at_col(cols);
   run_exchange(net, rounds, tag, words,
                [&](NodeId c, uint64_t group, const Val& v) { at_col[c].push_back({group, v}); });
+  if (ell1_hat == 0) sync_barrier(topo, net, shared.barrier_workspace());
   return at_col;
 }
 
@@ -114,7 +121,7 @@ FlatMap<Val> hand_off_to_roots(const Overlay& topo, Network& net, const Multicas
     if (trees.root_col.find(s.group)) live.push_back(&s);
   }
   ExchangeRounds handoff = batched_rounds(
-      topo.n(), live.size(), [&](size_t i) { return live[i]->source; }, 1, [&](size_t i) {
+      topo.n(), live.size(), [&](size_t i) { return live[i]->source; }, 1, 0, [&](size_t i) {
         return ExchangeEntry{live[i]->source, topo.host(trees.root_col.at(live[i]->group)),
                              live[i]->group, live[i]->payload};
       });

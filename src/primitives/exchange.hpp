@@ -17,6 +17,7 @@
 #include "common/rng.hpp"
 #include "net/network.hpp"
 #include "overlay/router.hpp"
+#include "primitives/context.hpp"
 #include "primitives/multicast.hpp"
 
 namespace ncc {
@@ -42,12 +43,15 @@ void run_exchange(Network& net, const ExchangeRounds& rounds, uint32_t tag, uint
                   FnRef<void(NodeId, uint64_t, const Val&)> land);
 
 /// The batched handoff of items 0..count-1: sender(i) < n (asserted) hands
-/// out its items in input order, ceil(log n) per round, over max(min_rounds,
-/// ceil(k / log n)) rounds, k being the most items one sender holds.
-/// entry(i) makes item i's entry; it is called in (round, sender, position)
-/// order, the order callers draw randomness in.
+/// out its items in input order, ceil(log n) per round. With k_hat = 0 it
+/// lasts max(min_rounds, ceil(k / log n)) rounds, k being the most items one
+/// sender holds; a nonzero k_hat is a bound on k (asserted) and the handoff
+/// lasts max(min_rounds, ceil(k_hat / log n)) rounds. entry(i) makes item i's
+/// entry; it is called in (round, sender, position) order, the order callers
+/// draw randomness in.
 ExchangeRounds batched_rounds(NodeId n, size_t count, FnRef<NodeId(size_t)> sender,
-                              uint32_t min_rounds, FnRef<ExchangeEntry(size_t)> entry);
+                              uint32_t min_rounds, uint32_t k_hat,
+                              FnRef<ExchangeEntry(size_t)> entry);
 
 /// The random-round schedule: each of `entries`, in order, goes to a round
 /// drawn from `rng`, uniformly from max(1, ceil(ell_hat / log n)) rounds.
@@ -61,9 +65,15 @@ ExchangeRounds random_rounds(NodeId n, uint32_t ell_hat, Rng rng,
 /// sender(i) to the host of a level-0 column drawn from `rng`, in
 /// batched_rounds order, as the packet packet(i, column). Returns the packets
 /// landed per column.
+///
+/// ell1_hat is the paper's l1_hat, a bound every node knows on the items any
+/// one sender holds (asserted), or 0 for none. With a bound the injection
+/// lasts exactly max(1, ceil(ell1_hat / log n)) rounds and ends there: every
+/// node knows that last round. Without one it lasts ceil(max_k / log n)
+/// rounds, a global maximum no node knows, and a sync_barrier closes it.
 std::vector<std::vector<AggPacket>> inject_at_random_columns(
-    const Overlay& topo, Network& net, Rng rng, uint32_t tag, uint8_t words, size_t count,
-    FnRef<NodeId(size_t)> sender, FnRef<AggPacket(size_t, NodeId)> packet);
+    const Shared& shared, Network& net, Rng rng, uint32_t tag, uint8_t words, size_t count,
+    uint32_t ell1_hat, FnRef<NodeId(size_t)> sender, FnRef<AggPacket(size_t, NodeId)> packet);
 
 /// One entry per group of `down` in ascending group order (a deterministic
 /// order for the callers' draws): the host of the group's root column sends

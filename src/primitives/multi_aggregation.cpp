@@ -39,17 +39,17 @@ MultiAggregationResult run_multi_aggregation(const Shared& shared, Network& net,
 
   // Phase 3: remap (group, member) -> (member, p) at the leaves and
   // redistribute the packets randomly over the level-0 butterfly nodes,
-  // batched ceil(log n) per round per host.
+  // batched ceil(log n) per round per host. A leaf host's packet count is a
+  // tree property no node bounds in advance, so a barrier closes the phase.
   std::vector<std::pair<NodeId, AggPacket>> outgoing;  // (leaf column, packet)
   for_each_leaf_payload(trees, up.at_col, [&](NodeId c, uint64_t g, NodeId member, const Val& v) {
     outgoing.push_back({c, {member, annotate ? annotate(g, member, v) : v}});
   });
   up.at_col = {};  // the leaf payloads are in `outgoing` now; lowers the peak
   std::vector<std::vector<AggPacket>> at_col = inject_at_random_columns(
-      topo, net, shared.local_rng(mix64(0x6ed157 ^ rng_tag)), kTagRedistribute, 3,
-      outgoing.size(), [&](size_t i) { return topo.host(outgoing[i].first); },
+      shared, net, shared.local_rng(mix64(0x6ed157 ^ rng_tag)), kTagRedistribute, 3,
+      outgoing.size(), /*ell1_hat=*/0, [&](size_t i) { return topo.host(outgoing[i].first); },
       [&](size_t i, NodeId) { return outgoing[i].second; });
-  sync_barrier(topo, net, shared.barrier_workspace());
 
   // Phase 4: aggregate all packets for member u toward h(id(u)).
   auto dest = [&](uint64_t g) { return shared.dest_col(g); };

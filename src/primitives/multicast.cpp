@@ -15,7 +15,8 @@ constexpr uint32_t kTagLeafDeliver = 0x0d00;
 
 MulticastSetupResult setup_multicast_trees(const Shared& shared, Network& net,
                                            const std::vector<MulticastMembership>& members,
-                                           uint64_t rng_tag, CombiningCache* cache) {
+                                           uint32_t ell1_hat, uint64_t rng_tag,
+                                           CombiningCache* cache) {
   const Overlay& topo = shared.topo();
   obs::Span span(net, "multicast.setup");
   const NodeId n = topo.n();
@@ -26,16 +27,16 @@ MulticastSetupResult setup_multicast_trees(const Shared& shared, Network& net,
 
   // Injection: identical to the Aggregation preprocessing, but the landing
   // column of (group, member) is recorded as the leaf l(group, member). The
-  // membership packet is 2 words (group, member).
+  // membership packet is 2 words (group, member). A barrier closes it only
+  // when no bound ell1_hat is known.
   std::vector<std::vector<AggPacket>> at_col = inject_at_random_columns(
-      topo, net, shared.local_rng(mix64(0x3e70b5 ^ rng_tag)), kTagInject, 2, members.size(),
-      [&](size_t i) { return members[i].injecting_node(); },
+      shared, net, shared.local_rng(mix64(0x3e70b5 ^ rng_tag)), kTagInject, 2, members.size(),
+      ell1_hat, [&](size_t i) { return members[i].injecting_node(); },
       [&](size_t i, NodeId c) {
         NCC_ASSERT(members[i].member < n);
         res.trees.leaf_members[c].push_back({members[i].group, members[i].member});
         return AggPacket{members[i].group, Val{members[i].member, 0}};
       });
-  sync_barrier(topo, net, shared.barrier_workspace());
 
   auto dest = [&](uint64_t g) { return shared.dest_col(g); };
   auto rank = [&](uint64_t g) { return shared.rank(g); };

@@ -37,14 +37,15 @@ struct MulticastSetupResult {
   RouteStats route;
 };
 
-/// Build multicast trees for the given memberships. `sources` maps each group
-/// to its source node (needed later by multicast; not used for routing).
+/// Build multicast trees for the given memberships. `ell1_hat` is a bound
+/// every node knows on the memberships any one node injects, or 0 for none
+/// known; with a bound the injection needs no barrier (exchange.hpp).
 /// `cache`, if non-null, serves setup requests from cached payloads
 /// (overlay/cache.hpp): hits terminate the descent and are recorded as
 /// trees.cache_roots for the next run_multicast over the same cache.
 MulticastSetupResult setup_multicast_trees(const Shared& shared, Network& net,
                                            const std::vector<MulticastMembership>& members,
-                                           uint64_t rng_tag = 0,
+                                           uint32_t ell1_hat, uint64_t rng_tag = 0,
                                            CombiningCache* cache = nullptr);
 
 /// One multicast: `source` sends `payload` to every member of `group`. A

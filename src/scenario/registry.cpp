@@ -292,6 +292,7 @@ ScenarioRunResult run_aggregate_scenario(Network& net, const Graph& g,
     AggregationProblem prob;
     prob.combine = agg::sum;
     prob.target = [n](uint64_t grp) { return static_cast<NodeId>(grp % n); };
+    prob.ell1_hat = 1;  // one item per node per wave
     prob.ell2_hat = 1;
     std::vector<uint64_t> count(groups, 0);
     for (NodeId u = 0; u < n; ++u) {
@@ -353,8 +354,10 @@ ScenarioRunResult run_multicast_scenario(Network& net, const Graph& g,
       grp_of[u] = stream.group_for(u);
       members.push_back({u, grp_of[u]});
     }
+    // Each node injects its one membership of the wave: l1_hat = 1.
     MulticastSetupResult setup =
-        setup_multicast_trees(shared, net, members, spec.seed + w, cache.get());
+        setup_multicast_trees(shared, net, members, /*ell1_hat=*/1, spec.seed + w,
+                              cache.get());
     std::vector<MulticastSend> sends;
     for (uint64_t grp = 0; grp < groups; ++grp)
       sends.push_back({grp, static_cast<NodeId>(grp), Val{0x900d + grp, 0}});
@@ -412,8 +415,10 @@ ScenarioRunResult run_multi_aggregation_scenario(Network& net, const Graph& g,
       grp_of[u] = stream.group_for(u);
       members.push_back({u, grp_of[u]});
     }
+    // Each node injects its one membership of the wave: l1_hat = 1.
     MulticastSetupResult setup =
-        setup_multicast_trees(shared, net, members, spec.seed + w, cache.get());
+        setup_multicast_trees(shared, net, members, /*ell1_hat=*/1, spec.seed + w,
+                              cache.get());
     std::vector<MulticastSend> sends;
     for (uint64_t grp = 0; grp < groups; ++grp)
       sends.push_back({grp, static_cast<NodeId>(grp), Val{0xa66 + grp, 0}});

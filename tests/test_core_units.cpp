@@ -248,14 +248,14 @@ TEST(MstUnit, GoldenEdgesRoundsAndMessages) {
     uint64_t rounds, messages;
   };
   const Golden cases[] = {
-      {false, 40, 2, 47, 8341039178926475960u, 14, 14654, 210168},
-      {false, 8, 4, 47, 3627825888463844682u, 14, 9272, 132156},
-      {false, 60, 3, 47, 8341039178926475960u, 14, 10858, 154153},
-      {false, 16, 8, 47, 7059528943827011039u, 14, 6965, 97754},
-      {true, 40, 2, 47, 5097731273154214495u, 14, 18338, 263248},
-      {true, 8, 4, 47, 5097731273154214495u, 14, 10677, 152826},
-      {true, 60, 3, 47, 5097731273154214495u, 14, 13059, 185630},
-      {true, 16, 8, 47, 5097731273154214495u, 14, 8403, 119603},
+      {false, 40, 2, 47, 8341039178926475960u, 14, 11647, 186480},
+      {false, 8, 4, 47, 3627825888463844682u, 14, 7434, 117680},
+      {false, 60, 3, 47, 8341039178926475960u, 14, 8686, 137045},
+      {false, 16, 8, 47, 7059528943827011039u, 14, 5628, 87226},
+      {true, 40, 2, 47, 5097731273154214495u, 14, 14501, 232980},
+      {true, 8, 4, 47, 5097731273154214495u, 14, 8505, 135718},
+      {true, 60, 3, 47, 5097731273154214495u, 14, 10386, 164574},
+      {true, 16, 8, 47, 5097731273154214495u, 14, 6732, 106443},
   };
   Rng rng(71);
   const Graph base = gnm_graph(48, 150, rng);

@@ -39,7 +39,7 @@ TEST(MultiSourceMulticast, OneNodeSourcesManyGroups) {
     members.push_back({static_cast<NodeId>(1 + gi % (n - 1)), group});
     sends.push_back({group, 0, Val{gi, 0}});
   }
-  auto setup = setup_multicast_trees(shared, net, members, 2);
+  auto setup = setup_multicast_trees(shared, net, members, /*ell1_hat=*/0, 2);
   auto mc = run_multicast(shared, net, setup.trees, sends, 1, 3);
   for (uint64_t gi = 0; gi < 40; ++gi) {
     NodeId m = static_cast<NodeId>(1 + gi % (n - 1));
@@ -58,7 +58,7 @@ TEST(MulticastSetupDeathTest, InjectorOutOfRangeAborts) {
     Network net = make(n, 3);
     Shared shared(n, 3);
     std::vector<MulticastMembership> members{{1, 10}, {2, 11, /*injector=*/n}};
-    setup_multicast_trees(shared, net, members, 1);
+    setup_multicast_trees(shared, net, members, /*ell1_hat=*/0, 1);
   };
   EXPECT_DEATH(bad_injector(), "exchange sender out of range");
 }
@@ -114,7 +114,7 @@ TEST(ExchangeRunner, BatchesCeilLogNItemsPerSenderPerRound) {
       return ExchangeEntry{5, static_cast<NodeId>(i % 2 ? 10 + i : 5), 100 + i, Val{i, 0}};
     };
     ExchangeRounds schedule =
-        batched_rounds(n, items, [](size_t) { return NodeId{5}; }, 0, entry);
+        batched_rounds(n, items, [](size_t) { return NodeId{5}; }, 0, 0, entry);
     ASSERT_EQ(schedule.size(), rounds) << items;
     std::vector<uint64_t> landed;
     run_exchange(net, schedule, 0x77, 3, [&](NodeId to, uint64_t group, const Val& v) {
@@ -146,7 +146,7 @@ TEST(ExchangeRunner, MulticastHandoffTakesOneRoundPerBatch) {
     std::vector<MulticastSend> sends;
     for (uint32_t gi = 0; gi < 7; ++gi) members.push_back({1 + gi, 700 + gi});
     for (uint32_t gi = 0; gi < k; ++gi) sends.push_back({700 + gi, 3, Val{gi, 0}});
-    auto setup = setup_multicast_trees(shared, net, members, 8);
+    auto setup = setup_multicast_trees(shared, net, members, /*ell1_hat=*/0, 8);
     net.reset_stats();  // count the handoff alone
     FlatMap<Val> payloads = hand_off_to_roots(shared.topo(), net, setup.trees, sends, 0x77);
     EXPECT_EQ(net.rounds(), rounds) << k;
@@ -182,7 +182,7 @@ TEST(MultiSourceMultiAggregation, AggregatesAcrossGroupsOfOneSource) {
     }
     sends.push_back({group, 7, Val{payload, 0}});
   }
-  auto setup = setup_multicast_trees(shared, net, members, 5);
+  auto setup = setup_multicast_trees(shared, net, members, /*ell1_hat=*/0, 5);
   auto ma = run_multi_aggregation(shared, net, setup.trees, sends, agg::min_by_first, 6);
   for (auto& [m, v] : expect) {
     ASSERT_TRUE(ma.at_node[m].has_value()) << m;

@@ -55,7 +55,7 @@ TEST_P(MulticastProperty, EveryMemberReceivesAndCongestionBounded) {
     }
   }
 
-  auto setup = setup_multicast_trees(shared, net, members, c.seed);
+  auto setup = setup_multicast_trees(shared, net, members, /*ell1_hat=*/0, c.seed);
   uint64_t L = members.size();
   double bound = 12.0 * (static_cast<double>(L) / c.n + cap_log(c.n));
   EXPECT_LE(setup.trees.congestion, bound);
@@ -130,7 +130,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(MulticastEdgeCases, GroupWithoutMembersIsSkipped) {
   Network net(NetConfig{.n = 32, .capacity_factor = 8, .strict_send = true, .seed = 4});
   Shared shared(32, 4);
-  auto setup = setup_multicast_trees(shared, net, {});
+  auto setup = setup_multicast_trees(shared, net, {}, /*ell1_hat=*/0);
   std::vector<MulticastSend> sends{{123, 5, Val{9, 9}}};
   auto mc = run_multicast(shared, net, setup.trees, sends, 1);
   for (NodeId u = 0; u < 32; ++u) EXPECT_TRUE(mc.received[u].empty());
@@ -140,7 +140,7 @@ TEST(MulticastEdgeCases, SourceIsAlsoMember) {
   Network net(NetConfig{.n = 32, .capacity_factor = 8, .strict_send = true, .seed = 5});
   Shared shared(32, 5);
   std::vector<MulticastMembership> members{{3, 50}, {4, 50}};
-  auto setup = setup_multicast_trees(shared, net, members);
+  auto setup = setup_multicast_trees(shared, net, members, /*ell1_hat=*/0);
   std::vector<MulticastSend> sends{{50, 3, Val{77, 0}}};
   auto mc = run_multicast(shared, net, setup.trees, sends, 1);
   ASSERT_EQ(mc.received[3].size(), 1u);  // the source hears itself as a member
@@ -153,7 +153,7 @@ TEST(MulticastEdgeCases, InjectorDelegation) {
   Network net(NetConfig{.n = 32, .capacity_factor = 8, .strict_send = true, .seed = 6});
   Shared shared(32, 6);
   std::vector<MulticastMembership> members{{2, 60, /*injector=*/1}};
-  auto setup = setup_multicast_trees(shared, net, members);
+  auto setup = setup_multicast_trees(shared, net, members, /*ell1_hat=*/0);
   std::vector<MulticastSend> sends{{60, 9, Val{5, 0}}};
   auto mc = run_multicast(shared, net, setup.trees, sends, 1);
   ASSERT_EQ(mc.received[2].size(), 1u);  // the *member* gets the payload
@@ -165,7 +165,7 @@ TEST(MulticastEdgeCases, LeafAnnotationHook) {
   Shared shared(64, 7);
   std::vector<MulticastMembership> members;
   for (NodeId u = 10; u < 20; ++u) members.push_back({u, 70});
-  auto setup = setup_multicast_trees(shared, net, members);
+  auto setup = setup_multicast_trees(shared, net, members, /*ell1_hat=*/0);
   std::vector<MulticastSend> sends{{70, 1, Val{42, 0}}};
   LeafAnnotateFn annotate = [](uint64_t group, NodeId member, const Val& v) {
     return Val{member, group + v[0]};  // provably leaf-dependent output

@@ -10,10 +10,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <optional>
 
 #include "common/bits.hpp"
+#include "common/rng.hpp"
 #include "engine/engine.hpp"
 #include "obs/flow.hpp"
 #include "obs/json_check.hpp"
@@ -147,7 +150,7 @@ TEST(Tracer, MultiAggregationSpanEnclosesItsRoutes) {
   Shared shared(n, 5);
   std::vector<MulticastMembership> members;
   for (NodeId u = 4; u < n; ++u) members.push_back({u, 100 + (u % 4)});
-  auto setup = setup_multicast_trees(shared, net, members);
+  auto setup = setup_multicast_trees(shared, net, members, /*ell1_hat=*/0);
   std::vector<MulticastSend> sends;
   for (NodeId s = 0; s < 4; ++s) sends.push_back({100 + s, s, Val{s, 0}});
   obs::Tracer tracer(net);
@@ -624,6 +627,60 @@ TEST(JsonCheck, ParsesGoodAndRejectsBadDocuments) {
   std::string deep = std::string(100000, '[') + std::string(100000, ']');
   EXPECT_FALSE(obs::json_parse(deep, &v, &err));
   EXPECT_NE(err.find("nesting deeper than 256 levels at byte 256"), std::string::npos) << err;
+}
+
+// Seeded mutation test of the JSON reader over the repo's committed JSON
+// (the sweep golden and the three bench ledgers): every mutant, one to three
+// edits of a byte, a line or the tail, must parse or be rejected with a
+// message that names a byte offset inside the document, never crash.
+TEST(JsonFuzz, MutatedDocumentsParseOrReject) {
+  // Bytes the grammar turns on, drawn half the time; the rest are any byte.
+  static const char kSyntax[] = "{}[]\",:\\-+.eE0123456789tfnul \n";
+  Rng rng(0x15011f022);
+  for (const char* name : {"tests/golden/sweeps.json", "BENCH_engine.json",
+                           "BENCH_overlay.json", "BENCH_hotkey.json"}) {
+    std::ifstream in(std::string(NCC_SOURCE_DIR) + "/" + name);
+    const std::string text{std::istreambuf_iterator<char>(in), {}};
+    ASSERT_FALSE(text.empty()) << name;
+    obs::JsonValue doc;
+    std::string error;
+    ASSERT_TRUE(obs::json_parse(text, &doc, &error)) << name << ": " << error;
+    size_t parsed = 0;
+    const int mutants = 150;
+    for (int m = 0; m < mutants; ++m) {
+      std::string mutant = text;
+      for (uint64_t edits = 1 + rng.next_below(3); edits > 0 && !mutant.empty(); --edits) {
+        // `at` picks a byte, and the line holding it spans [bol, eol].
+        const size_t at = rng.next_below(mutant.size());
+        const size_t nl = at == 0 ? std::string::npos : mutant.rfind('\n', at - 1);
+        const size_t bol = nl == std::string::npos ? 0 : nl + 1;
+        const size_t eol = std::min(mutant.find('\n', at), mutant.size() - 1);
+        const char byte = rng.next_below(2) ? kSyntax[rng.next_below(sizeof(kSyntax) - 1)]
+                                            : static_cast<char>(rng.next_below(256));
+        switch (rng.next_below(6)) {
+          case 0: mutant.erase(at, 1); break;
+          case 1: mutant.insert(at, 1, byte); break;
+          case 2: mutant[at] = byte; break;
+          case 3: mutant.erase(bol, eol + 1 - bol); break;
+          case 4: mutant.insert(bol, mutant.substr(bol, eol + 1 - bol)); break;
+          default: mutant.resize(at); break;
+        }
+      }
+      error.clear();
+      if (obs::json_parse(mutant, &doc, &error)) {
+        ++parsed;
+        continue;
+      }
+      const size_t cut = error.rfind(" at byte ");
+      ASSERT_NE(cut, std::string::npos) << name << ": rejected without an offset: " << error;
+      EXPECT_GT(cut, 0u) << name << ": rejected without a reason: " << error;
+      EXPECT_LE(std::stoull(error.substr(cut + 9)), mutant.size()) << name << ": " << error;
+    }
+    // The mutants reach the accepting paths too (a digit replaced, a
+    // duplicated row inside an array), not only the rejections.
+    EXPECT_GT(parsed, 0u) << name;
+    EXPECT_LT(parsed, static_cast<size_t>(mutants)) << name;
+  }
 }
 
 TEST(Memory, LedgerTracksLiveBytesAndContainerFootprint) {

@@ -87,7 +87,7 @@ TEST(MulticastAndTrees, PayloadReachesAllMembers) {
   for (NodeId u = 10; u < 30; ++u) members.push_back({u, 1});
   members.push_back({5, 2});
   members.push_back({40, 2});
-  auto setup = setup_multicast_trees(shared, net, members);
+  auto setup = setup_multicast_trees(shared, net, members, /*ell1_hat=*/0);
   EXPECT_GT(setup.trees.congestion, 0u);
 
   std::vector<MulticastSend> sends = {{1, 3, Val{111, 0}}, {2, 41, Val{222, 0}}};
@@ -116,7 +116,7 @@ TEST(MultiAggregation, MinOverGroupPayloads) {
     members.push_back({u, 100 + (u % 4)});
     members.push_back({u, 100 + ((u + 1) % 4)});
   }
-  auto setup = setup_multicast_trees(shared, net, members);
+  auto setup = setup_multicast_trees(shared, net, members, /*ell1_hat=*/0);
   std::vector<MulticastSend> sends;
   for (NodeId s = 0; s < 4; ++s)
     sends.push_back({100 + s, s, Val{(s + 1) * 10ull, 0}});
@@ -132,10 +132,12 @@ TEST(MultiAggregation, MinOverGroupPayloads) {
 
 // Barrier counts. Each primitive's rounds are the rounds of its phases plus
 // k barriers of 2 * agg_steps + 2 rounds: a barrier follows only the phases
-// whose length no node knows (route_down, route_up, the batched injection),
-// never one of known length (the random deliveries, the final round). The
-// inputs give every sender at most log n items, so each handoff and
-// injection takes one round.
+// whose length no node knows (route_down, route_up, and the batched injection
+// when no bound l1_hat on the items per node is given), never one of known
+// length (the random deliveries, the final round, an injection with a bound).
+// The inputs give every sender at most log n items, so each handoff and
+// unbounded injection takes one round; a bounded one takes
+// max(1, ceil(l1_hat / log n)) rounds whatever the senders hold.
 namespace {
 uint64_t barrier_rounds(const Shared& shared) { return 2ull * shared.topo().agg_steps() + 2; }
 }  // namespace
@@ -155,13 +157,78 @@ TEST(BarrierCount, AggregationHasTwo) {
   EXPECT_EQ(net.rounds(), res.rounds);
 }
 
+TEST(BarrierCount, AggregationWithItemBoundHasOne) {
+  const NodeId n = 64;
+  Network net = make_net(n);
+  Shared shared(n, 42);
+  AggregationProblem prob;
+  prob.combine = agg::sum;
+  prob.target = [](uint64_t g) { return static_cast<NodeId>(g % 64); };
+  prob.ell1_hat = 1;
+  prob.ell2_hat = 13;
+  for (NodeId u = 0; u < n; ++u) prob.items.push_back({u, u % 3, Val{1, 0}});
+  auto res = run_aggregation(shared, net, prob);
+  // injection (1 round) + route_down + delivery + 1 barrier
+  EXPECT_EQ(res.rounds, 1 + res.route.rounds + 3 + barrier_rounds(shared));
+  EXPECT_EQ(net.rounds(), res.rounds);
+  ASSERT_EQ(res.at_target.size(), 3u);
+  for (uint64_t g = 0; g < 3; ++g) EXPECT_EQ(res.at_target.at(g)[0], g == 0 ? 22u : 21u);
+}
+
+TEST(BarrierCount, ItemBoundFixesTheInjectionLength) {
+  const NodeId n = 64;
+  Network net = make_net(n);
+  Shared shared(n, 42);
+  AggregationProblem prob;
+  prob.combine = agg::sum;
+  prob.target = [](uint64_t g) { return static_cast<NodeId>(g % 64); };
+  prob.ell1_hat = 13;  // ceil(13 / log n) = 3 injection rounds
+  prob.ell2_hat = 1;
+  // Every node holds a single item, yet the injection lasts the bound's
+  // three rounds: that length, not the items held, is what every node knows.
+  for (NodeId u = 0; u < n; ++u) prob.items.push_back({u, u % 3, Val{1, 0}});
+  auto res = run_aggregation(shared, net, prob);
+  // injection + route_down + delivery (1 round) + 1 barrier
+  EXPECT_EQ(res.rounds, 3 + res.route.rounds + 1 + barrier_rounds(shared));
+  EXPECT_EQ(net.rounds(), res.rounds);
+}
+
+TEST(BarrierCountDeathTest, SenderOverItsItemBoundAborts) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  auto over = [] {
+    const NodeId n = 64;
+    Network net = make_net(n);
+    Shared shared(n, 42);
+    AggregationProblem prob;
+    prob.combine = agg::sum;
+    prob.target = [](uint64_t g) { return static_cast<NodeId>(g % 64); };
+    prob.ell1_hat = 1;
+    prob.items.push_back({5, 1, Val{1, 0}});
+    prob.items.push_back({5, 2, Val{1, 0}});  // node 5 holds two items
+    run_aggregation(shared, net, prob);
+  };
+  EXPECT_DEATH(over(), "a sender holds more items than its bound");
+}
+
+TEST(BarrierCount, MulticastSetupWithItemBoundHasOne) {
+  const NodeId n = 64;
+  Network net = make_net(n);
+  Shared shared(n, 99);
+  std::vector<MulticastMembership> members;
+  for (NodeId u = 10; u < 40; ++u) members.push_back({u, 1 + u % 2});
+  auto setup = setup_multicast_trees(shared, net, members, /*ell1_hat=*/1);
+  // injection + route_down + 1 barrier
+  EXPECT_EQ(setup.rounds, 1 + setup.route.rounds + barrier_rounds(shared));
+  EXPECT_EQ(net.rounds(), setup.rounds);
+}
+
 TEST(BarrierCount, MulticastSetupHasTwoAndMulticastOne) {
   const NodeId n = 64;
   Network net = make_net(n);
   Shared shared(n, 99);
   std::vector<MulticastMembership> members;
   for (NodeId u = 10; u < 40; ++u) members.push_back({u, 1 + u % 2});
-  auto setup = setup_multicast_trees(shared, net, members);
+  auto setup = setup_multicast_trees(shared, net, members, /*ell1_hat=*/0);
   // injection + route_down + 2 barriers
   EXPECT_EQ(setup.rounds, 1 + setup.route.rounds + 2 * barrier_rounds(shared));
 
@@ -179,7 +246,7 @@ TEST(BarrierCount, MultiAggregationHasThree) {
   Shared shared(n, 5);
   std::vector<MulticastMembership> members;
   for (NodeId u = 4; u < n; ++u) members.push_back({u, 100 + (u % 4)});
-  auto setup = setup_multicast_trees(shared, net, members);
+  auto setup = setup_multicast_trees(shared, net, members, /*ell1_hat=*/0);
   std::vector<MulticastSend> sends;
   for (NodeId s = 0; s < 4; ++s) sends.push_back({100 + s, s, Val{s, 0}});
   // Every group has a source, so every leaf record redistributes one packet

@@ -19,7 +19,8 @@
 // --require-memory a file with no live_msg_bytes counter fails (the
 // determinism/CI gates assert the new tracks actually exist instead of
 // silently passing empty traces).
-// Exit 0 when every file passes, 1 otherwise.
+// Exit 0 when every file passes, 1 when one fails, 2 on a usage error (no
+// trace file named).
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -190,7 +191,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: trace_check [--require-flows] [--require-memory] "
                  "trace.json [...]\n");
-    return 1;
+    return 2;
   }
   bool ok = true;
   for (const std::string& p : paths) ok &= check_trace(p, opts);
