@@ -4,69 +4,42 @@
 #include <vector>
 
 #include "common/assert.hpp"
-#include "engine/node_program.hpp"
+#include "engine/engine.hpp"
 #include "obs/tracer.hpp"
 
 namespace ncc {
 
 namespace {
 constexpr uint32_t kTagToken = 0x5000;
-
-// Gossip as a NodeProgram: in round r, node u sends its token to the next
-// `cap` nodes in cyclic order — every node receives exactly `cap` distinct
-// tokens per round, saturating the receive capacity, which is what makes the
-// bound tight. The round-global cursor advances in done(), at the barrier.
-class GossipProgram final : public NodeProgram {
- public:
-  explicit GossipProgram(Network& net)
-      : net_(net), n_(net.n()), received_(net.n(), 1) {
-    batch_ = next_batch();
-  }
-
-  void step(NodeId u, uint64_t, const InboxView&, Network& out) override {
-    for (uint64_t j = 1; j <= batch_; ++j) {
-      NodeId dst = static_cast<NodeId>((u + sent_offset_ + j) % n_);
-      out.send(u, dst, kTagToken, {u});
-    }
-  }
-
-  bool done(uint64_t) override {
-    // received[u] counts tokens at u (own token known from the start).
-    for (NodeId u = 0; u < n_; ++u)
-      received_[u] += static_cast<uint32_t>(net_.inbox(u).size());
-    sent_offset_ += batch_;
-    if (sent_offset_ >= n_ - 1) return true;
-    batch_ = next_batch();
-    return false;
-  }
-
-  bool complete() const {
-    for (NodeId u = 0; u < n_; ++u)
-      if (received_[u] != n_) return false;
-    return true;
-  }
-
- private:
-  uint64_t next_batch() const {
-    return std::min<uint64_t>(net_.cap(), n_ - 1 - sent_offset_);
-  }
-
-  Network& net_;
-  NodeId n_;
-  std::vector<uint32_t> received_;
-  uint64_t sent_offset_ = 0;  // how many cyclic successors served so far
-  uint64_t batch_ = 0;
-};
-
 }  // namespace
 
+// In round r, node u sends its token to the next `batch` nodes in cyclic
+// order (batch = cap until the last round), so every node receives exactly
+// `cap` distinct tokens per round, saturating the receive capacity, which is
+// what makes the bound tight.
 GossipResult run_gossip(Network& net, uint64_t max_rounds) {
   obs::Span span(net, "gossip");
-  GossipProgram prog(net);
-  ProgramResult run = run_program(net, prog, max_rounds);
+  const NodeId n = net.n();
+  // received[u] counts tokens at u (own token known from the start).
+  std::vector<uint32_t> received(n, 1);
+  uint64_t sent_offset = 0;  // how many cyclic successors served so far
   GossipResult res;
-  res.rounds = run.rounds;
-  res.complete = prog.complete();
+  while (res.rounds < max_rounds) {
+    const uint64_t batch = std::min<uint64_t>(net.cap(), n - 1 - sent_offset);
+    engine_send_loop(net, n, [&](uint64_t u, Network& out) {
+      for (uint64_t j = 1; j <= batch; ++j)
+        out.send(static_cast<NodeId>(u), static_cast<NodeId>((u + sent_offset + j) % n),
+                 kTagToken, {u});
+    });
+    net.end_round();
+    ++res.rounds;
+    for (NodeId u = 0; u < n; ++u)
+      received[u] += static_cast<uint32_t>(net.inbox(u).size());
+    sent_offset += batch;
+    if (sent_offset >= n - 1) break;
+  }
+  res.complete = std::all_of(received.begin(), received.end(),
+                             [n](uint32_t c) { return c == n; });
   return res;
 }
 

@@ -90,9 +90,11 @@ std::vector<ExchangeEntry> root_deliveries(const Overlay& topo, const Network& n
 /// holds, and the callers start route_up right after it, without a barrier.
 /// That takes k (or a bound on it) to be an input every node knows, as the
 /// paper's l_hat is: in its multicast every source holds one payload, so the
-/// handoff is a single round. bench_hotkey's uniform rows source 32 payloads
-/// per node (a 6-round handoff at n = 64); its harness fixes that count, as
-/// it fixes the ell_hat it passes, before the wave starts.
+/// handoff is a single round. A source of several groups takes one round
+/// per batch: test_extensions' MultiSourceMulticast.OneNodeSourcesManyGroups
+/// (40 payloads at one node, a 7-round handoff at n = 64) and
+/// ExchangeRunner.MulticastHandoffTakesOneRoundPerBatch fix that count
+/// before the run starts, as the caller fixes the ell_hat it passes.
 FlatMap<Val> hand_off_to_roots(const Overlay& topo, Network& net, const MulticastTrees& trees,
                                const std::vector<MulticastSend>& sends, uint32_t tag);
 

@@ -288,6 +288,7 @@ ScenarioRunResult run_aggregate_scenario(Network& net, const Graph& g,
   TrafficStream stream(spec, groups, spec.seed);
   ScenarioRunResult r;
   uint64_t algo_rounds = 0, received = 0, exact = 0, misrouted = 0, checks = 0;
+  uint64_t routed = 0;
   for (uint32_t w = 0; w < spec.request_waves; ++w) {
     AggregationProblem prob;
     prob.combine = agg::sum;
@@ -310,6 +311,7 @@ ScenarioRunResult run_aggregate_scenario(Network& net, const Graph& g,
     }
     algo_rounds += res.rounds;
     misrouted += res.route.misrouted;
+    routed += res.route.packets_moved;
     checks += groups;
     sample_cache(r, net, cache.get());
   }
@@ -325,9 +327,37 @@ ScenarioRunResult run_aggregate_scenario(Network& net, const Graph& g,
   r.counters = {{"algo_rounds", algo_rounds},
                 {"groups", groups},
                 {"values_received", received},
-                {"misrouted", misrouted}};
+                {"misrouted", misrouted},
+                {"routed", routed}};
   append_cache_counters(r, spec, cache.get());
   return r;
+}
+
+/// One request wave of the multicast adapters: every node draws its group
+/// from the traffic stream, joins it, and the wave's trees are set up with
+/// l1_hat = 1 (each node injects its one membership). Node g sources group
+/// g's payload `payload_base + g`.
+struct MulticastWave {
+  std::vector<uint64_t> grp_of;  // node -> its group this wave
+  MulticastSetupResult setup;
+  std::vector<MulticastSend> sends;
+};
+
+MulticastWave setup_wave(const Shared& shared, Network& net, TrafficStream& stream,
+                         uint64_t groups, uint64_t payload_base, uint64_t seed,
+                         CombiningCache* cache) {
+  const NodeId n = net.n();
+  MulticastWave wave;
+  wave.grp_of.resize(n);
+  std::vector<MulticastMembership> members;
+  for (NodeId u = 0; u < n; ++u) {
+    wave.grp_of[u] = stream.group_for(u);
+    members.push_back({u, wave.grp_of[u]});
+  }
+  wave.setup = setup_multicast_trees(shared, net, members, /*ell1_hat=*/1, seed, cache);
+  for (uint64_t grp = 0; grp < groups; ++grp)
+    wave.sends.push_back({grp, static_cast<NodeId>(grp), Val{payload_base + grp, 0}});
+  return wave;
 }
 
 /// Primitives microbench: node g multicasts a payload to group g's members
@@ -336,7 +366,9 @@ ScenarioRunResult run_aggregate_scenario(Network& net, const Graph& g,
 /// is verified — a corrupted cached payload served on a hit counts as
 /// missing, never as silently delivered. With `request_waves > 1` the same
 /// group-keyed payloads are re-requested wave after wave, so a warm
-/// `cache = lru` serves repeat traffic from en-route hits.
+/// `cache = lru` serves repeat traffic from en-route hits. `routed` counts
+/// the overlay packet hops of setup and spread (RouteStats::packets_moved),
+/// the traffic a warm cache cuts.
 ScenarioRunResult run_multicast_scenario(Network& net, const Graph& g,
                                          const ScenarioSpec& spec) {
   const NodeId n = g.n();
@@ -345,36 +377,26 @@ ScenarioRunResult run_multicast_scenario(Network& net, const Graph& g,
   std::unique_ptr<CombiningCache> cache = make_cache(shared, spec);
   TrafficStream stream(spec, groups, spec.seed);
   ScenarioRunResult r;
-  uint64_t setup_rounds = 0, algo_rounds = 0;
+  uint64_t setup_rounds = 0, algo_rounds = 0, routed = 0;
   uint64_t missing = 0, delivered = 0, misrouted = 0, lost_groups = 0;
   for (uint32_t w = 0; w < spec.request_waves; ++w) {
-    std::vector<uint64_t> grp_of(n);
-    std::vector<MulticastMembership> members;
-    for (NodeId u = 0; u < n; ++u) {
-      grp_of[u] = stream.group_for(u);
-      members.push_back({u, grp_of[u]});
-    }
-    // Each node injects its one membership of the wave: l1_hat = 1.
-    MulticastSetupResult setup =
-        setup_multicast_trees(shared, net, members, /*ell1_hat=*/1, spec.seed + w,
-                              cache.get());
-    std::vector<MulticastSend> sends;
-    for (uint64_t grp = 0; grp < groups; ++grp)
-      sends.push_back({grp, static_cast<NodeId>(grp), Val{0x900d + grp, 0}});
-    MulticastResult res = run_multicast(shared, net, setup.trees, sends,
+    MulticastWave wave =
+        setup_wave(shared, net, stream, groups, 0x900d, spec.seed + w, cache.get());
+    MulticastResult res = run_multicast(shared, net, wave.setup.trees, wave.sends,
                                         /*ell_hat=*/1, spec.seed + w, cache.get());
     for (NodeId u = 0; u < n; ++u) {
       bool got = false;
       for (const AggPacket& p : res.received[u])
-        if (p.group == grp_of[u] && p.val[0] == 0x900d + grp_of[u]) got = true;
+        if (p.group == wave.grp_of[u] && p.val[0] == 0x900d + wave.grp_of[u]) got = true;
       if (got) {
         ++delivered;
       } else {
         ++missing;
       }
     }
-    setup_rounds += setup.rounds;
+    setup_rounds += wave.setup.rounds;
     algo_rounds += res.rounds;
+    routed += wave.setup.route.packets_moved + res.route.packets_moved;
     misrouted += res.route.misrouted;
     lost_groups += res.route.lost_groups;
     sample_cache(r, net, cache.get());
@@ -388,7 +410,8 @@ ScenarioRunResult run_multicast_scenario(Network& net, const Graph& g,
                 {"algo_rounds", algo_rounds},
                 {"delivered", delivered},
                 {"misrouted", misrouted},
-                {"lost_groups", lost_groups}};
+                {"lost_groups", lost_groups},
+                {"routed", routed}};
   append_cache_counters(r, spec, cache.get());
   return r;
 }
@@ -406,34 +429,25 @@ ScenarioRunResult run_multi_aggregation_scenario(Network& net, const Graph& g,
   std::unique_ptr<CombiningCache> cache = make_cache(shared, spec);
   TrafficStream stream(spec, groups, spec.seed);
   ScenarioRunResult r;
-  uint64_t setup_rounds = 0, algo_rounds = 0;
+  uint64_t setup_rounds = 0, algo_rounds = 0, routed = 0;
   uint64_t wrong = 0, delivered = 0, misrouted = 0, lost_groups = 0;
   for (uint32_t w = 0; w < spec.request_waves; ++w) {
-    std::vector<uint64_t> grp_of(n);
-    std::vector<MulticastMembership> members;
-    for (NodeId u = 0; u < n; ++u) {
-      grp_of[u] = stream.group_for(u);
-      members.push_back({u, grp_of[u]});
-    }
-    // Each node injects its one membership of the wave: l1_hat = 1.
-    MulticastSetupResult setup =
-        setup_multicast_trees(shared, net, members, /*ell1_hat=*/1, spec.seed + w,
-                              cache.get());
-    std::vector<MulticastSend> sends;
-    for (uint64_t grp = 0; grp < groups; ++grp)
-      sends.push_back({grp, static_cast<NodeId>(grp), Val{0xa66 + grp, 0}});
+    MulticastWave wave =
+        setup_wave(shared, net, stream, groups, 0xa66, spec.seed + w, cache.get());
     MultiAggregationResult res =
-        run_multi_aggregation(shared, net, setup.trees, sends, agg::sum,
+        run_multi_aggregation(shared, net, wave.setup.trees, wave.sends, agg::sum,
                               spec.seed + w, nullptr, cache.get());
     for (NodeId u = 0; u < n; ++u) {
-      if (res.at_node[u] && (*res.at_node[u])[0] == 0xa66 + grp_of[u]) {
+      if (res.at_node[u] && (*res.at_node[u])[0] == 0xa66 + wave.grp_of[u]) {
         ++delivered;
       } else {
         ++wrong;
       }
     }
-    setup_rounds += setup.rounds;
+    setup_rounds += wave.setup.rounds;
     algo_rounds += res.rounds;
+    routed += wave.setup.route.packets_moved + res.up_route.packets_moved +
+              res.down_route.packets_moved;
     misrouted += res.up_route.misrouted + res.down_route.misrouted;
     lost_groups += res.up_route.lost_groups + res.down_route.lost_groups;
     sample_cache(r, net, cache.get());
@@ -448,7 +462,8 @@ ScenarioRunResult run_multi_aggregation_scenario(Network& net, const Graph& g,
                 {"algo_rounds", algo_rounds},
                 {"delivered", delivered},
                 {"misrouted", misrouted},
-                {"lost_groups", lost_groups}};
+                {"lost_groups", lost_groups},
+                {"routed", routed}};
   append_cache_counters(r, spec, cache.get());
   return r;
 }

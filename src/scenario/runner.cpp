@@ -164,6 +164,9 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec, const RunOptions& opts) {
   out.corrupted = st.corrupted;
   out.crashed = faults.crashed_count();
   out.failed = verdict_failed(out.expect, out) || !within_node_capacity(st, net.cap());
+  out.counters = std::move(result.counters);
+  out.container_bytes_peak = net.mem_stats().container_bytes_peak;
+  out.net_allocs = net.mem_stats().allocs;
   if (ledger) out.peak_live_bytes = ledger->peak_live_bytes();
   if (opts.collect_trace && tracer) {
     std::ostringstream label;
@@ -203,7 +206,7 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec, const RunOptions& opts) {
   w.kv("max_recv_load", st.max_recv_load);
   w.key("counters");
   w.begin_object();
-  for (const auto& [k, v] : result.counters) w.kv(k, v);
+  for (const auto& [k, v] : out.counters) w.kv(k, v);
   w.end_object();
   w.key("per_round");
   ledger->write_per_round_json(w);

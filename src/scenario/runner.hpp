@@ -7,15 +7,19 @@
 // `memory` are off: the determinism checks compare its bytes across
 // `ncc_run --threads` values. With `timing` on, a trailing "timing" section
 // adds wall-clock; with `memory` on, a trailing "memory" section adds
-// container capacities and allocation counts. Both are excluded from the
-// determinism contract (wall time is non-reproducible, capacities depend on
-// buffer-reuse history); the deterministic halves of observability — spans,
-// congestion, sampled flows, per-round live bytes — stay in the compared
-// bytes.
+// container capacities and allocation counts. Neither is part of the
+// threads-1-vs-T contract: wall time is non-reproducible, and capacities
+// depend on buffer-reuse history. The capacities are still a fixed function
+// of the code for a fixed workload, so the ledger golden
+// (tests/golden/ledger.json) pins them for its cells. The deterministic
+// halves of observability — spans, congestion, sampled flows, per-round live
+// bytes — stay in the compared bytes.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "net/network.hpp"
 #include "obs/trace_export.hpp"
@@ -26,9 +30,9 @@ namespace ncc::scenario {
 struct RunOptions {
   /// Emit the non-deterministic "timing" section (wall_ms).
   bool timing = true;
-  /// Emit the non-deterministic "memory" section (container capacities and
-  /// allocation counts; see obs::RoundLedger). Off by default — like
-  /// timing it must never reach determinism-compared bytes.
+  /// Emit the observational "memory" section (container capacities and
+  /// allocation counts; see obs::RoundLedger). Off by default; like timing
+  /// it stays out of the catalog and sweep goldens.
   bool memory = false;
   /// Assemble the full per-run JSON document. The sweep driver turns this
   /// off — it builds compact per-cell records from the outcome fields and
@@ -62,6 +66,14 @@ struct ScenarioOutcome {
   /// Deterministic: max bytes of messages in flight in any one round (0 when
   /// observability was off for this run).
   uint64_t peak_live_bytes = 0;
+  /// The adapter's deterministic counters (ScenarioRunResult::counters);
+  /// empty when the run ended before the adapter returned.
+  std::vector<std::pair<std::string, uint64_t>> counters;
+  /// Observational: the network's peak container capacity and growth events
+  /// (NetMemStats::container_bytes_peak / allocs), emitted only under
+  /// RunOptions::memory.
+  uint64_t container_bytes_peak = 0;
+  uint64_t net_allocs = 0;
   std::string json;  // one JSON object describing the run
   /// Trace-export payload; populated only when RunOptions::collect_trace.
   obs::TraceCell trace;

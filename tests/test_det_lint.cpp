@@ -1,16 +1,20 @@
 // det_lint rule-engine tests: manifest parsing/classification, every rule on
 // its golden fixture (firing / suppressed / clean), suppression grammar
-// errors, report determinism, and the two acceptance gates — the full tree
+// errors, report determinism, the two acceptance gates — the full tree
 // lints clean, and a seeded unordered_map iteration in overlay/router.cpp is
-// caught with a file:line report.
+// caught with a file:line report — and a seeded mutation test of the lexer
+// and the manifest parser.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "lint/det_lint.hpp"
 
 using ncc::lint::FileClass;
@@ -251,6 +255,87 @@ TEST(Tree, WalkIsDeterministic) {
   ASSERT_TRUE(ncc::lint::lint_tree(repo_root(), manifest, {"src"}, &r1, &err));
   ASSERT_TRUE(ncc::lint::lint_tree(repo_root(), manifest, {"src"}, &r2, &err));
   EXPECT_EQ(ncc::lint::format_report(r1), ncc::lint::format_report(r2));
+}
+
+// Seeded mutation test of the lexer and the manifest parser: four mutants of
+// every file under src/, each one to three edits (a byte, a line, or the
+// tail), with inserted bytes biased toward the characters the lexer's states
+// turn on (quotes, comment openers, escapes, raw-string delimiters,
+// newlines). Every mutant is
+// linted in every file class: each call returns, each finding points at a
+// line the mutant has (a trailing newline may open one more), and a second
+// lint of the same bytes reports the same findings. Manifest mutants either
+// parse or are rejected with a message.
+TEST(LintFuzz, MutatedSourcesLintOrReport) {
+  static const char kLexer[] = "\"'/*\\R()\n";
+  ncc::Rng rng(0x11f7f022);
+  auto mutate = [&rng](std::string text) {
+    for (uint64_t edits = 1 + rng.next_below(3); edits > 0 && !text.empty(); --edits) {
+      // `at` picks a byte, and the line holding it spans [bol, eol].
+      const size_t at = rng.next_below(text.size());
+      const size_t nl = at == 0 ? std::string::npos : text.rfind('\n', at - 1);
+      const size_t bol = nl == std::string::npos ? 0 : nl + 1;
+      const size_t eol = std::min(text.find('\n', at), text.size() - 1);
+      const char byte = rng.next_below(4) ? kLexer[rng.next_below(sizeof(kLexer) - 1)]
+                                          : static_cast<char>(rng.next_below(256));
+      switch (rng.next_below(6)) {
+        case 0: text.erase(at, 1); break;
+        case 1: text.insert(at, 1, byte); break;
+        case 2: text[at] = byte; break;
+        case 3: text.erase(bol, eol + 1 - bol); break;
+        case 4: text.insert(bol, text.substr(bol, eol + 1 - bol)); break;
+        default: text.resize(at); break;
+      }
+    }
+    return text;
+  };
+  auto key = [](const std::vector<Finding>& fs) {
+    std::vector<std::tuple<std::string, uint32_t, std::string, std::string>> k;
+    for (const Finding& f : fs) k.emplace_back(f.file, f.line, f.rule, f.detail);
+    return k;
+  };
+
+  std::vector<std::filesystem::path> sources;
+  for (const auto& e : std::filesystem::recursive_directory_iterator(repo_root() + "/src"))
+    if (e.is_regular_file()) sources.push_back(e.path());
+  std::sort(sources.begin(), sources.end());
+  ASSERT_GT(sources.size(), 80u);
+  uint64_t findings = 0;
+  for (const std::filesystem::path& path : sources) {
+    const std::string label = path.lexically_relative(repo_root()).string();
+    const std::string text = read_file(path.string());
+    for (int m = 0; m < 4; ++m) {
+      const std::string mutant = mutate(text);
+      const uint32_t lines =
+          1 + static_cast<uint32_t>(std::count(mutant.begin(), mutant.end(), '\n'));
+      for (FileClass cls :
+           {FileClass::Deterministic, FileClass::Mixed, FileClass::Observational}) {
+        std::vector<Finding> first, second;
+        ncc::lint::lint_file(label, mutant, cls, &first);
+        ncc::lint::lint_file(label, mutant, cls, &second);
+        EXPECT_EQ(key(first), key(second)) << label;
+        for (const Finding& f : first)
+          EXPECT_LE(f.line, lines + 1) << label << ": " << f.rule << " " << f.detail;
+        findings += first.size();
+      }
+    }
+  }
+  // The mutants reach the reporting paths, not only the clean ones.
+  EXPECT_GT(findings, 0u);
+
+  const std::string manifest = read_file(repo_root() + "/tools/det_lint_manifest.txt");
+  uint64_t rejected = 0;
+  const int mutants = 300;
+  for (int m = 0; m < mutants; ++m) {
+    Manifest out;
+    std::string err;
+    if (!ncc::lint::parse_manifest(mutate(manifest), &out, &err)) {
+      ++rejected;
+      EXPECT_FALSE(err.empty()) << "manifest mutant " << m << " rejected without a message";
+    }
+  }
+  EXPECT_GT(rejected, 0u);
+  EXPECT_LT(rejected, static_cast<uint64_t>(mutants));
 }
 
 }  // namespace

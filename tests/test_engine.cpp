@@ -1,16 +1,12 @@
-// Unit tests for the round engine: the send loop, end_round delivery, the
-// message arena, and the NodeProgram runner. The recurring assertion is
-// that attaching an Engine only adds timing: every observable effect is the
-// same with and without one.
+// Unit tests for the round engine: the send loop, end_round delivery and the
+// message arena. The recurring assertion is that attaching an Engine only
+// adds timing: every observable effect is the same with and without one.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <numeric>
 #include <optional>
 
-#include "common/bits.hpp"
 #include "engine/engine.hpp"
-#include "engine/node_program.hpp"
 #include "net/message.hpp"
 
 using namespace ncc;
@@ -135,41 +131,6 @@ TEST(Network, DeliveryHookOrderIsSequentialUnderEngine) {
   EXPECT_TRUE(std::is_sorted(seq.begin(), seq.end()));  // destination order
 }
 
-namespace {
-
-/// Doubling min-gossip: each round every node folds its inbox into its own
-/// minimum and forwards the minimum to the node 2^round ahead. After
-/// ceil(log2 n) rounds everyone knows the global minimum (node 0's id).
-class MinFloodProgram final : public NodeProgram {
- public:
-  explicit MinFloodProgram(NodeId n) : n_(n), cur_(n) {
-    std::iota(cur_.begin(), cur_.end(), uint64_t{0});
-  }
-
-  void step(NodeId u, uint64_t round, const InboxView& inbox,
-            Network& out) override {
-    for (const Message& m : inbox) cur_[u] = std::min(cur_[u], m.word(0));
-    NodeId dst = static_cast<NodeId>((u + (uint64_t{1} << round)) % n_);
-    if (dst != u) out.send(u, dst, 1, {cur_[u]});
-  }
-
-  bool done(uint64_t rounds_run) override { return rounds_run >= cap_log(n_) + 1; }
-
-  /// Sequential post-pass: fold the final round's inboxes.
-  void finish(const Network& net) {
-    for (NodeId u = 0; u < n_; ++u)
-      for (const Message& m : net.inbox(u)) cur_[u] = std::min(cur_[u], m.word(0));
-  }
-
-  const std::vector<uint64_t>& values() const { return cur_; }
-
- private:
-  NodeId n_;
-  std::vector<uint64_t> cur_;
-};
-
-}  // namespace
-
 TEST(MsgArena, RoundTripAndAllocDrain) {
   MsgArena a;
   a.push(Message(3, 4, 7, {10, 20}));
@@ -278,19 +239,4 @@ TEST(Arena, MillionNodeIdBounds) {
   ASSERT_EQ(one.first.size(), probes.size() * (probes.size() - 1));
   for (const auto& [src, dst, w] : one.first)
     EXPECT_EQ(w, (uint64_t{src} << 20) | dst);  // ids round-tripped unmangled
-}
-
-TEST(NodeProgram, MinFloodConvergesWithAndWithoutEngine) {
-  auto run = [](bool engine) {
-    Network net(net_cfg(200, 21));
-    std::optional<Engine> eng;
-    if (engine) eng.emplace(net);
-    MinFloodProgram prog(200);
-    ProgramResult r = run_program(net, prog);
-    prog.finish(net);
-    return std::make_tuple(prog.values(), r.rounds, net.stats().messages_sent);
-  };
-  auto seq = run(false);
-  EXPECT_EQ(seq, run(true));
-  for (uint64_t v : std::get<0>(seq)) EXPECT_EQ(v, 0u);
 }

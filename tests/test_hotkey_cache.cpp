@@ -7,11 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "overlay/cache.hpp"
 #include "primitives/aggregation.hpp"
+#include "primitives/multicast.hpp"
 #include "scenario/cells.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
@@ -214,6 +217,8 @@ TEST(HotkeyScenario, WarmWavesHitAndNeverLoseDeliveries) {
   // Cache-served members still count delivered — completeness is preserved.
   EXPECT_EQ(json_counter(on.json, "delivered"), json_counter(off.json, "delivered"));
   EXPECT_LE(on.messages, off.messages);
+  // Hits cut the climbs and spreads the cache short-circuits.
+  EXPECT_LT(json_counter(on.json, "routed"), json_counter(off.json, "routed"));
 }
 
 TEST(HotkeyScenario, AggregatesStayExactWithAbsorbers) {
@@ -238,6 +243,70 @@ TEST(HotkeyScenario, MultiAggregationServesAndStaysExact) {
   ScenarioOutcome out = run_scenario(parse_ok(spec), opts);
   EXPECT_TRUE(out.ok) << out.verdict;
   EXPECT_GT(json_counter(out.json, "cache_hits"), 0u);
+}
+
+// The fresh-key control: request waves whose group ids never repeat can never
+// hit, so an LRU cache only admits and evicts. Admissions and lookups send no
+// messages, so rounds, messages and overlay hops must equal the uncached
+// run's exactly, and every request must still get its own payload. (The
+// scenario adapters' uniform traffic repeats groups across waves, so this
+// control runs on the primitives directly.)
+TEST(HotkeyPrimitive, FreshKeysNeverHitAndLeaveRoutingUnchanged) {
+  constexpr NodeId kNodes = 64;
+  constexpr uint32_t kWaves = 6;
+  constexpr uint64_t kRequests = 256;  // per wave, each a new group
+  struct Run {
+    uint64_t rounds = 0, messages = 0, routed = 0, hits = 0, evictions = 0;
+  };
+  auto run = [&](uint32_t cache_size) {
+    Network net(NetConfig{.n = kNodes, .capacity_factor = 16, .seed = 45});
+    Shared shared(kNodes, 45, OverlayKind::kButterfly);
+    std::unique_ptr<CombiningCache> cache;
+    if (cache_size)
+      cache = std::make_unique<CombiningCache>(shared.topo().node_count(), cache_size);
+    Rng rng(0x40719e7);
+    Run r;
+    for (uint32_t w = 0; w < kWaves; ++w) {
+      std::vector<MulticastMembership> members;
+      std::vector<MulticastSend> sends;
+      std::vector<uint32_t> per_member(kNodes, 0);
+      for (uint64_t i = 0; i < kRequests; ++i) {
+        const NodeId member = static_cast<NodeId>(rng.next_below(kNodes));
+        const uint64_t group = 0x100000 + w * kRequests + i;
+        members.push_back({member, group});
+        sends.push_back({group, static_cast<NodeId>(group % kNodes), Val{0xca11 + group, 0}});
+        ++per_member[member];
+      }
+      const uint32_t ell_hat =
+          std::max<uint32_t>(1, *std::max_element(per_member.begin(), per_member.end()));
+      MulticastSetupResult setup = setup_multicast_trees(
+          shared, net, members, /*ell1_hat=*/0, 2ull * w + 1, cache.get());
+      MulticastResult res = run_multicast(shared, net, setup.trees, sends, ell_hat,
+                                          2ull * w + 2, cache.get());
+      r.routed += setup.route.packets_moved + res.route.packets_moved;
+      for (const MulticastMembership& mm : members) {
+        const auto& got = res.received[mm.member];
+        EXPECT_TRUE(std::any_of(got.begin(), got.end(), [&](const AggPacket& p) {
+          return p.group == mm.group && p.val[0] == 0xca11 + mm.group;
+        })) << "wave " << w << " group " << mm.group;
+      }
+    }
+    r.rounds = net.stats().rounds;
+    r.messages = net.stats().messages_sent;
+    if (cache) {
+      r.hits = cache->stats().hits;
+      r.evictions = cache->stats().evictions;
+    }
+    return r;
+  };
+  const Run off = run(0);
+  const Run lru = run(2);
+  EXPECT_EQ(lru.rounds, off.rounds);
+  EXPECT_EQ(lru.messages, off.messages);
+  EXPECT_EQ(lru.routed, off.routed);
+  EXPECT_GT(off.routed, 0u);
+  EXPECT_EQ(lru.hits, 0u);
+  EXPECT_GT(lru.evictions, 0u);
 }
 
 // The acceptance check: hits/evictions (and therefore the whole JSON) are

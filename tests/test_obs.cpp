@@ -630,15 +630,14 @@ TEST(JsonCheck, ParsesGoodAndRejectsBadDocuments) {
 }
 
 // Seeded mutation test of the JSON reader over the repo's committed JSON
-// (the sweep golden and the three bench ledgers): every mutant, one to three
+// (the sweep golden and the counter-ledger golden): every mutant, one to three
 // edits of a byte, a line or the tail, must parse or be rejected with a
 // message that names a byte offset inside the document, never crash.
 TEST(JsonFuzz, MutatedDocumentsParseOrReject) {
   // Bytes the grammar turns on, drawn half the time; the rest are any byte.
   static const char kSyntax[] = "{}[]\",:\\-+.eE0123456789tfnul \n";
   Rng rng(0x15011f022);
-  for (const char* name : {"tests/golden/sweeps.json", "BENCH_engine.json",
-                           "BENCH_overlay.json", "BENCH_hotkey.json"}) {
+  for (const char* name : {"tests/golden/sweeps.json", "tests/golden/ledger.json"}) {
     std::ifstream in(std::string(NCC_SOURCE_DIR) + "/" + name);
     const std::string text{std::istreambuf_iterator<char>(in), {}};
     ASSERT_FALSE(text.empty()) << name;

@@ -617,11 +617,11 @@ TEST(OverlayEquivalence, AllAlgorithmsAgreeAcrossOverlays) {
       ScenarioRunResult res = fn(net, *graph, spec);
       EXPECT_TRUE(res.ok) << algo << " on " << overlay_name(kind) << ": "
                           << res.verdict;
-      // Output-shaped counters must agree; round-shaped ones may not (that
-      // is the point of swapping the overlay).
+      // Output-shaped counters must agree; cost-shaped ones (rounds, routed
+      // overlay hops) may not (that is the point of swapping the overlay).
       std::map<std::string, uint64_t> outputs;
       for (const auto& [k, v] : res.counters)
-        if (k.find("rounds") == std::string::npos) outputs[k] = v;
+        if (k.find("rounds") == std::string::npos && k != "routed") outputs[k] = v;
       if (kind == OverlayKind::kButterfly) {
         verdict0 = res.verdict;
         outputs0 = outputs;

@@ -21,9 +21,9 @@
 //                    function of (spec, seed), byte-identical across --threads
 //                    values (the determinism contract extends through faults)
 //   --memory         append the observational "memory" section (container
-//                    capacities, allocation counts) to each run's JSON and a
-//                    peak live-bytes column to the per-spec summary; like
-//                    timing, the section is excluded from determinism compares
+//                    capacities, allocation counts) to each run's JSON or
+//                    sweep cell and a peak live-bytes column to the per-spec
+//                    summary; only the ledger golden compares it
 //   --trace PATH     also write a Chrome trace-event file (chrome://tracing /
 //                    ui.perfetto.dev) with one process per run: phase spans,
 //                    per-round congestion + live-message-bytes counters,
@@ -187,10 +187,11 @@ void write_axis_summaries(obs::JsonWriter& w, const SweepSpec& sweep,
   w.end_array();
 }
 
-/// Compact per-cell record for the sweep JSON: verdict + headline counters,
-/// no per-round series (BENCH_sweeps.json is a grid, not a trace).
+/// Compact per-cell record for the sweep JSON: verdict, headline counters and
+/// the adapter's counters, no per-round series (BENCH_sweeps.json is a grid,
+/// not a trace). The observational sections trail: wall_ms, then memory.
 void write_cell_json(obs::JsonWriter& w, const std::string& label,
-                     const ScenarioOutcome& out, bool timing) {
+                     const ScenarioOutcome& out, const RunOptions& opts) {
   w.begin_object();
   w.kv("cell", label);
   w.kv("verdict", out.verdict);
@@ -202,7 +203,18 @@ void write_cell_json(obs::JsonWriter& w, const std::string& label,
   w.kv("fault_drops", out.fault_drops);
   w.kv("corrupted", out.corrupted);
   w.kv("crashed", out.crashed);
-  if (timing) w.kv("wall_ms", out.wall_ms);
+  w.key("counters");
+  w.begin_object();
+  for (const auto& [k, v] : out.counters) w.kv(k, v);
+  w.end_object();
+  if (opts.timing) w.kv("wall_ms", out.wall_ms);
+  if (opts.memory) {
+    w.key("memory");
+    w.begin_object();
+    w.kv("container_bytes_peak", out.container_bytes_peak);
+    w.kv("net_allocs", out.net_allocs);
+    w.end_object();
+  }
   w.end_object();
 }
 
@@ -227,14 +239,13 @@ void print_help() {
       "                function of (spec, seed), byte-identical across\n"
       "                --threads values\n"
       "  --memory      append the observational \"memory\" section to each\n"
-      "                run's JSON (network container capacities and\n"
-      "                allocation counts) and a peak live-bytes column to\n"
-      "                the per-spec summary. Capacities depend on buffer-\n"
-      "                reuse history, so — like timing — the section is\n"
-      "                excluded from determinism-\n"
-      "                compared bytes; the deterministic live-message-bytes\n"
-      "                peak/series are always collected and feed the trace's\n"
-      "                memory counter track\n"
+      "                run's JSON or sweep cell (network container\n"
+      "                capacities and allocation counts) and a peak\n"
+      "                live-bytes column to the per-spec summary.\n"
+      "                Capacities depend on buffer-reuse history, so only\n"
+      "                the ledger golden compares them; the deterministic\n"
+      "                live-message-bytes peak/series are always collected\n"
+      "                and feed the trace's memory counter track\n"
       "  --trace PATH  write a Chrome trace-event file (one process per\n"
       "                run): phase spans, congestion + live-message-bytes\n"
       "                counter tracks, sampled token flow events, and —\n"
@@ -428,7 +439,7 @@ int main(int argc, char** argv) {
       summary.account(out);
       if (out.failed) ++total_failed;
       if (sweep_mode) {
-        write_cell_json(sw, label.empty() ? sweep->name : label, out, opts.timing);
+        write_cell_json(sw, label.empty() ? sweep->name : label, out, opts);
       } else {
         rows.push_back(out.json);
       }
