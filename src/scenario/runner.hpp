@@ -10,8 +10,8 @@
 // container capacities and allocation counts. Neither is part of the
 // threads-1-vs-T contract: wall time is non-reproducible, and capacities
 // depend on buffer-reuse history. The capacities are still a fixed function
-// of the code for a fixed workload, so the ledger golden
-// (tests/golden/ledger.json) pins them for its cells. The deterministic
+// of the code for a fixed workload, so the ledger goldens
+// (tests/golden/ledger_*.json) pin them for their cells. The deterministic
 // halves of observability — spans, congestion, sampled flows, per-round live
 // bytes — stay in the compared bytes.
 #pragma once

@@ -630,14 +630,16 @@ TEST(JsonCheck, ParsesGoodAndRejectsBadDocuments) {
 }
 
 // Seeded mutation test of the JSON reader over the repo's committed JSON
-// (the sweep golden and the counter-ledger golden): every mutant, one to three
+// (the sweep golden and the three counter-ledger goldens): every mutant, one to three
 // edits of a byte, a line or the tail, must parse or be rejected with a
 // message that names a byte offset inside the document, never crash.
 TEST(JsonFuzz, MutatedDocumentsParseOrReject) {
   // Bytes the grammar turns on, drawn half the time; the rest are any byte.
   static const char kSyntax[] = "{}[]\",:\\-+.eE0123456789tfnul \n";
   Rng rng(0x15011f022);
-  for (const char* name : {"tests/golden/sweeps.json", "tests/golden/ledger.json"}) {
+  for (const char* name : {"tests/golden/sweeps.json", "tests/golden/ledger_engine.json",
+                           "tests/golden/ledger_overlay.json",
+                           "tests/golden/ledger_hotkey.json"}) {
     std::ifstream in(std::string(NCC_SOURCE_DIR) + "/" + name);
     const std::string text{std::istreambuf_iterator<char>(in), {}};
     ASSERT_FALSE(text.empty()) << name;
