@@ -19,7 +19,6 @@ void CongestedClique::end_round() {
   for (const Pending& p : pending_) {
     inboxes_[p.dst].emplace_back(p.src, p.word);
     comm_degree_ = std::max(comm_degree_, ++sent[p.src]);
-    if (hook_) hook_(p.src, p.dst, rounds_);
   }
   pending_.clear();
   used_pairs_.clear();

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 // det-lint: allow(unordered-container) — used_pairs_ is a membership guard, never iterated
 #include <unordered_set>
 #include <vector>
@@ -34,11 +33,6 @@ class CongestedClique {
   uint64_t rounds() const { return rounds_; }
   uint64_t messages() const { return messages_; }
 
-  /// Observer invoked per delivered message (k-machine accounting,
-  /// Theorem A.1): (src, dst, round).
-  using DeliveryHook = std::function<void(NodeId, NodeId, uint64_t)>;
-  void set_delivery_hook(DeliveryHook hook) { hook_ = std::move(hook); }
-
   /// Max messages any node sent in a single round so far — the paper's
   /// communication degree complexity Delta' of Theorem A.1.
   uint32_t comm_degree() const { return comm_degree_; }
@@ -56,7 +50,6 @@ class CongestedClique {
   // det-lint: allow(unordered-container) — per-round (src, dst) membership guard; insert/clear only, never iterated
   std::unordered_set<uint64_t> used_pairs_;
   std::vector<std::vector<std::pair<NodeId, uint64_t>>> inboxes_;
-  DeliveryHook hook_;
 };
 
 /// Gossip (all-to-all tokens) in the Congested Clique: exactly 1 round.

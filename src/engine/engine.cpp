@@ -49,6 +49,4 @@ void engine_send_loop(Network& net, uint64_t count, FnRef<void(uint64_t, Network
   }
 }
 
-void Engine::reset_timing() { timing_.assign(1, EngineShardTiming{}); }
-
 }  // namespace ncc

@@ -20,10 +20,10 @@
 namespace ncc {
 
 /// Wall-clock profile of the engine's one shard, accumulated across the
-/// engine's lifetime (or since reset_timing()). Strictly observational:
-/// timing never feeds back into the simulation and is kept out of every
-/// determinism-compared byte stream — emitters gate it behind a timing flag
-/// (see the Perfetto exporter's timing tracks).
+/// engine's lifetime. Strictly observational: timing never feeds back into
+/// the simulation and is kept out of every determinism-compared byte stream
+/// — emitters gate it behind a timing flag (see the Perfetto exporter's
+/// timing tracks).
 struct EngineShardTiming {
   uint64_t stage_ns = 0;    // engine_send_loop step callbacks, sends included
   uint64_t merge_ns = 0;    // always 0: sends go straight to the network
@@ -63,8 +63,6 @@ class Engine {
   const std::vector<EngineShardTiming>& shard_timing() const { return timing_; }
   /// The staged-send memory profile: one entry, always zero.
   const std::vector<EngineShardMemory>& shard_memory() const { return memory_; }
-  /// Clears the timing profile.
-  void reset_timing();
 
  private:
   Network& net_;

@@ -9,8 +9,11 @@
 // w.h.p., because each NCC round moves at most O(n log n) messages whose
 // endpoints are (pairwise) uniformly distributed over the k^2 links.
 //
-// `KMachineTracker` hooks a Network's delivery stream and converts an actual
-// NCC execution into its k-machine cost.
+// `KMachineTracker` subscribes a round hook to a Network and converts an
+// actual NCC execution into its k-machine cost: at the end of every round it
+// folds that round's delivered inboxes into per-link loads and adds the
+// busiest link's load. Messages the network dropped (receive-capacity
+// overflow, faults) were never delivered and load no link.
 #pragma once
 
 #include <cstdint>
@@ -24,7 +27,7 @@ namespace ncc {
 
 class KMachineTracker {
  public:
-  /// Subscribes to `net`'s delivery stream (coexists with any other
+  /// Subscribes to `net`'s round stream (coexists with any other
   /// subscribers) and unsubscribes on destruction. `k` machines, random
   /// vertex partition from `seed`.
   KMachineTracker(Network& net, uint32_t k, uint64_t seed);
@@ -39,27 +42,21 @@ class KMachineTracker {
   /// Sum over NCC rounds of the max per-link message load (the k-machine
   /// round count of the simulation; links are undirected, both directions
   /// share the budgeted bandwidth).
-  uint64_t kmachine_rounds() const;
+  uint64_t kmachine_rounds() const { return kmachine_rounds_; }
 
   /// Messages that crossed machine boundaries / stayed local.
   uint64_t remote_messages() const { return remote_messages_; }
   uint64_t local_messages() const { return local_messages_; }
 
-  void reset();
-
  private:
-  void on_deliver(const Message& m, uint64_t round);
-  uint64_t link_id(uint32_t a, uint32_t b) const;
+  void on_round();
 
   Network& net_;
   Network::HookId hook_id_ = 0;
   uint32_t k_;
   std::vector<uint32_t> machine_;
-  // Per observed NCC round: the max link load (folded incrementally).
-  uint64_t current_round_ = UINT64_MAX;
-  FlatMap<uint32_t> current_loads_;  // incremental fold, never iterated
-  uint32_t current_max_ = 0;
-  uint64_t folded_rounds_ = 0;   // sum of per-round maxima for closed rounds
+  FlatMap<uint32_t> loads_;  // the closing round's per-link loads, never iterated
+  uint64_t kmachine_rounds_ = 0;
   uint64_t remote_messages_ = 0;
   uint64_t local_messages_ = 0;
 };
@@ -72,25 +69,5 @@ double kmachine_bound(NodeId n, uint64_t ncc_rounds, uint32_t k);
 /// in ~O(M_C/k^2 + T_C * Delta'/k) k-machine rounds (polylog omitted).
 double kmachine_cc_bound(uint64_t total_messages, uint64_t cc_rounds,
                          uint32_t comm_degree, uint32_t k);
-
-/// Link-load tracker over a CongestedClique execution: the same per-round
-/// max-link accounting as KMachineTracker, for Theorem A.1 experiments.
-class KMachineCcTracker {
- public:
-  KMachineCcTracker(class CongestedClique& cc, NodeId n, uint32_t k, uint64_t seed);
-
-  uint64_t kmachine_rounds() const;
-  uint32_t machine_of(NodeId u) const { return machine_[u]; }
-
- private:
-  void on_deliver(NodeId src, NodeId dst, uint64_t round);
-
-  uint32_t k_;
-  std::vector<uint32_t> machine_;
-  uint64_t current_round_ = UINT64_MAX;
-  FlatMap<uint32_t> current_loads_;  // incremental fold, never iterated
-  uint32_t current_max_ = 0;
-  uint64_t folded_rounds_ = 0;
-};
 
 }  // namespace ncc

@@ -205,44 +205,11 @@ void Network::end_round() {
   container_bytes += (inbox_off_.capacity() + word_off_.capacity()) * sizeof(uint64_t);
   mem_.container_bytes_peak = std::max(mem_.container_bytes_peak, container_bytes);
 
-  if (!delivery_hooks_.empty()) {
-    // Every subscriber sees the identical stream: (destination, arrival)
-    // order, and within one message the subscribers run in subscription
-    // order. Sorting the touched list walks the destinations in ascending
-    // order without visiting idle nodes (the list's order is not read again:
-    // the next round only zeroes it).
-    std::sort(dst_touched_.begin(), dst_touched_.begin() + touched_cnt_);
-    for (uint32_t t = 0; t < touched_cnt_; ++t) {
-      const NodeId u = dst_touched_[t];
-      const uint64_t off = inbox_off_[u];
-      for (uint32_t i = 0; i < inbox_cnt_[u]; ++i) {
-        const MsgHdr& h = inbox_hdr_[off + i];
-        Message m;
-        m.src = h.src;
-        m.dst = h.dst;
-        m.tag = h.tag;
-        m.nwords = h.nwords;
-        for (uint8_t w = 0; w < h.nwords; ++w) m.words[w] = inbox_words_[h.off + w];
-        for (auto& sub : delivery_hooks_) sub.fn(m, round);
-      }
-    }
-  }
-
   // Capacity survives for the next round's sends.
   mem_.allocs += pending_.take_allocs();
   pending_.clear();
   ++stats_.rounds;
   for (auto& sub : round_hooks_) sub.fn(stats_.rounds - 1, stats_);
-}
-
-Network::HookId Network::add_delivery_hook(DeliveryHook hook) {
-  HookId id = next_hook_id_++;
-  delivery_hooks_.push_back({id, std::move(hook)});
-  return id;
-}
-
-void Network::remove_delivery_hook(HookId id) {
-  std::erase_if(delivery_hooks_, [id](const auto& s) { return s.id == id; });
 }
 
 Network::HookId Network::add_round_hook(RoundHook hook) {
@@ -267,23 +234,5 @@ void Network::for_each_delivered(FnRef<void(NodeId, uint32_t)> fn) const {
 }
 
 void Network::charge_rounds(uint64_t k) { stats_.charged_rounds += k; }
-
-void Network::reset_stats() {
-  stats_ = NetStats{};
-  ++stats_resets_;
-  mem_ = NetMemStats{};
-  pending_.clear();
-  (void)pending_.take_allocs();
-  std::fill(send_count_.begin(), send_count_.end(), 0);
-  senders_cnt_ = 0;
-  std::fill(recv_seen_.begin(), recv_seen_.end(), 0);
-  std::fill(wsum_.begin(), wsum_.end(), 0);
-  std::fill(word_off_.begin(), word_off_.end(), 0);
-  std::fill(inbox_off_.begin(), inbox_off_.end(), 0);
-  std::fill(inbox_cnt_.begin(), inbox_cnt_.end(), 0);
-  touched_cnt_ = 0;
-  inbox_hdr_.clear();
-  inbox_words_.clear();
-}
 
 }  // namespace ncc

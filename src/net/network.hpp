@@ -80,8 +80,8 @@ struct NetMemStats {
 /// on the fly from the SoA headers, so existing call sites —
 /// `for (const Message& m : net.inbox(u))`, `.size()`, `.front().word(0)` —
 /// keep working unchanged (the range-for binds a const reference to the
-/// yielded temporary). The view is invalidated by the next end_round() /
-/// reset_stats(), same lifetime the old per-node vectors had.
+/// yielded temporary). The view is invalidated by the next end_round(),
+/// same lifetime the old per-node vectors had.
 class InboxView {
  public:
   InboxView() = default;
@@ -196,9 +196,7 @@ class Network {
 
   /// Calls fn(u, inbox(u).size()) once for every node that received
   /// messages in the last round, walking the delivery's touched list — in
-  /// first-arrival order (ascending id when a delivery hook is attached), not
-  /// in id order. Costs O(touched nodes); nothing after reset_stats() until
-  /// the next end_round().
+  /// first-arrival order, not in id order. Costs O(touched nodes).
   void for_each_delivered(FnRef<void(NodeId, uint32_t)> fn) const;
 
   /// Charge `k` rounds without simulating them (used only for the
@@ -207,30 +205,22 @@ class Network {
   void charge_rounds(uint64_t k);
 
   uint64_t rounds() const { return stats_.rounds; }
+  /// Cumulative over the network's lifetime: the counters only grow.
   const NetStats& stats() const { return stats_; }
   /// Memory-accounting counters (always maintained — a handful of compares
   /// per round — but only *emitted* behind the memory flag; see NetMemStats
   /// for the determinism split).
   const NetMemStats& mem_stats() const { return mem_; }
 
-  /// Observer subscription handle (add_*_hook); 0 is never issued.
+  /// Observer subscription handle (add_round_hook); 0 is never issued.
   using HookId = uint64_t;
 
-  /// Observers invoked for every *delivered* message (k-machine accounting,
-  /// ad-hoc probes in tests). Each receives the message and the round
-  /// in which it was delivered. Hooks are an ordered subscriber list: every
-  /// subscriber sees the identical stream, sequentially in (destination,
-  /// arrival) order, and within one message subscribers run in subscription
-  /// order. Subscribers must unsubscribe (remove) before
-  /// they are destroyed.
-  using DeliveryHook = std::function<void(const Message&, uint64_t round)>;
-  HookId add_delivery_hook(DeliveryHook hook);
-  void remove_delivery_hook(HookId id);
-
-  /// Observers invoked sequentially at the end of every end_round() with the
-  /// index of the round just closed and the cumulative stats (scenario
-  /// observation via obs::RoundLedger). Run after delivery, on the caller
-  /// thread, in subscription order.
+  /// The one observer subscription: hooks invoked sequentially at the end of
+  /// every end_round() with the index of the round just closed and the
+  /// cumulative stats. They run after delivery, on the caller thread, in
+  /// subscription order, and read the round's traffic from inbox() and
+  /// for_each_delivered() (obs::RoundLedger, KMachineTracker, probes in
+  /// tests). Subscribers must unsubscribe (remove) before they are destroyed.
   using RoundHook = std::function<void(uint64_t round, const NetStats&)>;
   HookId add_round_hook(RoundHook hook);
   void remove_round_hook(HookId id);
@@ -254,29 +244,20 @@ class Network {
            static_cast<bool>(faults_.recv_cap);  // perturbation drops over-cap messages
   }
 
-  /// Reset round/message statistics (topology and config are kept). Also
-  /// clears pending traffic and the delivered inboxes.
-  void reset_stats();
-  /// Number of reset_stats() calls so far: observers that difference the
-  /// cumulative stats compare it to know when to rebase to zero.
-  uint64_t stats_resets() const { return stats_resets_; }
-
   /// Engine / tracer / flow-sampler attachment (see NetAttachments).
   NetAttachments& attached() { return attached_; }
   const NetAttachments& attached() const { return attached_; }
 
  private:
-  template <typename Hook>
   struct Subscriber {
     HookId id;
-    Hook fn;
+    RoundHook fn;
   };
 
   NetConfig config_;
   uint32_t cap_;
   uint64_t drop_seed_;  // forked per (round, dst) for the drop subsets
   NetStats stats_;
-  uint64_t stats_resets_ = 0;
   NetMemStats mem_;
   NetAttachments attached_;
   FaultHooks faults_;
@@ -295,8 +276,7 @@ class Network {
   std::vector<uint64_t> inbox_off_;
   std::vector<uint32_t> inbox_cnt_;
   // Distinct destinations of the last round, dst_touched_[0 .. touched_cnt_),
-  // in first-arrival order (sorted once placement is done when a delivery
-  // hook is attached). Every per-node pass walks these instead of all n
+  // in first-arrival order. Every per-node pass walks these instead of all n
   // nodes, and the next round zeroes exactly these stale inbox counts — a
   // round costs O(messages + touched nodes), not O(n).
   std::vector<NodeId> dst_touched_;
@@ -314,8 +294,7 @@ class Network {
   std::vector<uint32_t> wsum_;
   std::vector<uint64_t> word_off_;
   HookId next_hook_id_ = 1;
-  std::vector<Subscriber<DeliveryHook>> delivery_hooks_;
-  std::vector<Subscriber<RoundHook>> round_hooks_;
+  std::vector<Subscriber> round_hooks_;
 };
 
 }  // namespace ncc

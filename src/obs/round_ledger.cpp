@@ -21,7 +21,6 @@ void write_array(JsonWriter& w, const char* key, const std::vector<T>& values) {
 RoundLedger::RoundLedger(Network& net)
     : net_(net),
       base_(net.stats()),
-      resets_(net.stats_resets()),
       columns_(NodeId{1} << floor_log2(net.n())),
       node_peak_(net.n(), 0),
       node_total_(net.n(), 0),
@@ -33,10 +32,6 @@ RoundLedger::RoundLedger(Network& net)
 RoundLedger::~RoundLedger() { net_.remove_round_hook(hook_id_); }
 
 void RoundLedger::on_round(uint64_t round, const NetStats& s) {
-  if (net_.stats_resets() != resets_) {  // reset_stats() zeroed the counters
-    resets_ = net_.stats_resets();
-    base_ = NetStats{};
-  }
   const uint64_t sent = s.messages_sent - base_.messages_sent;
   const uint64_t dropped = (s.messages_dropped + s.fault_drops) -
                            (base_.messages_dropped + base_.fault_drops);

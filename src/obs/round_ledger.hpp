@@ -43,8 +43,7 @@ class RoundLedger {
   static constexpr size_t kMaxRounds = 512;
 
   /// Subscribes to `net`'s round stream; unsubscribes on destruction.
-  /// Deltas count from the stats at attachment, and rebase to zero when
-  /// Network::reset_stats() clears them.
+  /// Deltas count from the stats at attachment.
   explicit RoundLedger(Network& net);
   ~RoundLedger();
 
@@ -63,12 +62,9 @@ class RoundLedger {
   /// Live message bytes per round: the sent column x sizeof(Message).
   std::vector<uint64_t> live_bytes() const;
 
-  /// Streaming summary of messages sent per round, over every round.
+  /// Streaming summary of messages sent per round, over every round. (The
+  /// peak live bytes are NetMemStats::live_bytes_peak.)
   const Accumulator& sent_per_round() const { return sent_acc_; }
-  /// Max bytes of messages in flight in any one round.
-  uint64_t peak_live_bytes() const {
-    return static_cast<uint64_t>(sent_acc_.max()) * sizeof(Message);
-  }
 
   /// Max messages one node received in a single round, and where/when
   /// (ties: the smallest node id of the earliest such round).
@@ -103,8 +99,7 @@ class RoundLedger {
 
   Network& net_;
   Network::HookId hook_id_ = 0;
-  NetStats base_;     // cumulative stats at the previous round's end
-  uint64_t resets_;   // net_.stats_resets() when base_ was taken
+  NetStats base_;  // cumulative stats at the previous round's end
   NodeId columns_;
 
   uint64_t rounds_ = 0;

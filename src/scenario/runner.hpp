@@ -63,8 +63,8 @@ struct ScenarioOutcome {
   uint64_t corrupted = 0;  // payloads mutated by byzantine fault injection
   uint32_t crashed = 0;
   double wall_ms = 0.0;
-  /// Deterministic: max bytes of messages in flight in any one round (0 when
-  /// observability was off for this run).
+  /// Deterministic: max bytes of messages in flight in any one round
+  /// (NetMemStats::live_bytes_peak).
   uint64_t peak_live_bytes = 0;
   /// The adapter's deterministic counters (ScenarioRunResult::counters);
   /// empty when the run ended before the adapter returned.

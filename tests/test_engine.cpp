@@ -98,37 +98,29 @@ TEST(Network, OverloadDeliverySameWithEngineAttached) {
   EXPECT_GT(std::get<2>(seq), 0u);  // the overload actually dropped messages
 }
 
-TEST(Network, ResetStatsClearsDeliveryStaging) {
-  Network net(net_cfg(16, 5));
-  Engine eng(net);
-  for (NodeId u = 1; u < 16; ++u) net.send(u, 0, 1, {u});
-  net.reset_stats();
-  net.end_round();
-  EXPECT_TRUE(net.inbox(0).empty());
-  EXPECT_EQ(net.stats().messages_sent, 0u);
-  EXPECT_EQ(net.stats().max_recv_load, 0u);
-  EXPECT_EQ(net.rounds(), 1u);
-}
-
-TEST(Network, DeliveryHookOrderIsSequentialUnderEngine) {
+TEST(Network, DeliveredOrderIsFirstArrivalUnderEngine) {
   auto run = [](bool engine) {
     Network net(net_cfg(32, 9));
     std::optional<Engine> eng;
     if (engine) eng.emplace(net);
-    std::vector<std::pair<NodeId, NodeId>> seen;  // (dst, src) in hook order
-    net.add_delivery_hook(
-        [&](const Message& m, uint64_t) { seen.emplace_back(m.dst, m.src); });
+    std::vector<std::pair<NodeId, NodeId>> seen;  // (dst, src) in delivered order
+    net.add_round_hook([&](uint64_t, const NetStats&) {
+      net.for_each_delivered([&](NodeId u, uint32_t) {
+        for (const Message& m : net.inbox(u)) seen.emplace_back(m.dst, m.src);
+      });
+    });
     engine_send_loop(net, 31, [&](uint64_t i, Network& out) {
       NodeId u = static_cast<NodeId>(i + 1);
-      out.send(u, static_cast<NodeId>((u + 1) % 32 == u ? 0 : (u + 1) % 32), 1, {u});
+      out.send(u, (u + 1) % 32, 1, {u});
     });
     net.end_round();
     return seen;
   };
-  auto seq = run(false);
-  EXPECT_EQ(seq, run(true));
-  EXPECT_EQ(seq.size(), 31u);
-  EXPECT_TRUE(std::is_sorted(seq.begin(), seq.end()));  // destination order
+  // Destinations come in first-arrival (send) order: 2, 3, ..., 31, then 0.
+  std::vector<std::pair<NodeId, NodeId>> expect;
+  for (NodeId u = 1; u < 32; ++u) expect.emplace_back((u + 1) % 32, u);
+  EXPECT_EQ(run(false), expect);
+  EXPECT_EQ(run(true), expect);
 }
 
 TEST(MsgArena, RoundTripAndAllocDrain) {

@@ -1,5 +1,5 @@
 // Unit tests for the NCC simulator itself: capacity enforcement, the random
-// drop rule for receive overload, statistics, determinism, delivery hooks.
+// drop rule for receive overload, statistics, determinism, round hooks.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -97,20 +97,21 @@ TEST(NetworkDeathTest, RejectsSelfMessages) {
       "do not message themselves");
 }
 
-TEST(Network, DeliveryHookSeesEveryDeliveredMessage) {
+TEST(Network, RoundHookReadsEveryDeliveredMessage) {
   Network net = make(8);
-  std::vector<std::pair<NodeId, uint64_t>> seen;
-  net.add_delivery_hook([&](const Message& m, uint64_t round) {
-    seen.emplace_back(m.dst, round);
+  std::vector<std::pair<NodeId, uint64_t>> seen;  // (dst, round)
+  net.add_round_hook([&](uint64_t round, const NetStats&) {
+    net.for_each_delivered([&](NodeId u, uint32_t) {
+      for (const Message& m : net.inbox(u)) seen.emplace_back(m.dst, round);
+    });
   });
   net.send(0, 1, 1, {1});
   net.send(2, 3, 1, {1});
   net.end_round();
   net.send(4, 5, 1, {1});
   net.end_round();
-  ASSERT_EQ(seen.size(), 3u);
-  EXPECT_EQ(seen[0].second, 0u);
-  EXPECT_EQ(seen[2].second, 1u);
+  const std::vector<std::pair<NodeId, uint64_t>> expect = {{1, 0}, {3, 0}, {5, 1}};
+  EXPECT_EQ(seen, expect);
 }
 
 TEST(Network, ChargedRoundsTracked) {
@@ -120,16 +121,6 @@ TEST(Network, ChargedRoundsTracked) {
   EXPECT_EQ(net.rounds(), 1u);
   EXPECT_EQ(net.stats().charged_rounds, 10u);
   EXPECT_EQ(net.stats().total_rounds(), 11u);
-}
-
-TEST(Network, ResetStats) {
-  Network net = make(8);
-  net.send(0, 1, 1, {1});
-  net.end_round();
-  net.reset_stats();
-  EXPECT_EQ(net.rounds(), 0u);
-  EXPECT_EQ(net.stats().messages_sent, 0u);
-  EXPECT_TRUE(net.inbox(1).empty());
 }
 
 TEST(MessageType, PayloadBudgetEnforced) {

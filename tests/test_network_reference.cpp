@@ -227,23 +227,3 @@ TEST(NetworkReference, FaultHooksMatchReference) {
   for (Mode mode : {Mode::kSequential, Mode::kEngine})
     for (uint64_t seed : {5, 6}) run_differential(96, mode, true, seed);
 }
-
-TEST(NetworkReference, ResetStatsThenTrafficMatchesFreshReference) {
-  NetConfig cfg;
-  cfg.n = 32;
-  cfg.capacity_factor = 2;
-  cfg.strict_send = false;
-  Network net(cfg);
-  for (NodeId u = 1; u < 32; ++u) net.send(u, 0, 1, {u});
-  net.end_round();
-  net.reset_stats();
-  RefNetwork ref(cfg);
-  for (NodeId u = 0; u < 31; ++u) {
-    const Message m(u, u + 1, 2, {u, u});
-    net.send(m);
-    ref.send(m);
-  }
-  net.end_round();
-  ref.end_round();
-  expect_same(net, ref, 0);
-}

@@ -1,12 +1,12 @@
 // Observability subsystem tests: Tracer span nesting / round intervals /
-// NetStats deltas, hook-subscriber coexistence (the multi-subscriber Network
-// refactor), the RoundLedger's per-round columns and per-host congestion
-// accounting (against a brute-force oracle, across reset_stats(), and the
-// AQ_d aggregation-tree root-host bound), Chrome trace-event
-// well-formedness via the obs JSON checker, and the determinism contract:
-// span streams and trace bytes identical across reruns and concurrent cells
-// under every fault model, with wall-clock strictly segregated behind the
-// timing flag.
+// NetStats deltas, round-hook subscribers coexisting on one Network, the
+// RoundLedger's per-round columns and per-host congestion accounting
+// (against a brute-force oracle, and the AQ_d aggregation-tree root-host
+// bound), the run's peak live bytes with and without the JSON document,
+// Chrome trace-event well-formedness via the obs JSON checker, and the
+// determinism contract: span streams and trace bytes identical across reruns
+// and concurrent cells under every fault model, with wall-clock strictly
+// segregated behind the timing flag.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -173,18 +173,23 @@ TEST(Tracer, MultiAggregationSpanEnclosesItsRoutes) {
 }
 
 TEST(NetworkHooks, SubscribersCoexistAndSeeTheSameStream) {
-  // The regression the multi-subscriber refactor guards: two bare delivery
-  // hooks, and the round ledger beside a bare round hook, observe the same
-  // stream — previously each set_delivery_hook call silently clobbered the
-  // last subscriber, and the bare hooks' reads of the touched lists must
-  // not disturb the ledger.
+  // Two bare round hooks beside the round ledger observe the same rounds and
+  // read the same delivered inboxes; their reads of the touched lists must
+  // not disturb the ledger, and removing one detaches only that one.
   Network net = make_net(8);
   obs::RoundLedger ledger(net);
-  uint64_t bare_count = 0, bare_count2 = 0, bare_rounds = 0;
-  Network::HookId id = net.add_delivery_hook(
-      [&](const Message&, uint64_t) { ++bare_count; });
-  net.add_delivery_hook([&](const Message&, uint64_t) { ++bare_count2; });
-  net.add_round_hook([&](uint64_t, const NetStats&) { ++bare_rounds; });
+  struct Probe {
+    uint64_t delivered = 0, rounds = 0;
+  };
+  Probe a, b;
+  auto subscribe = [&net](Probe& p) {
+    return net.add_round_hook([&net, &p](uint64_t, const NetStats&) {
+      ++p.rounds;
+      net.for_each_delivered([&](NodeId u, uint32_t) { p.delivered += net.inbox(u).size(); });
+    });
+  };
+  Network::HookId id = subscribe(a);
+  subscribe(b);
 
   for (int r = 0; r < 3; ++r) {
     net.send(1, 0, 0x1, {1});
@@ -192,22 +197,24 @@ TEST(NetworkHooks, SubscribersCoexistAndSeeTheSameStream) {
     net.end_round();
   }
 
-  EXPECT_EQ(bare_count, 6u);              // both bare subscribers saw every delivery
-  EXPECT_EQ(bare_count2, 6u);
+  EXPECT_EQ(a.delivered, 6u);             // both bare subscribers saw every delivery
+  EXPECT_EQ(b.delivered, 6u);
   EXPECT_EQ(ledger.node_messages(0), 6u); // so did the ledger
   EXPECT_EQ(ledger.peak_in_degree(), 2u);
-  EXPECT_EQ(ledger.rounds(), 3u);         // both round subscribers saw every round
-  EXPECT_EQ(bare_rounds, 3u);
+  EXPECT_EQ(ledger.rounds(), 3u);         // every subscriber saw every round
+  EXPECT_EQ(a.rounds, 3u);
+  EXPECT_EQ(b.rounds, 3u);
 
   // Removal only detaches the one subscriber.
-  net.remove_delivery_hook(id);
+  net.remove_round_hook(id);
   net.send(1, 0, 0x1, {3});
   net.end_round();
-  EXPECT_EQ(bare_count, 6u);
-  EXPECT_EQ(bare_count2, 7u);
+  EXPECT_EQ(a.delivered, 6u);
+  EXPECT_EQ(a.rounds, 3u);
+  EXPECT_EQ(b.delivered, 7u);
+  EXPECT_EQ(b.rounds, 4u);
   EXPECT_EQ(ledger.node_messages(0), 7u);
   EXPECT_EQ(ledger.rounds(), 4u);
-  EXPECT_EQ(bare_rounds, 4u);
 }
 
 TEST(Congestion, TracksPeaksHistogramAndHostSplit) {
@@ -276,47 +283,6 @@ TEST(Congestion, AugmentedCubeCapacityOneDropsBarrierCounts) {
   // inboxes) sees the clamped view.
   EXPECT_GT(net.stats().max_recv_load, net.cap());
   EXPECT_LE(mon.max_round_in_degree(0), net.cap());
-}
-
-TEST(RoundLedger, RebasesAcrossResetStats) {
-  // reset_stats() zeroes the cumulative NetStats the ledger differences; a
-  // ledger attached across it must count the next round from zero, not
-  // record a wrapped (negative) delta.
-  Network net = make_net(8);  // cap 24
-  obs::RoundLedger ledger(net);
-  // Round 0: 26 messages into node 0, 2 over its receive budget.
-  for (uint64_t i = 0; i < 26; ++i) net.send(1 + i % 2, 0, 0x1, {i});
-  net.end_round();
-  net.reset_stats();
-  net.send(1, 0, 0x1, {9});
-  net.end_round();
-
-  EXPECT_EQ(ledger.rounds(), 2u);
-  EXPECT_EQ(ledger.sent(), (std::vector<uint64_t>{26, 1}));
-  EXPECT_EQ(ledger.dropped(), (std::vector<uint64_t>{2, 0}));
-  EXPECT_EQ(ledger.corrupted(), (std::vector<uint64_t>{0, 0}));
-  EXPECT_EQ(ledger.max_in_degree(), (std::vector<uint32_t>{24, 1}));
-  EXPECT_EQ(ledger.peak_live_bytes(), 26 * sizeof(Message));
-  EXPECT_EQ(ledger.sent_per_round().max(), 26.0);
-  EXPECT_EQ(ledger.node_messages(0), 25u);
-  // The network's own peak restarted at the reset.
-  EXPECT_EQ(net.mem_stats().live_bytes_peak, 1 * sizeof(Message));
-
-  // Attached mid-round, before the first end_round(): the round count
-  // alone cannot show the reset, and the sends after it may outnumber
-  // those before.
-  for (uint64_t after : {1u, 5u}) {
-    SCOPED_TRACE("sends after reset=" + std::to_string(after));
-    Network fresh = make_net(8);
-    for (uint64_t i = 0; i < 3; ++i) fresh.send(1, 0, 0x1, {i});
-    obs::RoundLedger mid(fresh);
-    fresh.reset_stats();
-    for (uint64_t i = 0; i < after; ++i) fresh.send(2, 0, 0x1, {i});
-    fresh.end_round();
-    EXPECT_EQ(mid.sent(), (std::vector<uint64_t>{after}));
-    EXPECT_EQ(mid.dropped(), (std::vector<uint64_t>{0}));
-    EXPECT_EQ(mid.peak_live_bytes(), after * sizeof(Message));
-  }
 }
 
 TEST(RoundLedger, MatchesBruteForceOracleUnderFaults) {
@@ -431,7 +397,7 @@ TEST(RoundLedger, MatchesBruteForceOracleUnderFaults) {
     EXPECT_EQ(ledger.sent_per_round().count(), kRounds);
     EXPECT_EQ(ledger.sent_per_round().mean(), sent_acc.mean());
     EXPECT_EQ(ledger.sent_per_round().max(), sent_acc.max());
-    EXPECT_EQ(ledger.peak_live_bytes(),
+    EXPECT_EQ(net.mem_stats().live_bytes_peak,
               static_cast<uint64_t>(sent_acc.max()) * sizeof(Message));
 
     EXPECT_EQ(ledger.peak_in_degree(), peak);
@@ -694,7 +660,6 @@ TEST(Memory, LedgerTracksLiveBytesAndContainerFootprint) {
   net.end_round();
   net.end_round();
 
-  EXPECT_EQ(mon.peak_live_bytes(), 3 * sizeof(Message));
   ASSERT_EQ(mon.live_bytes().size(), 3u);
   EXPECT_EQ(mon.live_bytes()[0], 3 * sizeof(Message));
   EXPECT_EQ(mon.live_bytes()[1], 1 * sizeof(Message));
@@ -750,6 +715,20 @@ TEST(Memory, PeakLiveBytesDeterministicAcrossThreads) {
   ASSERT_TRUE(o1.ran && o8.ran);
   EXPECT_GT(o1.peak_live_bytes, 0u);
   EXPECT_EQ(o1.peak_live_bytes, o8.peak_live_bytes);
+}
+
+TEST(Memory, PeakLiveBytesWithAndWithoutJson) {
+  // A compact run (sweep cells: no JSON document, no ledger) reports the
+  // same peak as a full one: it is the network's own counter.
+  auto spec = base_spec("mis", 64);
+  scenario::RunOptions full, compact;
+  full.timing = compact.timing = false;
+  compact.build_json = false;
+  auto a = scenario::run_scenario(spec, full);
+  auto b = scenario::run_scenario(spec, compact);
+  ASSERT_TRUE(a.ran && b.ran);
+  EXPECT_GT(b.peak_live_bytes, 0u);
+  EXPECT_EQ(a.peak_live_bytes, b.peak_live_bytes);
 }
 
 TEST(Flows, SampledFlowsIdenticalAcrossThreadsAndNonEmpty) {
@@ -850,7 +829,7 @@ TEST(Flows, SamplerCapsAdmissionAndHops) {
   EXPECT_TRUE(sampler.truncated());
 }
 
-TEST(EngineTiming, ShardProfileAccumulatesAndResets) {
+TEST(EngineTiming, ShardProfileAccumulates) {
   Network net = make_net(16);
   Engine eng(net);
   for (int r = 0; r < 4; ++r) {
@@ -872,9 +851,4 @@ TEST(EngineTiming, ShardProfileAccumulatesAndResets) {
   net.end_round();
   EXPECT_EQ(eng.shard_timing()[0].loops, 4u);
   EXPECT_EQ(eng.shard_timing()[0].deliveries, 4u);
-  eng.reset_timing();
-  for (const EngineShardTiming& tm : eng.shard_timing()) {
-    EXPECT_EQ(tm.loops, 0u);
-    EXPECT_EQ(tm.stage_ns + tm.merge_ns + tm.deliver_ns, 0u);
-  }
 }

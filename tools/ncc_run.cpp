@@ -9,28 +9,7 @@
 // grid axes; a file without them is a one-cell sweep), the cross-product is
 // expanded, and every cell runs through the scenario registry/verify path.
 //
-// Options:
-//   --dir DIR        run all *.scn files under DIR (sorted; repeatable)
-//   --sweep          group output per sweep file with axis metadata and write
-//                    it to BENCH_sweeps.json (default name in this mode)
-//   --threads T      run up to T cells at once (each cell runs on one thread;
-//                    output is emitted in cell order, so it does not depend
-//                    on T)
-//   --json PATH      write results as JSON (default BENCH_scenarios.json)
-//   --no-timing      omit the wall-clock sections — output is then a pure
-//                    function of (spec, seed), byte-identical across --threads
-//                    values (the determinism contract extends through faults)
-//   --memory         append the observational "memory" section (container
-//                    capacities, allocation counts) to each run's JSON or
-//                    sweep cell and a peak live-bytes column to the per-spec
-//                    summary; only the ledger golden compares it
-//   --trace PATH     also write a Chrome trace-event file (chrome://tracing /
-//                    ui.perfetto.dev) with one process per run: phase spans,
-//                    per-round congestion + live-message-bytes counters,
-//                    sampled token flows, and — unless --no-timing — a
-//                    wall-clock engine track
-//   --list           print the registered algorithms and exit
-//   --help           print the option reference and exit
+// The option reference is `ncc_run --help` (print_help below).
 //
 // Exit status: 0 only when every spec parsed and every cell's verdict
 // satisfies its spec's `expect` class (degraded verdicts under declared fault
@@ -72,29 +51,6 @@ bool parse_cli_u32(const std::string& v, uint32_t* out) {
     return false;
   }
 }
-
-/// Per-spec verdict mix for the summary table and the exit-status gate.
-struct SpecSummary {
-  std::string name;
-  uint64_t cells = 0, ok = 0, degraded = 0, round_limit = 0, errors = 0,
-           failed = 0;
-  uint64_t peak_live_bytes = 0;  // max over the spec's cells (deterministic)
-
-  void account(const ScenarioOutcome& out) {
-    ++cells;
-    peak_live_bytes = std::max(peak_live_bytes, out.peak_live_bytes);
-    if (out.verdict == "ok") {
-      ++ok;
-    } else if (out.verdict.rfind("degraded", 0) == 0) {
-      ++degraded;
-    } else if (out.verdict == "round_limit") {
-      ++round_limit;
-    } else {
-      ++errors;
-    }
-    if (out.failed) ++failed;
-  }
-};
 
 /// Aggregate over a set of sweep cells (the whole grid or the cells sharing
 /// one axis value): verdict histogram plus min/max/mean rounds and messages.
@@ -148,13 +104,23 @@ struct CellAgg {
   }
 };
 
+/// Per-spec verdict mix for the summary table and the exit-status gate.
+struct SpecSummary {
+  std::string name;
+  CellAgg agg;
+  uint64_t peak_live_bytes = 0;  // max over the spec's cells (deterministic)
+
+  void account(const ScenarioOutcome& out) {
+    agg.account(out);
+    peak_live_bytes = std::max(peak_live_bytes, out.peak_live_bytes);
+  }
+};
+
 /// Per-axis derived metrics: group the grid's cells by each axis's value
 /// (cell -> value index via the same last-axis-fastest odometer the expansion
-/// uses) and emit one CellAgg per value, plus one for the whole grid.
+/// uses) and emit one CellAgg per value, plus `total` for the whole grid.
 void write_axis_summaries(obs::JsonWriter& w, const SweepSpec& sweep,
-                          const std::vector<ScenarioOutcome>& outs) {
-  CellAgg total;
-  for (const ScenarioOutcome& out : outs) total.account(out);
+                          const std::vector<ScenarioOutcome>& outs, const CellAgg& total) {
   w.key("summary");
   w.begin_object();
   total.write(w);
@@ -335,9 +301,8 @@ int main(int argc, char** argv) {
   }
   if (paths.empty()) {
     std::fprintf(stderr,
-                 "usage: ncc_run [--dir DIR] [--sweep] [--threads T] [--json PATH] "
-                 "[--no-timing] [--memory] [--trace PATH] [--list] [--help] "
-                 "[spec.scn ...]\n");
+                 "usage: ncc_run [options] spec.scn [spec2.scn ...] "
+                 "(ncc_run --help lists the options)\n");
     return 1;
   }
   std::sort(paths.begin(), paths.end());
@@ -458,9 +423,9 @@ int main(int argc, char** argv) {
 
     if (sweep_mode) {
       sw.end_array();
-      write_axis_summaries(sw, *sweep, cell_outs);
-      sw.kv("cells_total", summary.cells);
-      sw.kv("failed", summary.failed);
+      write_axis_summaries(sw, *sweep, cell_outs, summary.agg);
+      sw.kv("cells_total", summary.agg.cells);
+      sw.kv("failed", summary.agg.failed);
       sw.end_object();
       sweep_rows.push_back(sw.str());
     }
@@ -477,13 +442,14 @@ int main(int argc, char** argv) {
   if (opts.memory) sum_headers.push_back("peak live KiB");
   Table s(sum_headers);
   for (const SpecSummary& sm : summaries) {
+    const CellAgg& a = sm.agg;
     std::vector<std::string> row = {sm.name,
-                                    Table::num(sm.cells),
-                                    Table::num(sm.ok),
-                                    Table::num(sm.degraded),
-                                    Table::num(sm.round_limit),
-                                    Table::num(sm.errors),
-                                    Table::num(sm.failed)};
+                                    Table::num(a.cells),
+                                    Table::num(a.ok),
+                                    Table::num(a.degraded),
+                                    Table::num(a.round_limit),
+                                    Table::num(a.errors),
+                                    Table::num(a.failed)};
     if (opts.memory)
       row.push_back(Table::num(static_cast<double>(sm.peak_live_bytes) / 1024.0, 1));
     s.add_row(std::move(row));
