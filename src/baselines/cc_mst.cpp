@@ -1,8 +1,6 @@
 #include "baselines/cc_mst.hpp"
 
 #include <algorithm>
-// det-lint: allow(unordered-container) — nb_comp below is point-lookup only
-#include <unordered_map>
 
 #include "common/assert.hpp"
 #include "common/bits.hpp"
@@ -45,31 +43,26 @@ CcMstResult run_cc_mst(CongestedClique& cc, const Graph& g, uint64_t seed) {
     for (NodeId u = 0; u < n; ++u)
       for (NodeId v : g.neighbors(u)) cc.send(u, v, comp[u]);
     cc.end_round();
-    // det-lint: allow(unordered-container) — keyed point lookups by neighbor id; never iterated
-    std::vector<std::unordered_map<NodeId, NodeId>> nb_comp(n);
-    for (NodeId u = 0; u < n; ++u)
-      for (auto [src, word] : cc.inbox(u)) nb_comp[u][src] = static_cast<NodeId>(word);
-
-    // Round 2: report the min outgoing incident edge key to the leader
-    // (sentinel when none, so the leader learns its membership).
-    for (NodeId u = 0; u < n; ++u) {
-      uint64_t best = kNoEdge;
-      for (NodeId v : g.neighbors(u))
-        if (nb_comp[u][v] != comp[u])
-          best = std::min(best, key_of(u, v, g.weight(u, v)));
-      if (comp[u] != u) cc.send(u, comp[u], best);
-    }
-    // Leaders gather; also their own local minimum.
+    // Each node's min outgoing incident edge key (sentinel when none), from
+    // the labels in its inbox (nb_comp is scratch indexed by sender); a
+    // leader's becomes its component's minimum in round 2.
     std::vector<uint64_t> comp_min(n, kNoEdge);
-    std::vector<std::vector<NodeId>> members(n);
+    std::vector<NodeId> nb_comp(n);
     for (NodeId u = 0; u < n; ++u) {
-      if (comp[u] != u) continue;
-      members[u].push_back(u);
-      uint64_t best = kNoEdge;
+      for (auto [src, word] : cc.inbox(u)) nb_comp[src] = static_cast<NodeId>(word);
       for (NodeId v : g.neighbors(u))
-        if (nb_comp[u][v] != comp[u]) best = std::min(best, key_of(u, v, g.weight(u, v)));
-      comp_min[u] = best;
+        if (nb_comp[v] != comp[u])
+          comp_min[u] = std::min(comp_min[u], key_of(u, v, g.weight(u, v)));
     }
+
+    // Round 2: members report their minimum to the leader (sentinel when
+    // none, so the leader learns its membership); leaders fold the reports
+    // into their own.
+    for (NodeId u = 0; u < n; ++u)
+      if (comp[u] != u) cc.send(u, comp[u], comp_min[u]);
+    std::vector<std::vector<NodeId>> members(n);
+    for (NodeId u = 0; u < n; ++u)
+      if (comp[u] == u) members[u].push_back(u);
     cc.end_round();
     for (NodeId l = 0; l < n; ++l) {
       if (comp[l] != l) continue;

@@ -7,7 +7,7 @@ namespace ncc {
 void CongestedClique::send(NodeId src, NodeId dst, uint64_t word) {
   NCC_ASSERT(src < n_ && dst < n_ && src != dst);
   uint64_t pair = (static_cast<uint64_t>(src) << 32) | dst;
-  NCC_ASSERT_MSG(used_pairs_.insert(pair).second,
+  NCC_ASSERT_MSG(used_pairs_.emplace(pair, 1).second,
                  "one message per ordered pair per round");
   pending_.push_back({src, dst, word});
   ++messages_;

@@ -8,10 +8,9 @@
 #pragma once
 
 #include <cstdint>
-// det-lint: allow(unordered-container) — used_pairs_ is a membership guard, never iterated
-#include <unordered_set>
 #include <vector>
 
+#include "common/flat_map.hpp"
 #include "graph/graph.hpp"
 
 namespace ncc {
@@ -47,8 +46,7 @@ class CongestedClique {
   uint64_t messages_ = 0;
   uint32_t comm_degree_ = 0;
   std::vector<Pending> pending_;
-  // det-lint: allow(unordered-container) — per-round (src, dst) membership guard; insert/clear only, never iterated
-  std::unordered_set<uint64_t> used_pairs_;
+  FlatMap<uint8_t> used_pairs_;  // this round's (src, dst) pairs; membership only
   std::vector<std::vector<std::pair<NodeId, uint64_t>>> inboxes_;
 };
 

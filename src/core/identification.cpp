@@ -1,10 +1,6 @@
 #include "core/identification.hpp"
 
 #include <algorithm>
-// det-lint: allow(unordered-container) — all uses audited at their declaration sites
-#include <unordered_map>
-// det-lint: allow(unordered-container) — all uses audited at their declaration sites
-#include <unordered_set>
 
 #include "common/assert.hpp"
 #include "common/hash.hpp"
@@ -107,60 +103,70 @@ IdentificationResult run_identification(const Shared& shared, Network& net,
     NodeId u = input.learning[li];
     const auto& cand = input.candidates[li];
 
-    // Local sketch over all candidate arcs.
+    // Local sketch over all candidate arcs. Arcs and trials are kept sorted
+    // by id, so the decode below does not depend on the candidate order.
+    struct Arc {
+      uint64_t id;
+      std::vector<uint32_t> trials;
+      bool remaining = true;  // not yet decoded
+    };
     struct TrialState {
       uint64_t x_xor = 0;       // XOR of candidate arc ids in this trial
       uint32_t x_cnt = 0;       // number of candidate arcs in this trial
       uint64_t blue_xor = 0;    // aggregated XOR from playing neighbors
       uint32_t blue_cnt = 0;    // aggregated count from playing neighbors
     };
-    // det-lint: allow(unordered-container) — traversal order is a pure function of the
-    // deterministic per-node insertion sequence (integer keys, no ASLR), and the
-    // peeling decode below is confluent: any peel order yields the same red set.
-    std::unordered_map<uint32_t, TrialState> trials;
-    // det-lint: allow(unordered-container) — point lookups by arc id only; never iterated
-    std::unordered_map<uint64_t, std::vector<uint32_t>> arc_to_trials;
-    // det-lint: allow(unordered-container) — membership guard for undecoded arcs; never iterated
-    std::unordered_set<uint64_t> remaining;
+    std::vector<Arc> arcs;
+    std::vector<uint32_t> ids;  // the candidate arcs' distinct trials, ascending
     for (NodeId v : cand) {
       uint64_t arc = arc_id(u, v);
-      auto ts = arc_trials(fam, arc, q);
-      for (uint32_t t : ts) {
-        auto& st = trials[t];
-        st.x_xor ^= arc;
+      arcs.push_back({arc, arc_trials(fam, arc, q)});
+      ids.insert(ids.end(), arcs.back().trials.begin(), arcs.back().trials.end());
+    }
+    std::sort(arcs.begin(), arcs.end(),
+              [](const Arc& a, const Arc& b) { return a.id < b.id; });
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+    std::vector<TrialState> trials(ids.size());  // trials[i] is trial ids[i]
+    auto trial = [&](uint32_t t) -> TrialState& {
+      return trials[std::lower_bound(ids.begin(), ids.end(), t) - ids.begin()];
+    };
+    for (const Arc& a : arcs) {
+      for (uint32_t t : a.trials) {
+        TrialState& st = trial(t);
+        st.x_xor ^= a.id;
         st.x_cnt += 1;
       }
-      arc_to_trials.emplace(arc, std::move(ts));
-      remaining.insert(arc);
     }
-    for (auto& [t, st] : trials) {
-      uint64_t group = (static_cast<uint64_t>(u) << kTrialBits) | t;
+    for (size_t i = 0; i < ids.size(); ++i) {
+      uint64_t group = (static_cast<uint64_t>(u) << kTrialBits) | ids[i];
       if (const Val* pv = aggregated.at_target.find(group)) {
-        st.blue_xor = (*pv)[0];
-        st.blue_cnt = static_cast<uint32_t>((*pv)[1]);
+        trials[i].blue_xor = (*pv)[0];
+        trials[i].blue_cnt = static_cast<uint32_t>((*pv)[1]);
       }
     }
 
-    // Peel trials holding exactly one red arc.
+    // Peel trials holding exactly one red arc, lowest trial first.
     bool damaged = false;
     bool progress = true;
     while (progress && !damaged) {
       progress = false;
-      for (auto& [t, st] : trials) {
+      for (const TrialState& st : trials) {
         if (st.x_cnt != st.blue_cnt + 1) continue;
         uint64_t arc = st.x_xor ^ st.blue_xor;
-        auto ait = arc_to_trials.find(arc);
-        if (ait == arc_to_trials.end() || !remaining.count(arc)) {
+        auto ait = std::lower_bound(arcs.begin(), arcs.end(), arc,
+                                    [](const Arc& a, uint64_t id) { return a.id < id; });
+        if (ait == arcs.end() || ait->id != arc || !ait->remaining) {
           // The trial's playing arcs are candidates, so on an undamaged
           // aggregate its one non-playing arc is a remaining candidate; this
           // one is not: abort decoding and report a damaged sketch.
           damaged = true;
           break;
         }
-        remaining.erase(arc);
+        ait->remaining = false;
         res.red[li].push_back(static_cast<NodeId>(arc & 0xffffffffu));
-        for (uint32_t t2 : ait->second) {
-          auto& st2 = trials[t2];
+        for (uint32_t t2 : ait->trials) {
+          TrialState& st2 = trial(t2);
           st2.x_xor ^= arc;
           st2.x_cnt -= 1;
         }
@@ -170,7 +176,7 @@ IdentificationResult run_identification(const Shared& shared, Network& net,
     }
 
     bool all_blue = !damaged;
-    for (const auto& [t, st] : trials) {
+    for (const TrialState& st : trials) {
       if (st.x_cnt != st.blue_cnt) all_blue = false;
       if (st.blue_cnt > st.x_cnt) damaged = true;  // more playing arcs than candidates
     }

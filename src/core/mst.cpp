@@ -1,8 +1,6 @@
 #include "core/mst.hpp"
 
 #include <algorithm>
-// det-lint: allow(unordered-container) — all uses audited at their declaration sites
-#include <unordered_map>
 
 #include "common/assert.hpp"
 #include "common/hash.hpp"
@@ -138,15 +136,14 @@ MstResult run_mst(const Shared& shared, Network& net, const Graph& g,
     const uint32_t Ts = std::min(params.trials, 64u / A);  // bits per subrange
     NCC_ASSERT(Ts >= 1);
     struct Search {
+      NodeId l;  // the component's leader
       uint64_t lo, hi;
       bool exists = false;  // an outgoing edge exists at all
       bool done = false;
     };
-    // det-lint: allow(unordered-container) — leaders are inserted in ascending node id,
-    // so traversal order is a fixed function of that sequence (no ASLR/thread input).
-    std::unordered_map<NodeId, Search> search;
+    std::vector<Search> search;  // one per leader, in ascending leader id
     for (NodeId l = 0; l < n; ++l)
-      if (is_leader[l]) search[l] = Search{key_lo0, key_hi0, false, false};
+      if (is_leader[l]) search.push_back(Search{l, key_lo0, key_hi0, false, false});
     // Iterations until every range shrinks to one key.
     uint32_t iters = 1;
     {
@@ -167,10 +164,10 @@ MstResult run_mst(const Shared& shared, Network& net, const Graph& g,
       // A-way split locally (A is a global parameter).
       std::vector<MulticastSend> probes;
       std::vector<std::pair<uint64_t, uint64_t>> node_probe(n, {1, 0});
-      for (auto& [l, s] : search) {
+      for (const Search& s : search) {
         if (s.done || (iter > 0 && s.lo >= s.hi)) continue;
-        probes.push_back({l, l, Val{s.lo, s.hi}});
-        node_probe[l] = {s.lo, s.hi};
+        probes.push_back({s.l, s.l, Val{s.lo, s.hi}});
+        node_probe[s.l] = {s.lo, s.hi};
       }
       auto mc = run_multicast(shared, net, trees.trees, probes, 1,
                               mix64(rng_tag ^ (res.phases * 31 + 3 + iter)));
@@ -207,10 +204,10 @@ MstResult run_mst(const Shared& shared, Network& net, const Graph& g,
       }
       auto agg_res = run_aggregation(shared, net, prob,
                                      mix64(rng_tag ^ (res.phases * 31 + 101 + iter)));
-      for (auto& [l, s] : search) {
+      for (Search& s : search) {
         if (s.done || (iter > 0 && s.lo >= s.hi)) continue;
         uint64_t up = 0, down = 0;
-        if (const Val* pv = agg_res.at_target.find(l)) {
+        if (const Val* pv = agg_res.at_target.find(s.l)) {
           up = (*pv)[0];
           down = (*pv)[1];
         }
@@ -249,11 +246,11 @@ MstResult run_mst(const Shared& shared, Network& net, const Graph& g,
     // recognizes itself.
     std::vector<MulticastSend> key_sends;
     std::vector<uint64_t> comp_key(n, 0);  // per node: its component's key (0 = none)
-    for (auto& [l, s] : search) {
+    for (const Search& s : search) {
       if (!s.exists) continue;
       NCC_ASSERT(s.lo == s.hi);
-      key_sends.push_back({l, l, Val{s.lo, 0}});
-      comp_key[l] = s.lo;
+      key_sends.push_back({s.l, s.l, Val{s.lo, 0}});
+      comp_key[s.l] = s.lo;
     }
     {
       auto mc = run_multicast(shared, net, trees.trees, key_sends, 1,
@@ -348,8 +345,8 @@ MstResult run_mst(const Shared& shared, Network& net, const Graph& g,
 
     // Termination: did any component still have an outgoing edge?
     std::vector<std::optional<Val>> inputs(n);
-    for (auto& [l, s] : search)
-      if (s.exists) inputs[l] = Val{1, 0};
+    for (const Search& s : search)
+      if (s.exists) inputs[s.l] = Val{1, 0};
     auto ab = aggregate_and_broadcast(topo, net, shared.barrier_workspace(), inputs, agg::sum);
     if (!ab.value.has_value()) break;
   }

@@ -2,10 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-// det-lint: allow(unordered-container) — all uses audited at their declaration sites
-#include <unordered_map>
-// det-lint: allow(unordered-container) — all uses audited at their declaration sites
-#include <unordered_set>
 
 #include "common/assert.hpp"
 #include "core/identification.hpp"
@@ -91,6 +87,7 @@ OrientationRunResult run_orientation(const Shared& shared, Network& net, const G
   // pot[v]: potentially-learning out-neighbors known to inactive node v
   // (fixed when v becomes inactive: its waiting red neighbors).
   std::vector<std::vector<NodeId>> pot(n);
+  std::vector<uint8_t> mark(n, 0);  // membership scratch, all zero between uses
 
   uint64_t cnt_bound = n;  // the last phase's non-inactive count (see below)
   uint32_t phase = 0;
@@ -211,8 +208,7 @@ OrientationRunResult run_orientation(const Shared& shared, Network& net, const G
     IdentificationResult ident = run_identification(shared, net, id_in, p1, phase * 131 + 2);
 
     // Collect per-active-node red sets and the unsuccessful split.
-    // det-lint: allow(unordered-container) — point lookups by node id only; never iterated
-    std::unordered_map<NodeId, std::vector<NodeId>> red;
+    std::vector<std::vector<NodeId>> red(n);
     std::vector<NodeId> u_high;
     std::vector<NodeId> u_low;
     for (size_t li = 0; li < id_in.learning.size(); ++li) {
@@ -252,18 +248,16 @@ OrientationRunResult run_orientation(const Shared& shared, Network& net, const G
       for (NodeId w : u_low) sends.push_back({w, w, Val{1, 0}});
       auto mc = run_multicast(shared, net, setup.trees, sends, d_star,
                               phase * 131 + 18 + attempt);
-      // det-lint: allow(unordered-container) — membership test only; never iterated
-      std::unordered_set<NodeId> low_set(u_low.begin(), u_low.end());
 
       IdentificationInput in2;
       for (NodeId u : u_low) {
         in2.learning.push_back(u);
         // Remaining candidates: all neighbors minus already-identified reds.
-        // det-lint: allow(unordered-container) — membership test only; never iterated
-        std::unordered_set<NodeId> got(red[u].begin(), red[u].end());
+        for (NodeId v : red[u]) mark[v] = 1;
         std::vector<NodeId> cand;
         for (NodeId v : g.neighbors(u))
-          if (!got.count(v)) cand.push_back(v);
+          if (!mark[v]) cand.push_back(v);
+        for (NodeId v : red[u]) mark[v] = 0;
         in2.candidates.push_back(std::move(cand));
       }
       for (NodeId v = 0; v < n; ++v) {
@@ -310,11 +304,12 @@ OrientationRunResult run_orientation(const Shared& shared, Network& net, const G
     // a random round from {1..max(|Ru|, d*_i)}.
     if (!u_high.empty()) {
       std::vector<NodeId> uh = broadcast_ids(net, u_high);
-      // det-lint: allow(unordered-container) — membership test only; never iterated
-      std::unordered_set<NodeId> uh_set(uh.begin(), uh.end());
       // Every U_high node restarts identification from scratch: red edges are
       // exactly the neighbors that contact it.
-      for (NodeId u : uh) red[u].clear();
+      for (NodeId u : uh) {
+        red[u].clear();
+        mark[u] = 1;
+      }
       Rng contact_rng = shared.local_rng(phase * 131 + 47);
       uint32_t rounds_T = 1;
       std::vector<std::vector<std::pair<NodeId, NodeId>>> schedule;  // (from, to)
@@ -322,10 +317,11 @@ OrientationRunResult run_orientation(const Shared& shared, Network& net, const G
       for (NodeId w = 0; w < n; ++w) {
         if (status[w] == St::Inactive) continue;  // active or waiting only
         for (NodeId v : g.neighbors(w))
-          if (uh_set.count(v) && v != w) ru[w].push_back(v);
+          if (mark[v] && v != w) ru[w].push_back(v);
         rounds_T = std::max<uint32_t>(
             rounds_T, std::max<uint32_t>(static_cast<uint32_t>(ru[w].size()), d_star_i));
       }
+      for (NodeId u : uh) mark[u] = 0;
       schedule.assign(rounds_T, {});
       for (NodeId w = 0; w < n; ++w) {
         uint32_t horizon =
@@ -379,8 +375,7 @@ OrientationRunResult run_orientation(const Shared& shared, Network& net, const G
     // Rendezvous hashing: both endpoints of an active-active edge send the
     // edge id to the same random node in the same random round; the node
     // answers both.
-    // det-lint: allow(unordered-container) — point lookups by node id only; never iterated
-    std::unordered_map<NodeId, std::vector<NodeId>> active_red;
+    std::vector<std::vector<NodeId>> active_red(n);
     {
       HashFamily fam = shared.make_family(net, phase * 131 + 53, 2, 2 * logn);
       uint32_t horizon = std::max(1u, d_star_i);
@@ -392,54 +387,51 @@ OrientationRunResult run_orientation(const Shared& shared, Network& net, const G
           schedule[r].push_back({u, e});
         }
       }
+      // Endpoint t of edge e learns that the other endpoint is active (a
+      // corrupted edge id can name a non-node, which is dropped).
+      auto learn = [&](NodeId t, uint64_t e) {
+        NodeId a = static_cast<NodeId>(e >> 32), b = static_cast<NodeId>(e & 0xffffffffu);
+        NodeId other = t == a ? b : a;
+        if (other < n) active_red[t].push_back(other);
+      };
+      // Drain the round's inboxes: edge messages join `halves` as
+      // (rendezvous node, edge).
+      std::vector<std::pair<NodeId, uint64_t>> halves;
+      auto drain = [&] {
+        for (NodeId t = 0; t < n; ++t) {
+          for (const Message& m : net.inbox(t)) {
+            if (m.tag == kTagEdgeMsg) halves.push_back({t, m.word(0)});
+            if (m.tag == kTagEdgeResp) learn(t, m.word(0));
+          }
+        }
+      };
       for (uint32_t r = 0; r < horizon; ++r) {
-        // A sender that is its own rendezvous target "delivers" locally in
-        // the same round the network messages arrive.
-        // det-lint: allow(unordered-container) — traversal order is fixed by the
-        // deterministic schedule order, and the drain scatters into per-(target,
-        // edge) slots of `seen`, so it commutes.
-        std::unordered_map<uint64_t, std::vector<NodeId>> self_seen;
+        // A sender that is its own rendezvous target holds its half locally,
+        // beside the network halves that arrive this round.
+        halves.clear();
         for (auto [u, e] : schedule[r]) {
           NodeId tgt = static_cast<NodeId>(fam.fn(0).to_range(e, n));
           if (tgt == u) {
-            self_seen[e].push_back(u);
+            halves.push_back({u, e});
           } else {
             net.send(u, tgt, kTagEdgeMsg, {e, u});
           }
         }
         net.end_round();
-        // Match edge messages per receiving node.
-        // det-lint: allow(unordered-container) — traversal order is a fixed function
-        // of the deterministic inbox drain order (integer keys, no ASLR); the
-        // per-edge responses it emits commute within the round.
-        std::unordered_map<NodeId, std::unordered_map<uint64_t, std::vector<NodeId>>> seen;
-        for (NodeId t = 0; t < n; ++t) {
-          for (const Message& m : net.inbox(t)) {
-            if (m.tag == kTagEdgeMsg) seen[t][m.word(0)].push_back(static_cast<NodeId>(m.word(1)));
-            if (m.tag == kTagEdgeResp) {
-              uint64_t e = m.word(0);
-              NodeId a = static_cast<NodeId>(e >> 32), b = static_cast<NodeId>(e & 0xffffffffu);
-              NodeId other = (t == a) ? b : a;
-              active_red[t].push_back(other);
-            }
-          }
-        }
-        // Self-rendezvous halves join the matching at the rendezvous node.
-        for (auto& [e, us] : self_seen) {
-          NodeId tgt = static_cast<NodeId>(fam.fn(0).to_range(e, n));
-          for (NodeId u : us) seen[tgt][e].push_back(u);
-        }
-        for (auto& [t, by_edge] : seen) {
-          for (auto& [e, senders] : by_edge) {
-            if (senders.size() < 2) continue;
-            NodeId a = static_cast<NodeId>(e >> 32), b = static_cast<NodeId>(e & 0xffffffffu);
-            for (NodeId ep : {a, b}) {
-              if (ep == t) {
-                NodeId other = (ep == a) ? b : a;
-                active_red[ep].push_back(other);
-              } else {
-                net.send(t, ep, kTagEdgeResp, {e});
-              }
+        drain();
+        // Answer every (rendezvous node, edge) pair that met both halves, in
+        // ascending order.
+        std::sort(halves.begin(), halves.end());
+        for (size_t i = 0, j = 0; i < halves.size(); i = j) {
+          while (j < halves.size() && halves[j] == halves[i]) ++j;
+          if (j - i < 2) continue;
+          auto [t, e] = halves[i];
+          NodeId a = static_cast<NodeId>(e >> 32), b = static_cast<NodeId>(e & 0xffffffffu);
+          for (NodeId ep : {a, b}) {
+            if (ep == t) {
+              learn(t, e);
+            } else {
+              net.send(t, ep, kTagEdgeResp, {e});
             }
           }
         }
@@ -448,16 +440,7 @@ OrientationRunResult run_orientation(const Shared& shared, Network& net, const G
       // The stage lasts horizon + 1 rounds and every node holds d*_i from the
       // A&B, so no barrier follows it.
       net.end_round();
-      for (NodeId t = 0; t < n; ++t) {
-        for (const Message& m : net.inbox(t)) {
-          if (m.tag == kTagEdgeResp) {
-            uint64_t e = m.word(0);
-            NodeId a = static_cast<NodeId>(e >> 32), b = static_cast<NodeId>(e & 0xffffffffu);
-            NodeId other = (t == a) ? b : a;
-            active_red[t].push_back(other);
-          }
-        }
-      }
+      drain();
     }
 
     // ---------------- Conclude the phase locally ------------------------
@@ -475,11 +458,10 @@ OrientationRunResult run_orientation(const Shared& shared, Network& net, const G
       res.orientation.orient(u, v);
     };
     for (NodeId u : active) {
-      // det-lint: allow(unordered-container) — membership test only; never iterated
-      std::unordered_set<NodeId> act(active_red[u].begin(), active_red[u].end());
+      for (NodeId v : active_red[u]) mark[v] = 1;
       std::vector<NodeId> waiting_red;
       for (NodeId v : red[u]) {
-        if (act.count(v)) {
+        if (mark[v]) {
           res.same_level[u].push_back(v);
           if (u < v) orient_once(u, v);  // id rule, recorded once
         } else {
@@ -487,6 +469,7 @@ OrientationRunResult run_orientation(const Shared& shared, Network& net, const G
           waiting_red.push_back(v);
         }
       }
+      for (NodeId v : active_red[u]) mark[v] = 0;
       status[u] = St::Inactive;
       res.level[u] = phase;
       pot[u] = std::move(waiting_red);

@@ -42,12 +42,9 @@ void Network::end_round() {
   uint64_t total = pending_.size();
 
   // Live-message accounting at the pre-fault snapshot: what was sent this
-  // round. Measured in logical (AoS) message bytes so the series is
-  // layout-independent.
-  if (total > mem_.live_msgs_peak) {
-    mem_.live_msgs_peak = total;
-    mem_.live_bytes_peak = total * sizeof(Message);
-  }
+  // round. Emitters convert it to logical (AoS) message bytes, so the bytes
+  // are layout-independent.
+  mem_.live_msgs_peak = std::max(mem_.live_msgs_peak, total);
 
   // Fault injection runs before delivery, in send order, so decisions keyed
   // on (round, index) are a pure function of the seed. Dropped headers are

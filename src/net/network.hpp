@@ -68,8 +68,7 @@ struct NetMemStats {
   // Deterministic (message counts are part of the determinism contract;
   // sizeof(Message) — the logical AoS message size — is a constant, kept as
   // the unit so the series is layout-independent).
-  uint64_t live_msgs_peak = 0;   // max messages in flight in any one round
-  uint64_t live_bytes_peak = 0;  // live_msgs_peak in message bytes
+  uint64_t live_msgs_peak = 0;  // max messages in flight in any one round
   // Observational only: capacity footprint + allocation counts.
   uint64_t container_bytes_peak = 0;  // peak capacity bytes across hot containers
   uint64_t allocs = 0;                // capacity-growth events on hot containers

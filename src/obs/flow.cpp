@@ -19,8 +19,8 @@ void FlowSampler::record_hop(uint64_t group, bool up, uint32_t level,
                              uint32_t edge, NodeId host, uint64_t round,
                              bool cache_hit) {
   auto& adm = admitted_[up ? 1 : 0];
-  auto it = adm.find(group);
-  if (it == adm.end()) {
+  const int64_t* idx = adm.find(group);
+  if (idx == nullptr) {
     bool take = false;
     if (flows_.size() < max_flows_) {
       // The first group each phase routes is always followed; the rest are
@@ -29,21 +29,20 @@ void FlowSampler::record_hop(uint64_t group, bool up, uint32_t level,
       take = !phase_seen_[up ? 1 : 0] ||
              (mix64(seed_ ^ group ^ (up ? 0x7570ULL : 0x646eULL)) & 3) == 0;
     }
-    if (take) {
-      phase_seen_[up ? 1 : 0] = true;
-      SampledFlow f;
-      f.id = flows_.size() + 1;
-      f.group = group;
-      f.up = up;
-      flows_.push_back(std::move(f));
-      it = adm.emplace(group, static_cast<int64_t>(flows_.size()) - 1).first;
-    } else {
-      it = adm.emplace(group, -1).first;
+    if (!take) {
+      adm.emplace(group, -1);
       return;
     }
+    phase_seen_[up ? 1 : 0] = true;
+    SampledFlow f;
+    f.id = flows_.size() + 1;
+    f.group = group;
+    f.up = up;
+    flows_.push_back(std::move(f));
+    idx = adm.emplace(group, static_cast<int64_t>(flows_.size()) - 1).first;
   }
-  if (it->second < 0) return;
-  SampledFlow& f = flows_[static_cast<size_t>(it->second)];
+  if (*idx < 0) return;
+  SampledFlow& f = flows_[static_cast<size_t>(*idx)];
   if (f.hops.size() >= max_hops_) {
     truncated_ = true;
     return;

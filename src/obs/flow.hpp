@@ -18,10 +18,9 @@
 #pragma once
 
 #include <cstdint>
-// det-lint: observational — admission cache below is point-lookup only
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.hpp"
 #include "net/network.hpp"
 #include "obs/json.hpp"
 
@@ -79,10 +78,9 @@ class FlowSampler {
   uint32_t max_hops_;
   std::vector<SampledFlow> flows_;
   // Per phase: group -> index into flows_; -1 marks a group checked and
-  // rejected so the admission hash runs once per group per phase.
-  // det-lint: observational — point lookups by group id; admission order is the
-  // deterministic deposit order, and the map itself is never iterated
-  std::unordered_map<uint64_t, int64_t> admitted_[2];
+  // rejected so the admission hash runs once per group per phase. Point
+  // lookups only; admission order is the deterministic deposit order.
+  FlatMap<int64_t> admitted_[2];
   // Whether a phase has admitted its first flow yet (the first group routed
   // in each phase is always followed, so a traced run never comes up empty).
   bool phase_seen_[2] = {false, false};

@@ -134,7 +134,7 @@ void RoundLedger::write_memory_json(JsonWriter& w) const {
   const NetMemStats& nm = net_.mem_stats();
   w.begin_object();
   w.kv("live_msgs_peak", nm.live_msgs_peak);
-  w.kv("live_bytes_peak", nm.live_bytes_peak);
+  w.kv("live_bytes_peak", nm.live_msgs_peak * sizeof(Message));
   w.kv("container_bytes_peak", nm.container_bytes_peak);
   w.kv("net_allocs", nm.allocs);
   w.kv("series_truncated", truncated_);

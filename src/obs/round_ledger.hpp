@@ -63,7 +63,7 @@ class RoundLedger {
   std::vector<uint64_t> live_bytes() const;
 
   /// Streaming summary of messages sent per round, over every round. (The
-  /// peak live bytes are NetMemStats::live_bytes_peak.)
+  /// peak is NetMemStats::live_msgs_peak.)
   const Accumulator& sent_per_round() const { return sent_acc_; }
 
   /// Max messages one node received in a single round, and where/when

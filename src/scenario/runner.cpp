@@ -167,7 +167,7 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec, const RunOptions& opts) {
   out.counters = std::move(result.counters);
   out.container_bytes_peak = net.mem_stats().container_bytes_peak;
   out.net_allocs = net.mem_stats().allocs;
-  out.peak_live_bytes = net.mem_stats().live_bytes_peak;
+  out.live_msgs_peak = net.mem_stats().live_msgs_peak;
   if (opts.collect_trace && tracer) {
     std::ostringstream label;
     label << spec.name << " " << spec.algorithm << " "

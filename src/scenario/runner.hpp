@@ -63,9 +63,9 @@ struct ScenarioOutcome {
   uint64_t corrupted = 0;  // payloads mutated by byzantine fault injection
   uint32_t crashed = 0;
   double wall_ms = 0.0;
-  /// Deterministic: max bytes of messages in flight in any one round
-  /// (NetMemStats::live_bytes_peak).
-  uint64_t peak_live_bytes = 0;
+  /// Deterministic: max messages in flight in any one round
+  /// (NetMemStats::live_msgs_peak).
+  uint64_t live_msgs_peak = 0;
   /// The adapter's deterministic counters (ScenarioRunResult::counters);
   /// empty when the run ended before the adapter returned.
   std::vector<std::pair<std::string, uint64_t>> counters;

@@ -45,15 +45,24 @@ TEST(Identification, AllNeighborsRed) {
 }
 
 TEST(Identification, MixedRedAndBlue) {
-  Fixture s(64);
-  IdentificationInput in;
-  in.learning = {10};
-  in.candidates = {{1, 2, 3, 4, 5, 6, 7, 8}};
-  in.playing = {2, 4, 6};  // blue neighbors
-  in.potential = {{10}, {10}, {10}};
-  auto res = run_identification(s.shared, s.net, in, {4, 512}, 3);
+  auto run = [](bool reversed) {
+    Fixture s(64);
+    IdentificationInput in;
+    in.learning = {10};
+    in.candidates = {{1, 2, 3, 4, 5, 6, 7, 8}};
+    if (reversed) std::reverse(in.candidates[0].begin(), in.candidates[0].end());
+    in.playing = {2, 4, 6};  // blue neighbors
+    in.potential = {{10}, {10}, {10}};
+    return run_identification(s.shared, s.net, in, {4, 512}, 3);
+  };
+  auto res = run(false);
   EXPECT_TRUE(res.success[0]);
   EXPECT_EQ(res.red[0], (std::vector<NodeId>{1, 3, 5, 7, 8}));
+  // The decode does not depend on the order of the candidate list.
+  auto rev = run(true);
+  EXPECT_EQ(rev.red, res.red);
+  EXPECT_EQ(rev.success, res.success);
+  EXPECT_EQ(rev.damaged, res.damaged);
 }
 
 TEST(Identification, MultipleLearners) {
@@ -189,7 +198,7 @@ TEST(Identification, DamagedAggregateIsFlagged) {
   // decode fails and flags it, so the caller resolves the node directly
   // instead of retrying with fresh hash functions. An intact decode never
   // raises the flag.
-  auto run = [](bool damage) {
+  auto run = [](bool damage, bool reversed = false) {
     Fixture s(64, 3);
     if (damage) {
       FaultHooks hooks;
@@ -203,6 +212,7 @@ TEST(Identification, DamagedAggregateIsFlagged) {
     IdentificationInput in;
     in.learning = {10};
     in.candidates = {{1, 2, 3, 4, 5, 6, 7, 8}};
+    if (reversed) std::reverse(in.candidates[0].begin(), in.candidates[0].end());
     in.playing = {2, 4, 6};
     in.potential = {{10}, {10}, {10}};
     return run_identification(s.shared, s.net, in, {4, 512}, 3);
@@ -213,4 +223,9 @@ TEST(Identification, DamagedAggregateIsFlagged) {
   const IdentificationResult damaged = run(true);
   EXPECT_FALSE(damaged.success[0]);
   EXPECT_TRUE(damaged.damaged[0]);
+  // A damaged decode does not depend on the candidate order either.
+  const IdentificationResult rev = run(true, /*reversed=*/true);
+  EXPECT_EQ(rev.red, damaged.red);
+  EXPECT_EQ(rev.success, damaged.success);
+  EXPECT_EQ(rev.damaged, damaged.damaged);
 }

@@ -1,70 +1,14 @@
-// Tests for graph I/O (edge-list round-trips, malformed input), the
-// Barabasi-Albert generator, and the round ledger's per-round columns (sent,
-// max in-degree) and per-node totals on hand-made sends and on a real
-// gossip run.
+// Tests for the Barabasi-Albert generator and the round ledger's per-round
+// columns (sent, max in-degree) and per-node totals on hand-made sends and
+// on a real gossip run.
 #include <gtest/gtest.h>
-
-#include <sstream>
 
 #include "core/gossip.hpp"
 #include "graph/generators.hpp"
-#include "graph/io.hpp"
 #include "graph/properties.hpp"
 #include "obs/round_ledger.hpp"
 
 using namespace ncc;
-
-TEST(GraphIo, RoundTripPreservesGraph) {
-  Rng rng(3);
-  Graph g = with_random_weights(gnm_graph(40, 120, rng), 50, rng);
-  std::stringstream ss;
-  write_edge_list(ss, g);
-  Graph h = read_edge_list(ss);
-  EXPECT_EQ(h.n(), g.n());
-  ASSERT_EQ(h.m(), g.m());
-  EXPECT_EQ(h.edges(), g.edges());
-}
-
-TEST(GraphIo, UnweightedEdgesOmitWeight) {
-  Graph g = path_graph(3);
-  std::stringstream ss;
-  write_edge_list(ss, g);
-  EXPECT_NE(ss.str().find("e 0 1\n"), std::string::npos);
-  Graph h = read_edge_list(ss);
-  EXPECT_EQ(h.weight(0, 1), 1u);
-}
-
-TEST(GraphIo, CommentsAndBlankLines) {
-  std::stringstream ss("# header\nn 3\n\ne 0 1  # inline comment\ne 1 2 9\n");
-  Graph g = read_edge_list(ss);
-  EXPECT_EQ(g.n(), 3u);
-  EXPECT_EQ(g.m(), 2u);
-  EXPECT_EQ(g.weight(1, 2), 9u);
-}
-
-TEST(GraphIo, RejectsMalformedInput) {
-  auto expect_throw = [](const std::string& text) {
-    std::stringstream ss(text);
-    EXPECT_THROW((void)read_edge_list(ss), std::runtime_error) << text;
-  };
-  expect_throw("e 0 1\n");                 // edge before n
-  expect_throw("n 3\ne 0 3\n");            // out of range
-  expect_throw("n 3\ne 1 1\n");            // self loop
-  expect_throw("n 3\nx 0 1\n");            // unknown record
-  expect_throw("n 3\nn 4\n");              // duplicate n
-  expect_throw("");                        // missing n
-  expect_throw("n 3\ne 0 1 0\n");          // zero weight
-}
-
-TEST(GraphIo, FileRoundTrip) {
-  Rng rng(5);
-  Graph g = random_forest_union(30, 2, rng);
-  std::string path = ::testing::TempDir() + "/nccl_io_test.txt";
-  save_edge_list(path, g);
-  Graph h = load_edge_list(path);
-  EXPECT_EQ(h.edges(), g.edges());
-  EXPECT_THROW((void)load_edge_list(path + ".does_not_exist"), std::runtime_error);
-}
 
 TEST(PerRoundObservers, RecordsPerRoundSeries) {
   NetConfig cfg;

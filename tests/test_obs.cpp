@@ -397,8 +397,7 @@ TEST(RoundLedger, MatchesBruteForceOracleUnderFaults) {
     EXPECT_EQ(ledger.sent_per_round().count(), kRounds);
     EXPECT_EQ(ledger.sent_per_round().mean(), sent_acc.mean());
     EXPECT_EQ(ledger.sent_per_round().max(), sent_acc.max());
-    EXPECT_EQ(net.mem_stats().live_bytes_peak,
-              static_cast<uint64_t>(sent_acc.max()) * sizeof(Message));
+    EXPECT_EQ(net.mem_stats().live_msgs_peak, static_cast<uint64_t>(sent_acc.max()));
 
     EXPECT_EQ(ledger.peak_in_degree(), peak);
     EXPECT_EQ(ledger.peak_node(), peak_node);
@@ -668,7 +667,6 @@ TEST(Memory, LedgerTracksLiveBytesAndContainerFootprint) {
 
   const NetMemStats& nm = net.mem_stats();
   EXPECT_EQ(nm.live_msgs_peak, 3u);
-  EXPECT_EQ(nm.live_bytes_peak, 3 * sizeof(Message));
   EXPECT_GT(nm.allocs, 0u);  // pending_/inbox growth from empty
   EXPECT_GT(nm.container_bytes_peak, 0u);
 }
@@ -713,8 +711,8 @@ TEST(Memory, PeakLiveBytesDeterministicAcrossThreads) {
   const auto& o1 = outs[0];
   const auto& o8 = outs[1];
   ASSERT_TRUE(o1.ran && o8.ran);
-  EXPECT_GT(o1.peak_live_bytes, 0u);
-  EXPECT_EQ(o1.peak_live_bytes, o8.peak_live_bytes);
+  EXPECT_GT(o1.live_msgs_peak, 0u);
+  EXPECT_EQ(o1.live_msgs_peak, o8.live_msgs_peak);
 }
 
 TEST(Memory, PeakLiveBytesWithAndWithoutJson) {
@@ -727,8 +725,8 @@ TEST(Memory, PeakLiveBytesWithAndWithoutJson) {
   auto a = scenario::run_scenario(spec, full);
   auto b = scenario::run_scenario(spec, compact);
   ASSERT_TRUE(a.ran && b.ran);
-  EXPECT_GT(b.peak_live_bytes, 0u);
-  EXPECT_EQ(a.peak_live_bytes, b.peak_live_bytes);
+  EXPECT_GT(b.live_msgs_peak, 0u);
+  EXPECT_EQ(a.live_msgs_peak, b.live_msgs_peak);
 }
 
 TEST(Flows, SampledFlowsIdenticalAcrossThreadsAndNonEmpty) {

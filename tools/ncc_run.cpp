@@ -108,11 +108,11 @@ struct CellAgg {
 struct SpecSummary {
   std::string name;
   CellAgg agg;
-  uint64_t peak_live_bytes = 0;  // max over the spec's cells (deterministic)
+  uint64_t live_msgs_peak = 0;  // max over the spec's cells (deterministic)
 
   void account(const ScenarioOutcome& out) {
     agg.account(out);
-    peak_live_bytes = std::max(peak_live_bytes, out.peak_live_bytes);
+    live_msgs_peak = std::max(live_msgs_peak, out.live_msgs_peak);
   }
 };
 
@@ -451,7 +451,8 @@ int main(int argc, char** argv) {
                                     Table::num(a.errors),
                                     Table::num(a.failed)};
     if (opts.memory)
-      row.push_back(Table::num(static_cast<double>(sm.peak_live_bytes) / 1024.0, 1));
+      row.push_back(
+          Table::num(static_cast<double>(sm.live_msgs_peak * sizeof(Message)) / 1024.0, 1));
     s.add_row(std::move(row));
   }
   s.print("== per-spec summary ==");
